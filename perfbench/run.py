@@ -8,17 +8,17 @@ when that is missing.  One process runs one workload (workloads.py).
 After SETUP_REPS set-ups it repeats the workload's timed section while the
 next repetition is expected to end within ``--seconds``, and at least
 MIN_REPS times, checking the outputs of every repetition.  Every time is
-rescaled to the reference speed of the speed probe (sampler.py).
+wall time, as measured.
 
 The last line of standard output is the result:
 ``{"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}``.
 With ``--trace 0`` the metrics are end to end: ``wall_s`` (the median
-repetition), ``setup_s`` (import plus the median set-up) and
+repetition), ``setup_s`` (the median import plus the median set-up) and
 ``peak_rss_mb``.  With ``--trace 1`` every second repetition and the first
 set-up run with per-layer spans installed (spans.py); the metrics are those
-of one set-up plus one repetition, and the tracing overhead.  The line
-before the result holds the run's facts: every time, raw and rescaled, the
-machine, the versions and the git revision.
+BENCHMARK.json lists under ``per_layer``, for one set-up plus one
+repetition, and the tracing overhead.  The line before the result holds the
+run's facts: every time, the machine, the versions and the git revision.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import platform
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -40,12 +41,12 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
-from sampler import Speed  # noqa: E402
-from spans import Recorder, layer_metrics  # noqa: E402
+from spans import Recorder  # noqa: E402
 from workloads import WORKLOADS, Outcome  # noqa: E402
 
-#: Set-ups per run; setup_s takes their median.
-SETUP_REPS = 3
+#: Set-ups, and imports of the package, per run; setup_s takes the median
+#: of each.
+SETUP_REPS = 5
 #: Repetitions of the timed section at least, whatever --seconds says: two
 #: are needed to compare outputs byte for byte, and a traced run needs one
 #: traced and one untraced repetition.
@@ -63,6 +64,25 @@ def import_package():
     if Path(pqelliptic.__file__).resolve().parent != src / "pqelliptic":
         sys.exit(f"perfbench: imported pqelliptic from {pqelliptic.__file__}")
     return pqelliptic
+
+
+# Run in a fresh interpreter with numpy loaded, as it is in this process
+# when it imports the package.
+IMPORT_TIMER = (
+    "import sys, time\n"
+    "import numpy\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "t0 = time.perf_counter()\n"
+    "import pqelliptic, pqelliptic.cli\n"
+    "print(time.perf_counter() - t0)\n")
+
+
+def import_seconds() -> float:
+    """Seconds ``import pqelliptic`` takes in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_TIMER, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120, check=True)
+    return float(proc.stdout.strip().splitlines()[-1])
 
 
 def git_revision() -> str:
@@ -124,6 +144,11 @@ def machine_facts(pq) -> dict:
             "pqelliptic": pq.__version__, "blas_threads": blas_threads()}
 
 
+def per_layer_metrics() -> list:
+    """The per-layer metrics BENCHMARK.json lists, with their units."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+
+
 def load_reference(workload, seed: int):
     """The workload's reference values, when they apply at ``seed``."""
     if workload.seeded and seed != 0:
@@ -132,12 +157,11 @@ def load_reference(workload, seed: int):
 
 
 class Run:
-    """One run's times, raw and at reference speed, and its spans."""
+    """One run's times and spans."""
 
-    def __init__(self, speed: Speed):
-        self.speed = speed
-        self.times = {"setup": [], "wall": [], "traced_wall": []}
-        self.raw = {"setup": [], "wall": [], "traced_wall": []}
+    def __init__(self):
+        self.times = {"import": [], "setup": [], "wall": [],
+                      "traced_wall": []}
         self.setup_layers = Recorder()
         self.rep_layers = Recorder()
 
@@ -153,12 +177,8 @@ class Run:
         finally:
             if recorder:
                 recorder.uninstall()
-        seconds = self.speed.normalize(t0, t1)
-        self.raw[kind].append(t1 - t0)
-        self.times[kind].append(seconds)
+        self.times[kind].append(t1 - t0)
         if recorder:
-            # span seconds at reference speed too
-            recorder.rescale(seconds / (t1 - t0))
             (self.setup_layers if kind == "setup"
              else self.rep_layers).merge(recorder)
         return result
@@ -171,11 +191,12 @@ class Run:
         return out
 
 
-def measure(workload, seconds: float, trace: bool, speed: Speed):
+def measure(workload, seconds: float, trace: bool):
     """Set up and repeat the workload, checking every repetition."""
     outcome = Outcome()
-    run = Run(speed)
+    run = Run()
     for i in range(SETUP_REPS):
+        run.times["import"].append(import_seconds())
         run.timed("setup", workload.setup, traced=trace and i == 0)
     start = perf_counter()
     reps = 0
@@ -189,7 +210,8 @@ def measure(workload, seconds: float, trace: bool, speed: Speed):
         except (OSError, ValueError, KeyError) as exc:  # missing or bad output
             outcome.record("outputs", [repr(exc)])
         reps += 1
-        typical = statistics.median(run.raw["wall"] + run.raw["traced_wall"])
+        typical = statistics.median(run.times["wall"]
+                                    + run.times["traced_wall"])
         if reps >= MIN_REPS and perf_counter() - start + typical > seconds:
             return outcome, run
 
@@ -202,21 +224,15 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    speed = Speed()
-    speed.install()
     workdir = ROOT / ".perfbench_work" / str(os.getpid())
     try:
-        t0 = perf_counter()
         pq = import_package()
-        import_s = speed.normalize(t0, perf_counter())
         workdir.mkdir(parents=True)
         cls = WORKLOADS[args.workload]
         workload = cls(pq, args.seed, workdir,
                        load_reference(cls, args.seed))
-        outcome, run = measure(workload, args.seconds, bool(args.trace),
-                               speed)
+        outcome, run = measure(workload, args.seconds, bool(args.trace))
     finally:
-        speed.uninstall()
         shutil.rmtree(workdir, ignore_errors=True)
         try:
             workdir.parent.rmdir()
@@ -233,25 +249,30 @@ def main(argv=None) -> int:
         if missing:
             outcome.failed += 1
             outcome.problems.append(f"expected spans with no call: {missing}")
-        metrics = {name: {"value": values[name], "unit": unit}
-                   for name, unit, _ in layer_metrics() if name in values}
+        per_layer = per_layer_metrics()
+        # a listed metric the recorder does not make, from no missing span
+        unknown = [m["name"] for m in per_layer if m["name"] not in values
+                   and m["name"].rsplit(".", 1)[0] not in missing]
+        if unknown:
+            outcome.failed += 1
+            outcome.problems.append(f"metrics spans.py does not make: "
+                                    f"{unknown}")
+        metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
+                   for m in per_layer if m["name"] in values}
     else:
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         metrics = {
             "wall_s": {"value": statistics.median(times["wall"]),
                        "unit": "s"},
-            "setup_s": {"value": import_s + statistics.median(times["setup"]),
-                        "unit": "s"},
+            "setup_s": {"value": statistics.median(times["import"])
+                        + statistics.median(times["setup"]), "unit": "s"},
             "peak_rss_mb": {"value": rss_mb, "unit": "MB"},
         }
 
     for problem in outcome.problems:
         print(f"perfbench: FAILED {problem}", file=sys.stderr)
     facts = {"workload": args.workload, "seed": args.seed,
-             "trace": args.trace, "import_s": import_s, "times_s": times,
-             "raw_s": run.raw, "probes": len(speed.samples),
-             "probe_median_s": statistics.median(d for _, d in speed.samples),
-             **machine_facts(pq)}
+             "trace": args.trace, "times_s": times, **machine_facts(pq)}
     print(json.dumps({"facts": facts}))
     print(json.dumps({"correct": outcome.failed == 0,
                       "attempted": outcome.attempted,

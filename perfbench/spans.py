@@ -22,13 +22,6 @@ import threading
 from collections import Counter, defaultdict
 from time import perf_counter
 
-# Every span reports its self time; these also their call count.
-WITH_CALLS = ("fem.build_mesh", "fem.assemble_jacobian",
-              "fem.assemble_residual", "operators.flux",
-              "operators.dflux_dxi", "operators.scalar_weight",
-              "solvers.newton_solve", "solvers.fixed_point_solve",
-              "linalg.splu")
-
 CHECKS = ("derivative_consistency", "ellipticity", "growth_xi", "growth_u",
           "local_conditions", "monotonicity", "coercivity_lower",
           "lemma_lower_bound")
@@ -38,7 +31,7 @@ SPANS = (
     "cli.mms", "cli.write_json", "cli.write_csv", "solvers.trace_from_dict",
     "fem.build_mesh", "fem.assemble_jacobian", "fem.assemble_residual",
     "fem.norms", "operators.flux", "operators.dflux_dxi",
-    "operators.scalar_weight", "operators.validate_assumptions",
+    "operators.validate_assumptions",
     "solvers.newton_solve", "solvers.fixed_point_solve",
     "solvers.p2_presolve", "linalg.splu", "linalg.lu_solve",
     "verify.draw_samples", *(f"verify.check_{c}" for c in CHECKS),
@@ -84,20 +77,6 @@ ITERATIONS = {"solvers.newton_solve": "solvers.newton_iterations",
 COUNTS = ("cli.write_json.bytes", "fem.jacobian_nnz", "linalg.lu_fill_nnz",
           "solvers.newton_iterations", "solvers.fixed_point_iterations",
           "solvers.backtracks", "solvers.residual_evals", "verify.samples")
-
-
-def layer_metrics() -> list:
-    """Every per-layer metric as (name, unit, better)."""
-    out = []
-    for span in SPANS:
-        out.append((f"{span}.s", "s", "lower"))
-        if span in WITH_CALLS:
-            out.append((f"{span}.calls", "count", "lower"))
-    unit = {"cli.write_json.bytes": "B"}
-    out += [(c, unit.get(c, "count"), "lower") for c in COUNTS]
-    out.append(("solvers.step_accept_ratio", "ratio", "higher"))
-    out.append(("bench.trace_overhead_s", "s", "lower"))
-    return out
 
 
 def _whole(count):
@@ -269,8 +248,7 @@ class Recorder:
 
     def _operator_init(self, init):
         fields = (("flux", "operators.flux"),
-                  ("dflux_dxi", "operators.dflux_dxi"),
-                  ("scalar_weight", "operators.scalar_weight"))
+                  ("dflux_dxi", "operators.dflux_dxi"))
 
         def __init__(op, *args, **kwargs):
             init(op, *args, **kwargs)
@@ -283,10 +261,6 @@ class Recorder:
 
     # -- results ----------------------------------------------------------
 
-    def rescale(self, factor: float) -> None:
-        for name in self.seconds:
-            self.seconds[name] *= factor
-
     def merge(self, other: "Recorder", scale: float = 1.0) -> None:
         """Add ``other``'s seconds, calls and counts, times ``scale``."""
         for name, value in other.seconds.items():
@@ -297,15 +271,17 @@ class Recorder:
             self.counts[name] += scale * value
 
     def metrics(self, expected) -> tuple:
-        """(values by metric name, expected spans that recorded no call)."""
+        """(values by metric name, expected spans that recorded no call).
+
+        Every span gives its self time and calls; BENCHMARK.json picks the
+        metrics a result reports."""
         missing = sorted(s for s in expected if self.calls[s] == 0)
         values = {}
         for span in SPANS:
             if span in missing:
                 continue
             values[f"{span}.s"] = self.seconds[span]
-            if span in WITH_CALLS:
-                values[f"{span}.calls"] = _whole(self.calls[span])
+            values[f"{span}.calls"] = _whole(self.calls[span])
         for name in COUNTS:
             values[name] = _whole(self.counts[name])
         line_search = (self.counts["solvers.residual_evals"]

@@ -1,17 +1,16 @@
 """The benchmark's workloads.
 
-Each workload drives the package only through its public entry points: the
-``pq`` CLI in-process (``pqelliptic.cli.main``) and ``pq.build_mesh``,
-``pq.p2_presolve`` and ``pq.fixed_point_solve``.  ``setup()`` holds the work
+Each workload drives the package only through its public entry point, the
+``pq`` CLI, in-process (``pqelliptic.cli.main``).  ``setup()`` holds the work
 the benchmark does not time beyond ``setup_s``, ``run()`` is the timed
 section of one repetition, and ``check()`` verifies that repetition's
 outputs outside the timed section.
 
-Every operation (one CLI call or one solve) is attempted once per
-repetition.  It fails on an unexpected exit code, an exception, or a failed
-check of its outputs: the acceptance bands of the test suite, outputs that
-are not byte-identical to the first repetition of the run, or values that
-differ from ``reference.json`` by more than REL_TOL.
+Every operation (one CLI call) is attempted once per repetition.  It fails
+on an unexpected exit code, an exception, or a failed check of its outputs:
+the acceptance bands of the test suite, outputs that are not byte-identical
+to the first repetition of the run, or values that differ from
+``reference.json`` by more than REL_TOL.
 """
 
 from __future__ import annotations
@@ -112,7 +111,6 @@ def compare(values, reference, where: str = "") -> list:
 
 class Workload:
     name = ""
-    why = ""
     #: spans the workload must record; one with zero calls is missing
     expected = ()
     #: whether the seed changes the problem; if not, the reference applies
@@ -165,8 +163,6 @@ class Workload:
 
 class ContinuationPipeline(Workload):
     name = "continuation-257"
-    why = ("pq continuation, estimates and report on double-phase at 257x257: "
-           "the main pipeline, carried by Jacobian assembly and splu")
     expected = ("cli.continuation", "cli.estimates", "cli.report",
                 "cli.write_json", "cli.write_csv", "solvers.trace_from_dict",
                 "fem.build_mesh", "fem.assemble_jacobian",
@@ -232,59 +228,8 @@ class ContinuationPipeline(Workload):
                           for r in rows]}
 
 
-class KacanovSolve(Workload):
-    name = "kacanov-129"
-    why = ("Kacanov fixed-point solve of the p=4 p-Laplacian at 129x129: the "
-           "solver path continuation-257 never takes")
-    expected = ("fem.build_mesh", "solvers.p2_presolve",
-                "solvers.fixed_point_solve", "fem.assemble_residual",
-                "fem.norms", "operators.flux", "operators.scalar_weight",
-                "linalg.splu", "linalg.lu_solve")
-    nodes = 129
-    p = 4.0
-
-    def setup(self) -> None:
-        pq = self.pq
-        self.cfg = pq.NewtonConfig(abs_tol=1e-8)
-        # The iteration count of this linearly convergent solve jumps
-        # between 16 and 18 within b = -2 +- 2 %, which would put 12 % of
-        # work into the seed.  The seed picks the sign of b instead: the
-        # operator is odd, so -b gives -u with exactly the same iterations.
-        self.b = -2.0 if self.seed % 2 == 0 else 2.0
-        self.mesh = pq.build_mesh(2, pq.unit_box(2), self.nodes)
-        self.U0 = pq.p2_presolve(self.mesh, self.b_field, self.cfg)
-
-    def b_field(self, x):
-        return np.full(np.shape(x)[:-1], self.b)
-
-    def run(self):
-        op = self.pq.make_family("p-laplacian", {"p": self.p})
-        return _call(self.pq.fixed_point_solve, self.mesh, op, self.b_field,
-                     self.U0, self.cfg)
-
-    def check(self, result, outcome: Outcome) -> None:
-        if isinstance(result, Exception):
-            problems = [f"raised {result.formatted.strip()}"]
-        else:
-            U, stats = result
-            problems = []
-            if stats.method != "fixed-point" or not stats.converged:
-                problems.append(f"method {stats.method}, converged "
-                                f"{stats.converged}")
-            (self.workdir / "solution.bin").write_bytes(U.values.tobytes())
-            problems += self.same_bytes(["solution.bin"])
-            problems += self.against_reference(self.values(result))
-        outcome.record("fixed_point_solve", problems)
-
-    def values(self, result):
-        U, _ = result
-        return {"lp_gradient": self.pq.lp_gradient_norm(U, self.p)}
-
-
 class MmsRefinement(Workload):
     name = "mms-refine"
-    why = ("pq mms sine2d on double-phase over 17..129: four fresh meshes, "
-           "so mesh build and per-mesh set-up weigh more")
     expected = ("cli.mms", "cli.write_csv", "mms.convergence_study",
                 "mms.builtin_case", "fem.build_mesh", "fem.assemble_jacobian",
                 "fem.assemble_residual", "operators.flux",
@@ -323,8 +268,6 @@ class MmsRefinement(Workload):
 
 class CheckZoo(Workload):
     name = "check-zoo"
-    why = ("pq check with 100000 samples on five families: only verify and "
-           "operators work, with no FEM at all")
     expected = ("cli.check", "cli.write_json",
                 "operators.validate_assumptions", "verify.draw_samples",
                 "operators.flux", "operators.dflux_dxi",
@@ -382,5 +325,5 @@ class CheckZoo(Workload):
         return None
 
 
-WORKLOADS = {w.name: w for w in (ContinuationPipeline, KacanovSolve,
-                                 MmsRefinement, CheckZoo)}
+WORKLOADS = {w.name: w for w in (ContinuationPipeline, MmsRefinement,
+                                 CheckZoo)}
