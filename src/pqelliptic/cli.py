@@ -127,12 +127,12 @@ def parse_schedule(spec: str) -> EpsilonSchedule:
     extra = set(fields) - {"eps0", "ratio", "steps"}
     if extra or "eps0" not in fields:
         raise ConfigError(f"bad schedule spec {spec!r}")
-    try:
-        return EpsilonSchedule(eps0=fields["eps0"],
-                               ratio=fields.get("ratio", 0.5),
-                               steps=int(fields.get("steps", 5)))
-    except InvalidExponents as exc:
-        raise ConfigError(str(exc)) from exc
+    steps = fields.get("steps", 5)
+    if not np.all(np.isfinite(list(fields.values()))) or steps != int(steps):
+        raise ConfigError(f"bad schedule spec {spec!r}: values must be "
+                          "finite and steps an integer")
+    return EpsilonSchedule(eps0=fields["eps0"], ratio=fields.get("ratio", 0.5),
+                           steps=int(steps))
 
 
 def parse_rhs(spec: str, op, mesh):

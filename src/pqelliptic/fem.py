@@ -7,8 +7,11 @@ diagonals.  Assembly integrates the weak form
     R_j = int a(x, u_h, Du_h) . grad(phi_j) dx + int b phi_j dx
 
 with a quadrature rule exact for quadratics (edge midpoints on triangles,
-2-point Gauss on segments).  Second derivatives are measured by nodal
-second difference quotients, which are well-defined on the tensor grid.
+2-point Gauss on segments).  The interior CSR sparsity pattern is built
+once per mesh, at its first matrix assembly, and kept on the mesh; every
+matrix is then one ``np.bincount`` into that pattern.  Second derivatives
+are measured by nodal second difference quotients, which are well-defined
+on the tensor grid.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class Mesh:
     quad_points: np.ndarray = field(default=None, repr=False)  # (E, nq, dim)
     interior: np.ndarray = field(default=None, repr=False)
     full_to_interior: np.ndarray = field(default=None, repr=False)
+    pattern: tuple = field(default=None, repr=False)  # see _matrix_pattern
 
     @property
     def n_nodes(self) -> int:
@@ -116,21 +120,15 @@ def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
         nodes = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         nx, ny = shape
 
-        def nid(i, j):
-            return i * ny + j
-
-        tris = []
-        for i in range(nx - 1):
-            for j in range(ny - 1):
-                n00, n10 = nid(i, j), nid(i + 1, j)
-                n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-                if (i + j) % 2 == 0:
-                    tris.append((n00, n10, n11))
-                    tris.append((n00, n11, n01))
-                else:
-                    tris.append((n00, n10, n01))
-                    tris.append((n10, n11, n01))
-        elements = np.asarray(tris, dtype=np.int64)
+        # cells in (i, j) order, two triangles each; the diagonal alternates
+        ci, cj = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1),
+                             indexing="ij")
+        n00 = (ci * ny + cj).ravel()
+        n10, n01, n11 = n00 + ny, n00 + 1, n00 + ny + 1
+        even = ((ci + cj) % 2 == 0).ravel()
+        elements = np.stack([
+            n00, n10, np.where(even, n11, n01),
+            np.where(even, n00, n10), n11, n01], axis=-1).reshape(-1, 3)
         ii, jj = np.divmod(np.arange(nx * ny), ny)
         boundary = (ii == 0) | (ii == nx - 1) | (jj == 0) | (jj == ny - 1)
         # edge-midpoint rule: exact for quadratics
@@ -236,6 +234,52 @@ def _b_at_quad(mesh: Mesh, b_field) -> np.ndarray:
     return np.einsum("qv,ev->eq", mesh.quad_bary, vals[mesh.elements])
 
 
+def _matrix_pattern(mesh: Mesh) -> tuple:
+    """(indptr, indices, slot) of the interior CSR pattern, built once and
+    kept on the mesh.  The index arrays are scipy's own, read-only, and
+    shared by every matrix; ``slot`` sends each (E, nv, nv) block entry to
+    its nonzero, or to the extra slot nnz if it touches a boundary node."""
+    if mesh.pattern is None:
+        row = mesh.full_to_interior[mesh.elements][:, :, None]
+        col = row.transpose(0, 2, 1)
+        ni = mesh.interior.size
+        keep = ((row >= 0) & (col >= 0)).ravel()
+        keys, kept_slot = np.unique((row * ni + col).ravel()[keep],
+                                    return_inverse=True)
+        slot = np.full(keep.size, keys.size)
+        slot[keep] = kept_slot
+        template = sp.csr_matrix(
+            (np.zeros(keys.size), keys % ni,
+             np.searchsorted(keys, np.arange(ni + 1) * ni)), shape=(ni, ni))
+        for a in (template.indptr, template.indices, slot):
+            a.flags.writeable = False
+        mesh.pattern = (template.indptr, template.indices, slot)
+    return mesh.pattern
+
+
+def scatter_matrix(mesh: Mesh, block: np.ndarray) -> sp.csr_matrix:
+    """Interior matrix summed from element blocks (E, nv, nv) into the
+    mesh's fixed CSR pattern."""
+    indptr, indices, slot = _matrix_pattern(mesh)
+    data = np.bincount(slot, weights=block.ravel(),
+                       minlength=indices.size + 1)[:-1]
+    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+
+
+def scatter_vector(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
+    """Interior vector summed from element contributions (E, nv)."""
+    total = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
+                        minlength=mesh.n_nodes)
+    return total[mesh.interior]
+
+
+def load_contributions(mesh: Mesh, bq: np.ndarray) -> np.ndarray:
+    """area * int b phi_v per element (E, nv), from b at the quadrature
+    points (E, nq)."""
+    return mesh.areas[:, None] * np.einsum(
+        "eq,qv->ev", bq, mesh.quad_frac[:, None] * mesh.quad_bary)
+
+
 def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
     """R_j = int a(x,u_h,Du_h).grad(phi_j) + int b phi_j, interior j only."""
     vals = U.values
@@ -245,13 +289,10 @@ def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
     bq = _b_at_quad(mesh, b_field)
     if not (np.all(np.isfinite(aq)) and np.all(np.isfinite(bq))):
         raise QuadratureFailure("non-finite flux or rhs at a quadrature point")
-    # contrib[e, v] = area * sum_q frac_q (a_q . grad_v + b_q phi_v(q))
-    flux_part = np.einsum("q,eqd,evd->ev", mesh.quad_frac, aq, mesh.grads)
-    load_part = np.einsum("q,eq,qv->ev", mesh.quad_frac, bq, mesh.quad_bary)
-    contrib = mesh.areas[:, None] * (flux_part + load_part)
-    R = np.zeros(mesh.n_nodes)
-    np.add.at(R, mesh.elements, contrib)
-    return R[mesh.interior]
+    # area * (sum_q frac_q a_q) . grad_v, as grad_v is constant per element
+    a_mean = np.einsum("q,eqd->ed", mesh.quad_frac, aq)
+    flux_part = np.einsum("e,evd,ed->ev", mesh.areas, mesh.grads, a_mean)
+    return scatter_vector(mesh, flux_part + load_contributions(mesh, bq))
 
 
 def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
@@ -263,24 +304,13 @@ def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
     au = op.dflux_du(mesh.quad_points, uq, xi[:, None, :])    # (E,nq,d)
     if not (np.all(np.isfinite(Jq)) and np.all(np.isfinite(au))):
         raise QuadratureFailure("non-finite derivative at a quadrature point")
-    # block[e, v, w] = area * sum_q frac_q (grad_v . Jq grad_w
-    #                                       + (au . grad_v) phi_w(q))
-    main = np.einsum("q,evi,eqij,ewj->evw", mesh.quad_frac, mesh.grads, Jq,
-                     mesh.grads)
-    lower = np.einsum("q,eqd,evd,qw->evw", mesh.quad_frac, au, mesh.grads,
-                      mesh.quad_bary)
-    block = mesh.areas[:, None, None] * (main + lower)
-
-    nv = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
-    data = block.ravel()
-    ri = mesh.full_to_interior[rows]
-    ci = mesh.full_to_interior[cols]
-    keep = (ri >= 0) & (ci >= 0)
-    ni = mesh.interior.size
-    J = sp.coo_matrix((data[keep], (ri[keep], ci[keep])), shape=(ni, ni))
-    return J.tocsr()
+    # P1 gradients are constant per element, so with G = grads[e] the block
+    # is area * G ((sum_q frac_q Jq) G^T + sum_q frac_q au_q (x) phi(q))
+    J_mean = np.einsum("q,eqij->eij", mesh.quad_frac, Jq)
+    au_phi = np.einsum("eqd,qw->edw", au,
+                       mesh.quad_frac[:, None] * mesh.quad_bary)
+    block = mesh.grads @ (J_mean @ mesh.grads.transpose(0, 2, 1) + au_phi)
+    return scatter_matrix(mesh, mesh.areas[:, None, None] * block)
 
 
 # ---------------------------------------------------------------------------

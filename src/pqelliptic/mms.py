@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentExactData
-from .fem import DiscreteField, build_mesh, interpolate, zero_field
+from .fem import DiscreteField, build_mesh, zero_field
 from .operators import OperatorSpec
 from .solvers import NewtonConfig, newton_solve, p2_presolve
 
@@ -312,7 +312,3 @@ def convergence_study(op: OperatorSpec, case, grid_sizes,
     return StudyResult(rows=rows,
                        l2_orders=orders([r.l2_error for r in rows]),
                        w12_orders=orders([r.w12_error for r in rows]))
-
-
-def interpolant_of_exact(mesh, case: ManufacturedCase) -> DiscreteField:
-    return interpolate(mesh, case.u_exact, zero_boundary=True)

@@ -23,7 +23,8 @@ from .errors import (InvalidExponents, NonConvergence, SingularJacobian,
 from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   assert_dirichlet, element_gradients, h2_seminorm_interior,
                   linf_gradient_interior, linf_norm_interior,
-                  lp_gradient_norm, w12_distance, zero_field, _b_at_quad)
+                  load_contributions, lp_gradient_norm, scatter_matrix,
+                  scatter_vector, w12_distance, zero_field, _b_at_quad)
 from .operators import OperatorSpec, check_regularization_exponents, make_family, regularize
 
 log = logging.getLogger("pq.solve")
@@ -89,8 +90,9 @@ class SolveStats:
 
 
 def _sparse_solve(J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    # P1 patterns are structurally symmetric: order by minimum degree on A^T+A
     try:
-        lu = spla.splu(J.tocsc())
+        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
         sol = lu.solve(rhs)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularJacobian(str(exc)) from exc
@@ -152,31 +154,6 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
         f"iterations (residual {rnorm:.3e})", best=U, stats=stats)
 
 
-def _weighted_stiffness(mesh: Mesh, wq: np.ndarray) -> sp.csr_matrix:
-    """Stiffness with scalar coefficient w at quadrature points (E, nq)."""
-    main = np.einsum("q,eq,evd,ewd->evw", mesh.quad_frac, wq, mesh.grads,
-                     mesh.grads)
-    block = mesh.areas[:, None, None] * main
-    nv = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, nv, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nv)).ravel()
-    ri = mesh.full_to_interior[rows]
-    ci = mesh.full_to_interior[cols]
-    keep = (ri >= 0) & (ci >= 0)
-    ni = mesh.interior.size
-    return sp.coo_matrix((block.ravel()[keep], (ri[keep], ci[keep])),
-                         shape=(ni, ni)).tocsr()
-
-
-def _load_vector(mesh: Mesh, b_field) -> np.ndarray:
-    bq = _b_at_quad(mesh, b_field)
-    contrib = mesh.areas[:, None] * np.einsum("q,eq,qv->ev", mesh.quad_frac,
-                                              bq, mesh.quad_bary)
-    F = np.zeros(mesh.n_nodes)
-    np.add.at(F, mesh.elements, contrib)
-    return F[mesh.interior]
-
-
 def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
                       U0: DiscreteField, cfg: NewtonConfig | None = None):
     """Lagged-coefficient (Kacanov) iteration for scalar-weight fluxes.
@@ -193,7 +170,10 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
             f"{op.family_tag}: flux is not of scalar-weight form")
     assert_dirichlet(U0)
     U = U0.copy()
-    F = _load_vector(mesh, b_field)
+    F = scatter_vector(mesh,
+                       load_contributions(mesh, _b_at_quad(mesh, b_field)))
+    # element stiffness blocks for w = 1; a weight scales them by mean_q(w)
+    unit = np.einsum("e,evd,ewd->evw", mesh.areas, mesh.grads, mesh.grads)
     rnorm = float(np.linalg.norm(assemble_residual(mesh, op, b_field, U)))
     stats = SolveStats("fixed-point", 0, rnorm, initial_residual=rnorm)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
@@ -206,7 +186,7 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
         uq = np.einsum("qv,ev->eq", mesh.quad_bary, U.values[mesh.elements])
         wq = np.broadcast_to(op.scalar_weight(mesh.quad_points, uq, t),
                              uq.shape)
-        K = _weighted_stiffness(mesh, wq)
+        K = scatter_matrix(mesh, (wq @ mesh.quad_frac)[:, None, None] * unit)
         sol = _sparse_solve(K, -F)
         direction = sol - U.values[mesh.interior]
         step = 1.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidExponents
-from .operators import OperatorSpec, RegularizedOperator, regularize
+from .operators import OperatorSpec, RegularizedOperator
 from .report import AssumptionReport, CheckEntry, nonstrict_entry
 
 #: Fixed evaluation chunk -- independent of thread count, so reductions
@@ -603,11 +603,3 @@ def reevaluate_witness(op: OperatorSpec, entry: CheckEntry) -> float:
         M = entry.fitted_constants["M"]
         return float(M - regularized_growth_ratio(op, x, u, xi))
     raise KeyError(f"no witness kernel for {cid!r}")
-
-
-def monotone_composition_holds(op: OperatorSpec, eps: float,
-                               cfg: SampleConfig) -> bool:
-    """regularize(op, eps) passes monotonicity with the same m whenever op
-    does (the eps-term contributes a positive quantity)."""
-    rop = regularize(op, eps)
-    return check_monotonicity(rop, cfg).passed

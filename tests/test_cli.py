@@ -110,11 +110,15 @@ def test_continuation_estimates_report_pipeline(opfile, tmp_path):
     assert len(doc["estimates"]) == 3
 
 
-def test_continuation_bad_schedule_exits_3(opfile, tmp_path):
-    rc = main(["continuation", "--operator", opfile(DP_DESCRIPTOR),
-               "--rhs", "constant:-2", "--mesh", "2d:9x9",
-               "--schedule", "eps0=2.0,steps=2"])
-    assert rc == 3
+def test_continuation_bad_schedule_exits_3(opfile, tmp_path, capsys):
+    for schedule in ("eps0=2.0,steps=2", "eps0=0.2,steps=nan",
+                     "eps0=0.2,steps=2.7"):
+        rc = main(["continuation", "--operator", opfile(DP_DESCRIPTOR),
+                   "--rhs", "constant:-2", "--mesh", "2d:9x9",
+                   "--schedule", schedule])
+        assert rc == 3, schedule
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("configuration error") and "\n" not in err
 
 
 def test_mms_subcommand(opfile, tmp_path):

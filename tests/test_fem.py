@@ -5,6 +5,7 @@ import pqelliptic as pq
 from pqelliptic import (DiscreteField, MeshError, QuadratureFailure,
                         assemble_jacobian, assemble_residual, build_mesh,
                         interpolate, make_family, unit_box, zero_field)
+from pqelliptic.solvers import _sparse_solve
 from conftest import constant_rhs
 
 
@@ -24,6 +25,25 @@ def test_mesh_area_partition():
     box = pq.Box((0.0, -1.0), (2.0, 3.0))
     m = build_mesh(2, box, (7, 5))
     assert abs(m.areas.sum() - box.measure) < 1e-12
+
+
+def _loop_elements(nx, ny):
+    tris = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            n00, n10 = i * ny + j, (i + 1) * ny + j
+            n01, n11 = i * ny + j + 1, (i + 1) * ny + j + 1
+            if (i + j) % 2 == 0:
+                tris += [(n00, n10, n11), (n00, n11, n01)]
+            else:
+                tris += [(n00, n10, n01), (n10, n11, n01)]
+    return np.asarray(tris, dtype=np.int64)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4, 4), (9, 7)])
+def test_mesh_elements_match_cell_loop(shape):
+    m = build_mesh(2, unit_box(2), shape)
+    np.testing.assert_array_equal(m.elements, _loop_elements(*shape))
 
 
 def test_mesh_errors():
@@ -103,12 +123,31 @@ def test_stiffness_matrix_1d_tridiagonal_oracle():
     np.testing.assert_allclose(J, oracle, atol=1e-13)
 
 
+def _u_dependent_op(dim):
+    """a(x, u, xi) = (1 + u^2) xi + u e_1: dflux_du != 0, so J is not
+    symmetric."""
+    e1 = np.eye(dim)[0]
+
+    def flux(x, u, xi):
+        return (1.0 + u ** 2)[..., None] * xi + u[..., None] * e1
+
+    def dflux_dxi(x, u, xi):
+        return (1.0 + u ** 2)[..., None, None] * np.eye(dim)
+
+    def dflux_du(x, u, xi):
+        return 2.0 * u[..., None] * xi + e1
+
+    return pq.make_custom(flux, dim=dim, p=2, q=2, m=1, M=2,
+                          dflux_dxi=dflux_dxi, dflux_du=dflux_du)
+
+
 @pytest.mark.parametrize("tag,params", [
     ("p-laplacian", {"p": 4}),
     ("double-phase", {"p": 2, "q": 2.2, "weight": lambda x: np.asarray(x)[..., 0]}),
+    ("u-dependent", None),
 ])
 def test_jacobian_matches_directional_fd(tag, params):
-    op = make_family(tag, params)
+    op = _u_dependent_op(2) if params is None else make_family(tag, params)
     m = build_mesh(2, unit_box(2), 9)
     rng = np.random.default_rng(0)
     vals = np.zeros(m.n_nodes)
@@ -126,6 +165,45 @@ def test_jacobian_matches_directional_fd(tag, params):
     fd = (res(vals[m.interior] + h * V) - res(vals[m.interior] - h * V)) / (2 * h)
     rel = np.abs(J @ V - fd).max() / max(np.abs(J @ V).max(), 1e-30)
     assert rel < 1e-6
+    if params is None:
+        assert abs(J - J.T).max() > 1e-3
+    np.testing.assert_allclose(J @ _sparse_solve(J, V), V, atol=1e-10)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 7)])
+def test_fixed_pattern_matches_coo_reference(dim, n):
+    op = _u_dependent_op(dim)
+    m = build_mesh(dim, unit_box(dim), n)
+    rng = np.random.default_rng(3)
+    vals = np.zeros(m.n_nodes)
+    vals[m.interior] = rng.standard_normal(m.interior.size)
+    U = DiscreteField(m, vals)
+    # reference: per-quadrature-point element blocks, COO scatter
+    xi = pq.element_gradients(U)[:, None, :]
+    uq = np.einsum("qv,ev->eq", m.quad_bary, vals[m.elements])
+    Jq = op.dflux_dxi(m.quad_points, uq, xi)
+    au = op.dflux_du(m.quad_points, uq, xi)
+    block = m.areas[:, None, None] * (
+        np.einsum("q,evi,eqij,ewj->evw", m.quad_frac, m.grads, Jq, m.grads)
+        + np.einsum("q,eqd,evd,qw->evw", m.quad_frac, au, m.grads,
+                    m.quad_bary))
+    nv = m.elements.shape[1]
+    rows = np.repeat(m.elements, nv, axis=1).ravel()
+    cols = np.tile(m.elements, (1, nv)).ravel()
+    dense = np.zeros((m.n_nodes, m.n_nodes))
+    np.add.at(dense, (rows, cols), block.ravel())
+    touched = np.zeros(dense.shape, bool)
+    touched[rows, cols] = True
+    interior = np.ix_(m.interior, m.interior)
+
+    J1 = assemble_jacobian(m, op, U)
+    np.testing.assert_allclose(J1.toarray(), dense[interior], rtol=1e-13,
+                               atol=1e-13)
+    assert J1.nnz == touched[interior].sum()
+    J2 = assemble_jacobian(m, op, zero_field(m))
+    assert np.shares_memory(J1.indptr, J2.indptr)
+    assert np.shares_memory(J1.indices, J2.indices)
+    assert J1.has_sorted_indices and J1.has_canonical_format
 
 
 def test_jacobian_symmetric_for_u_independent_gradient_flux():
