@@ -56,7 +56,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=1) + "\n")
+    # compact: with ``indent`` json falls back to its pure-Python encoder
+    _atomic_write(path, json.dumps(payload) + "\n")
 
 
 def _fmt(value) -> str:
@@ -135,6 +136,13 @@ def parse_schedule(spec: str) -> EpsilonSchedule:
                            steps=int(steps))
 
 
+def newton_config(tol: float) -> NewtonConfig:
+    try:
+        return NewtonConfig(abs_tol=tol)
+    except ValueError as exc:
+        raise ConfigError(f"bad --newton-tol {tol!r}: {exc}") from exc
+
+
 def parse_rhs(spec: str, op, mesh):
     """'constant:V', 'manufactured:CASE', or 'file:PATH' (nodal table)."""
     kind, _, arg = spec.partition(":")
@@ -197,8 +205,8 @@ def cmd_solve(args) -> int:
     op = load_operator(args.operator)
     mesh = parse_mesh_spec(args.mesh, op.domain)
     b = parse_rhs(args.rhs, op, mesh)
-    cfg = NewtonConfig(abs_tol=args.newton_tol)
-    U0 = p2_presolve(mesh, b, cfg) if args.start == "presolve" else zero_field(mesh)
+    cfg = newton_config(args.newton_tol)
+    U0 = p2_presolve(mesh, b) if args.start == "presolve" else zero_field(mesh)
     U, stats = newton_solve(mesh, op, b, U0, cfg)
     if args.out:
         write_json(args.out, _solution_payload(mesh, U, stats))
@@ -233,7 +241,7 @@ def cmd_continuation(args) -> int:
     mesh = parse_mesh_spec(args.mesh, op.domain)
     b = parse_rhs(args.rhs, op, mesh)
     schedule = parse_schedule(args.schedule)
-    cfg = NewtonConfig(abs_tol=args.newton_tol)
+    cfg = newton_config(args.newton_tol)
     width = float(np.min(np.asarray(mesh.box.widths)))
     delta = args.delta * width if args.delta else None
     meta = {"operator": op.descriptor, "rhs": args.rhs}
@@ -290,7 +298,7 @@ def cmd_mms(args) -> int:
         grids = [int(v) for v in args.grids.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad grid list {args.grids!r}") from exc
-    cfg = NewtonConfig(abs_tol=args.newton_tol)
+    cfg = newton_config(args.newton_tol)
     try:
         result = convergence_study(op, args.case, grids, cfg)
     except ValueError as exc:

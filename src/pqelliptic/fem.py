@@ -224,14 +224,17 @@ def element_gradients(U: DiscreteField) -> np.ndarray:
 
 
 def _b_at_quad(mesh: Mesh, b_field) -> np.ndarray:
-    """Right-hand side at quadrature points; accepts a callable b(x) or a
-    nodal value array (interpreted through the P1 interpolant)."""
-    if callable(b_field):
-        return np.asarray(b_field(mesh.quad_points), float)
-    vals = np.asarray(b_field, float)
-    if vals.shape != (mesh.n_nodes,):
-        raise MeshError("nodal rhs table does not match the mesh")
-    return np.einsum("qv,ev->eq", mesh.quad_bary, vals[mesh.elements])
+    """Right-hand side at quadrature points (E, nq) from a callable b(x), a
+    nodal array (through the P1 interpolant) or (E, nq) values as they are."""
+    bq = np.asarray(b_field(mesh.quad_points) if callable(b_field)
+                    else b_field, float)
+    if bq.shape == (mesh.n_nodes,):
+        bq = np.einsum("qv,ev->eq", mesh.quad_bary, bq[mesh.elements])
+    elif bq.shape != mesh.quad_points.shape[:2]:
+        raise MeshError("rhs table does not match the mesh")
+    if not np.all(np.isfinite(bq)):
+        raise QuadratureFailure("non-finite rhs at a quadrature point")
+    return bq
 
 
 def _matrix_pattern(mesh: Mesh) -> tuple:
@@ -286,9 +289,9 @@ def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
     xi = np.einsum("evd,ev->ed", mesh.grads, vals[mesh.elements])
     uq = np.einsum("qv,ev->eq", mesh.quad_bary, vals[mesh.elements])
     aq = op.flux(mesh.quad_points, uq, xi[:, None, :])
+    if not np.all(np.isfinite(aq)):
+        raise QuadratureFailure("non-finite flux at a quadrature point")
     bq = _b_at_quad(mesh, b_field)
-    if not (np.all(np.isfinite(aq)) and np.all(np.isfinite(bq))):
-        raise QuadratureFailure("non-finite flux or rhs at a quadrature point")
     # area * (sum_q frac_q a_q) . grad_v, as grad_v is constant per element
     a_mean = np.einsum("q,eqd->ed", mesh.quad_frac, aq)
     flux_part = np.einsum("e,evd,ed->ev", mesh.areas, mesh.grads, a_mean)

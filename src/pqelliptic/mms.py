@@ -297,7 +297,7 @@ def convergence_study(op: OperatorSpec, case, grid_sizes,
         if start == "zero":
             U0 = zero_field(mesh)
         else:
-            U0 = p2_presolve(mesh, case.b_field, cfg)
+            U0 = p2_presolve(mesh, case.b_field)
         U, _ = newton_solve(mesh, op, case.b_field, U0, cfg)
         l2, w12 = _refined_errors(mesh, U, case)
         rows.append(StudyRow(n=nside, h=float(np.max(mesh.h)),

@@ -21,13 +21,19 @@ import scipy.sparse.linalg as spla
 from .errors import (InvalidExponents, NonConvergence, SingularJacobian,
                      Unsupported)
 from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
-                  assert_dirichlet, element_gradients, h2_seminorm_interior,
-                  linf_gradient_interior, linf_norm_interior,
-                  load_contributions, lp_gradient_norm, scatter_matrix,
-                  scatter_vector, w12_distance, zero_field, _b_at_quad)
-from .operators import OperatorSpec, check_regularization_exponents, make_family, regularize
+                  assert_dirichlet, element_gradients, field_from_interior,
+                  h2_seminorm_interior, linf_gradient_interior,
+                  linf_norm_interior, load_contributions, lp_gradient_norm,
+                  scatter_matrix, scatter_vector, w12_distance, zero_field,
+                  _b_at_quad)
+from .operators import OperatorSpec, check_regularization_exponents, regularize
 
 log = logging.getLogger("pq.solve")
+
+# CG stops at a relative residual of CG_RTOL or falls back to a fresh LU after
+# CG_MAXITER iterations: at 257^2 one splu costs about 35 triangular solves.
+CG_RTOL = 1e-12
+CG_MAXITER = 30
 
 
 @dataclass(frozen=True)
@@ -39,9 +45,9 @@ class NewtonConfig:
     backtrack_factor: float = 0.5
 
     def __post_init__(self):
-        if min(self.abs_tol, self.rel_tol) <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if min(self.max_iters, self.max_backtracks) < 1:
+        if not min(self.max_iters, self.max_backtracks) >= 1:
             raise ValueError("iteration budgets must be >= 1")
 
 
@@ -54,11 +60,11 @@ class EpsilonSchedule:
     steps: int = 5
 
     def __post_init__(self):
-        if self.eps0 <= 0:
+        if not self.eps0 > 0:
             raise InvalidExponents("eps0 must be positive")
         if not 0.0 < self.ratio < 1.0:
             raise InvalidExponents("ratio must lie in (0, 1)")
-        if self.steps < 1:
+        if not self.steps >= 1:
             raise InvalidExponents("steps must be >= 1")
 
     def epsilons(self) -> np.ndarray:
@@ -89,16 +95,33 @@ class SolveStats:
                 "backtracks": self.backtracks, "converged": self.converged}
 
 
-def _sparse_solve(J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    # P1 patterns are structurally symmetric: order by minimum degree on A^T+A
-    try:
+def _sparse_solve(J: sp.csr_matrix, rhs: np.ndarray, lu=None) -> tuple:
+    """(solution, factor) of J x = rhs.  Given the factor ``lu`` of an
+    earlier matrix of the same solve, a symmetric J is solved by CG with it
+    as preconditioner; otherwise, or if CG stalls, J is factored afresh."""
+    if lu is not None and abs(J - J.T).max() <= 1e-12 * abs(J).max():
+        its = []  # one entry per CG iteration
+        M = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
+        with np.errstate(all="ignore"):
+            sol, info = spla.cg(J, rhs, rtol=CG_RTOL, atol=0.0,
+                                maxiter=CG_MAXITER, M=M, callback=its.append)
+        if info == 0 and np.all(np.isfinite(sol)):
+            log.debug("linear solve: cg %d its", len(its))
+            return sol, lu
+    try:  # P1 patterns are structurally symmetric: minimum degree on A^T+A
         lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
         sol = lu.solve(rhs)
     except RuntimeError as exc:  # "Factor is exactly singular"
         raise SingularJacobian(str(exc)) from exc
     if not np.all(np.isfinite(sol)):
         raise SingularJacobian("linear solve produced non-finite values")
-    return sol
+    log.debug("linear solve: lu")
+    return sol, lu
+
+
+def _stiffness_blocks(mesh: Mesh) -> np.ndarray:
+    """Element blocks area * G G^T (E, nv, nv) of the Laplacian."""
+    return np.einsum("e,evd,ewd->evw", mesh.areas, mesh.grads, mesh.grads)
 
 
 def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
@@ -106,25 +129,28 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
     """Damped Newton iteration on the interior unknowns.
 
     Each accepted step strictly decreases the residual 2-norm; the step is
-    halved up to ``max_backtracks`` times until it does.  Returns
+    halved up to ``max_backtracks`` times until it does.  The rhs is
+    evaluated once, and the first step's LU factor preconditions CG on
+    later steps while the Jacobian stays symmetric.  Returns
     (DiscreteField, SolveStats); raises NonConvergence (with the best
     iterate attached) or SingularJacobian.
     """
     cfg = cfg or NewtonConfig()
     assert_dirichlet(U0)
     U = U0.copy()
+    b_field = _b_at_quad(mesh, b_field)  # once per solve
     R = assemble_residual(mesh, op, b_field, U)
     rnorm = float(np.linalg.norm(R))
     r0 = rnorm
     tol = max(cfg.abs_tol, cfg.rel_tol * r0)
     stats = SolveStats("newton", 0, rnorm, initial_residual=r0)
-
+    lu = None
     for it in range(cfg.max_iters):
         if rnorm <= tol:
             stats.converged = True
             return U, stats
         J = assemble_jacobian(mesh, op, U)
-        delta = _sparse_solve(J, R)
+        delta, lu = _sparse_solve(J, R, lu)
         step = 1.0
         accepted = False
         for _ in range(cfg.max_backtracks + 1):
@@ -170,10 +196,11 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
             f"{op.family_tag}: flux is not of scalar-weight form")
     assert_dirichlet(U0)
     U = U0.copy()
-    F = scatter_vector(mesh,
-                       load_contributions(mesh, _b_at_quad(mesh, b_field)))
+    b_field = _b_at_quad(mesh, b_field)  # once per solve
+    F = scatter_vector(mesh, load_contributions(mesh, b_field))
     # element stiffness blocks for w = 1; a weight scales them by mean_q(w)
-    unit = np.einsum("e,evd,ewd->evw", mesh.areas, mesh.grads, mesh.grads)
+    unit = _stiffness_blocks(mesh)
+    lu = None
     rnorm = float(np.linalg.norm(assemble_residual(mesh, op, b_field, U)))
     stats = SolveStats("fixed-point", 0, rnorm, initial_residual=rnorm)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
@@ -187,7 +214,7 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
         wq = np.broadcast_to(op.scalar_weight(mesh.quad_points, uq, t),
                              uq.shape)
         K = scatter_matrix(mesh, (wq @ mesh.quad_frac)[:, None, None] * unit)
-        sol = _sparse_solve(K, -F)
+        sol, lu = _sparse_solve(K, -F, lu)
         direction = sol - U.values[mesh.interior]
         step = 1.0
         accepted = False
@@ -221,13 +248,13 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
         f"{cfg.max_iters} iterations", best=U, stats=stats)
 
 
-def p2_presolve(mesh: Mesh, b_field, cfg: NewtonConfig | None = None
-                ) -> DiscreteField:
+def p2_presolve(mesh: Mesh, b_field) -> DiscreteField:
     """Solution of the p = 2 linear problem with the same right-hand side;
     the default initial guess of a continuation run."""
-    op2 = make_family("p-laplacian", {"p": 2.0, "domain": mesh.box})
-    U, _ = newton_solve(mesh, op2, b_field, zero_field(mesh), cfg)
-    return U
+    F = scatter_vector(mesh, load_contributions(mesh,
+                                                _b_at_quad(mesh, b_field)))
+    sol, _ = _sparse_solve(scatter_matrix(mesh, _stiffness_blocks(mesh)), -F)
+    return field_from_interior(mesh, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +369,7 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
         delta = 0.25 * float(np.min(np.asarray(mesh.box.widths)))
 
     if u0 is None:
-        U_prev = p2_presolve(mesh, b_field, cfg)
+        U_prev = p2_presolve(mesh, b_field)
     elif isinstance(u0, str) and u0 == "zero":
         U_prev = zero_field(mesh)
     else:

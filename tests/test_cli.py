@@ -121,6 +121,22 @@ def test_continuation_bad_schedule_exits_3(opfile, tmp_path, capsys):
         assert err.startswith("configuration error") and "\n" not in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--mesh", "2d:9x9", "--rhs", "constant:-2"],
+    ["continuation", "--mesh", "2d:9x9", "--rhs", "constant:-2",
+     "--schedule", "eps0=0.2,steps=2"],
+    ["mms", "--case", "sine2d", "--grids", "9,17,33"]])
+def test_bad_newton_tol_exits_3(opfile, tmp_path, capsys, command, tol):
+    out = tmp_path / "out"
+    rc = main(command + ["--operator", opfile(DP_DESCRIPTOR),
+                         "--newton-tol", tol, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error") and "\n" not in err
+    assert not out.exists()
+
+
 def test_mms_subcommand(opfile, tmp_path):
     out = tmp_path / "mms.csv"
     rc = main(["mms", "--operator", opfile(PLAP3), "--case", "sine2d",

@@ -167,7 +167,13 @@ def test_jacobian_matches_directional_fd(tag, params):
     assert rel < 1e-6
     if params is None:
         assert abs(J - J.T).max() > 1e-3
-    np.testing.assert_allclose(J @ _sparse_solve(J, V), V, atol=1e-10)
+    sol, lu = _sparse_solve(J, V)
+    np.testing.assert_allclose(J @ sol, V, atol=1e-10)
+    # given a factor, a symmetric J is solved by CG with it; the
+    # non-symmetric u-dependent J takes the LU path and a new factor
+    sol, lu2 = _sparse_solve(J, V, lu)
+    np.testing.assert_allclose(J @ sol, V, atol=1e-10)
+    assert (lu2 is lu) == (params is not None)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 7)])

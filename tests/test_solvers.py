@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import pqelliptic as pq
 from pqelliptic import (EpsilonSchedule, InvalidExponents, NewtonConfig,
                         NonConvergence, SingularJacobian, Unsupported,
                         build_mesh, make_family, unit_box, zero_field)
+from pqelliptic.fem import scatter_matrix
+from pqelliptic.solvers import _sparse_solve, _stiffness_blocks
 from conftest import constant_rhs
 
 
@@ -77,6 +80,61 @@ def test_residual_strictly_decreases_along_newton():
 
 
 # ---------------------------------------------------------------------------
+# per-solve work: one rhs evaluation, a factor reused through CG
+
+def test_rhs_evaluated_once_per_solve():
+    op = make_family("p-laplacian", {"p": 4})
+    m = build_mesh(2, unit_box(2), 17)
+    calls = []
+
+    def b(x):
+        calls.append(1)
+        return np.full(np.shape(x)[:-1], -2.0)
+
+    U0 = pq.p2_presolve(m, b)
+    calls.clear()
+    _, stats = pq.newton_solve(m, op, b, U0)
+    assert stats.iterations > 1 and len(calls) == 1
+    calls.clear()
+    _, stats = pq.fixed_point_solve(m, op, b, U0)
+    assert stats.iterations > 1 and len(calls) == 1
+
+
+def _weighted_stiffness(m, weights):
+    return scatter_matrix(m, weights[:, None, None] * _stiffness_blocks(m))
+
+
+def test_sparse_solve_reuses_nearby_factor_through_cg():
+    m = build_mesh(2, unit_box(2), 17)
+    rng = np.random.default_rng(4)
+    A = _weighted_stiffness(m, np.ones(m.n_elements))
+    B = _weighted_stiffness(m, 1.0 + 0.2 * rng.random(m.n_elements))
+    rhs = rng.standard_normal(m.interior.size)
+    _, lu = _sparse_solve(A, rhs)
+    sol, lu_b = _sparse_solve(B, rhs, lu)
+    assert lu_b is lu
+    fresh, _ = _sparse_solve(B, rhs)
+    np.testing.assert_allclose(sol, fresh, rtol=0, atol=1e-10)
+
+
+def test_sparse_solve_falls_back_to_lu_with_unrelated_factor():
+    m = build_mesh(2, unit_box(2), 17)
+    rng = np.random.default_rng(5)
+    A = _weighted_stiffness(m, np.ones(m.n_elements))
+    n = m.interior.size
+    D = sp.diags(10.0 ** rng.uniform(-6, 6, n)).tocsr()
+    rhs = rng.standard_normal(n)
+    _, lu_d = _sparse_solve(D, rhs)
+    sol, lu = _sparse_solve(A, rhs, lu_d)
+    assert lu is not lu_d
+    np.testing.assert_allclose(A @ sol, rhs, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(lu.solve(rhs), sol)
+    # a singular J breaks CG down (quietly) and then fails to factor
+    with pytest.raises(SingularJacobian):
+        _sparse_solve(sp.csr_matrix(A.shape), rhs, lu)
+
+
+# ---------------------------------------------------------------------------
 # fixed point
 
 def test_fixed_point_p2_first_iterate_is_solution():
@@ -113,10 +171,19 @@ def test_schedule_validation_and_sequence():
     eps = s.epsilons()
     assert np.allclose(eps, 0.2 * 0.5 ** np.arange(5))
     assert np.all(np.diff(eps) < 0)
-    with pytest.raises(InvalidExponents):
-        EpsilonSchedule(eps0=-1.0)
+    for eps0 in (-1.0, float("nan")):
+        with pytest.raises(InvalidExponents):
+            EpsilonSchedule(eps0=eps0)
     with pytest.raises(InvalidExponents):
         EpsilonSchedule(eps0=0.1, ratio=1.5)
+
+
+def test_newton_config_rejects_nonpositive_and_nan_tolerances():
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            NewtonConfig(abs_tol=tol)
+        with pytest.raises(ValueError):
+            NewtonConfig(rel_tol=tol)
 
 
 def test_continuation_guard_rejects_bad_eps0_before_solving():
