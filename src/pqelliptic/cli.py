@@ -180,6 +180,8 @@ def parse_rhs(spec: str, op, mesh):
 # subcommands
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     op = load_operator(args.operator)
     cfg = SampleConfig(seed=args.seed, count=args.samples,
                        threads=args.threads)
@@ -271,6 +273,8 @@ def cmd_estimates(args) -> int:
     rhs = (trace.meta or {}).get("rhs")
     if not opdesc or not rhs:
         raise ConfigError("trace carries no operator/rhs descriptors")
+    if len(trace.steps) < 2:
+        raise ConfigError("estimates need a trace of at least two eps steps")
     op = operator_from_descriptor(opdesc)
     b = parse_rhs(rhs, op, trace.mesh)
     report = build_estimate_report(trace, op, b, rho_frac=args.rho,
@@ -347,8 +351,14 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a configuration error
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pq",
         description="Workbench for divergence-form elliptic problems with "
                     "(p,q)-growth: structural verification, epsilon-"
@@ -428,7 +438,12 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+            raise ConfigError(f"--out directory does not exist: {out}")
         return args.func(args)
     except (ConfigError, InvalidExponents, NonnegativityViolation) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

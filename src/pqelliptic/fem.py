@@ -287,7 +287,7 @@ def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
     """R_j = int a(x,u_h,Du_h).grad(phi_j) + int b phi_j, interior j only."""
     vals = U.values
     xi = np.einsum("evd,ev->ed", mesh.grads, vals[mesh.elements])
-    uq = np.einsum("qv,ev->eq", mesh.quad_bary, vals[mesh.elements])
+    uq = vals[mesh.elements] @ mesh.quad_bary.T
     aq = op.flux(mesh.quad_points, uq, xi[:, None, :])
     if not np.all(np.isfinite(aq)):
         raise QuadratureFailure("non-finite flux at a quadrature point")
@@ -302,7 +302,7 @@ def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
     """J = dR/dU over interior nodes, from dflux_dxi and dflux_du."""
     vals = U.values
     xi = np.einsum("evd,ev->ed", mesh.grads, vals[mesh.elements])
-    uq = np.einsum("qv,ev->eq", mesh.quad_bary, vals[mesh.elements])
+    uq = vals[mesh.elements] @ mesh.quad_bary.T
     Jq = op.dflux_dxi(mesh.quad_points, uq, xi[:, None, :])   # (E,nq,d,d)
     au = op.dflux_du(mesh.quad_points, uq, xi[:, None, :])    # (E,nq,d)
     if not (np.all(np.isfinite(Jq)) and np.all(np.isfinite(au))):
@@ -310,8 +310,9 @@ def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
     # P1 gradients are constant per element, so with G = grads[e] the block
     # is area * G ((sum_q frac_q Jq) G^T + sum_q frac_q au_q (x) phi(q))
     J_mean = np.einsum("q,eqij->eij", mesh.quad_frac, Jq)
-    au_phi = np.einsum("eqd,qw->edw", au,
-                       mesh.quad_frac[:, None] * mesh.quad_bary)
+    # stacked matmul: einsum's optimized path copies au, raising peak memory
+    au = np.broadcast_to(au, (*uq.shape, mesh.dim)).transpose(0, 2, 1)
+    au_phi = au @ (mesh.quad_frac[:, None] * mesh.quad_bary)
     block = mesh.grads @ (J_mean @ mesh.grads.transpose(0, 2, 1) + au_phi)
     return scatter_matrix(mesh, mesh.areas[:, None, None] * block)
 

@@ -725,8 +725,9 @@ def _function_from_descriptor(d: dict, dim: int):
         if coeffs.shape != (dim,):
             raise ConfigError(f"affine coeffs must have length {dim}")
 
-        def fun(x):
-            return c0 + np.asarray(x, float) @ coeffs
+        def fun(x):  # one 2-D product: a stacked x @ coeffs is slow
+            x = np.asarray(x, float)
+            return c0 + (x.reshape(-1, dim) @ coeffs).reshape(x.shape[:-1])
 
         def grad(x):
             return np.broadcast_to(coeffs, np.shape(x)).copy()
@@ -771,10 +772,15 @@ def operator_from_descriptor(desc: dict) -> OperatorSpec:
     for key in ("p", "q", "m", "M"):
         if key in desc:
             params[key] = desc[key]
+        if not isinstance(params.get(key, 0.0), (int, float)):
+            raise ConfigError(f"descriptor {key!r} must be a number")
     if domain is not None:
         params["domain"] = domain
 
-    op = make_family(family, params)
+    try:
+        op = make_family(family, params)
+    except KeyError as exc:  # a required parameter, e.g. double-phase weight
+        raise ConfigError(f"{family} descriptor lacks {exc}") from exc
 
     def jsonable(v):
         return v if not isinstance(v, dict) else dict(v)

@@ -95,28 +95,36 @@ class SolveStats:
                 "backtracks": self.backtracks, "converged": self.converged}
 
 
-def _sparse_solve(J: sp.csr_matrix, rhs: np.ndarray, lu=None) -> tuple:
-    """(solution, factor) of J x = rhs.  Given the factor ``lu`` of an
-    earlier matrix of the same solve, a symmetric J is solved by CG with it
-    as preconditioner; otherwise, or if CG stalls, J is factored afresh."""
-    if lu is not None and abs(J - J.T).max() <= 1e-12 * abs(J).max():
-        its = []  # one entry per CG iteration
-        M = spla.LinearOperator(J.shape, matvec=lu.solve, dtype=float)
-        with np.errstate(all="ignore"):
-            sol, info = spla.cg(J, rhs, rtol=CG_RTOL, atol=0.0,
-                                maxiter=CG_MAXITER, M=M, callback=its.append)
-        if info == 0 and np.all(np.isfinite(sol)):
-            log.debug("linear solve: cg %d its", len(its))
-            return sol, lu
-    try:  # P1 patterns are structurally symmetric: minimum degree on A^T+A
-        lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        sol = lu.solve(rhs)
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SingularJacobian(str(exc)) from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularJacobian("linear solve produced non-finite values")
-    log.debug("linear solve: lu")
-    return sol, lu
+class _LinearSolves:
+    """Solves of nearby systems J x = rhs that share one LU factor: a
+    symmetric J is solved by CG preconditioned with it; otherwise, or if CG
+    stalls, the factor is dropped before J is factored afresh."""
+
+    def __init__(self):
+        self.lu, self.factorizations, self.cg_iterations = None, 0, 0
+
+    def solve(self, J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+        if self.lu is not None and abs(J - J.T).max() <= 1e-12 * abs(J).max():
+            its = []  # one entry per CG iteration
+            M = spla.LinearOperator(J.shape, self.lu.solve, dtype=float)
+            with np.errstate(all="ignore"):
+                sol, info = spla.cg(J, rhs, rtol=CG_RTOL, atol=0.0, M=M,
+                                    maxiter=CG_MAXITER, callback=its.append)
+            self.cg_iterations += len(its)
+            if info == 0 and np.all(np.isfinite(sol)):
+                log.debug("linear solve: cg %d its", len(its))
+                return sol
+        self.lu = M = None  # M wraps it too; at most one factor is alive
+        try:  # P1 patterns are structurally symmetric: minimum degree on A^T+A
+            self.lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            sol = self.lu.solve(rhs)
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise SingularJacobian(str(exc)) from exc
+        self.factorizations += 1
+        if not np.all(np.isfinite(sol)):
+            raise SingularJacobian("linear solve produced non-finite values")
+        log.debug("linear solve: lu")
+        return sol
 
 
 def _stiffness_blocks(mesh: Mesh) -> np.ndarray:
@@ -125,17 +133,18 @@ def _stiffness_blocks(mesh: Mesh) -> np.ndarray:
 
 
 def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
-                 cfg: NewtonConfig | None = None):
+                 cfg: NewtonConfig | None = None, *,
+                 solves: _LinearSolves | None = None):
     """Damped Newton iteration on the interior unknowns.
 
     Each accepted step strictly decreases the residual 2-norm; the step is
     halved up to ``max_backtracks`` times until it does.  The rhs is
-    evaluated once, and the first step's LU factor preconditions CG on
-    later steps while the Jacobian stays symmetric.  Returns
-    (DiscreteField, SolveStats); raises NonConvergence (with the best
-    iterate attached) or SingularJacobian.
+    evaluated once; linear systems go through ``solves`` (a fresh
+    _LinearSolves by default).  Returns (DiscreteField, SolveStats); raises
+    NonConvergence (with the best iterate attached) or SingularJacobian.
     """
     cfg = cfg or NewtonConfig()
+    solves = solves or _LinearSolves()
     assert_dirichlet(U0)
     U = U0.copy()
     b_field = _b_at_quad(mesh, b_field)  # once per solve
@@ -144,13 +153,12 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
     r0 = rnorm
     tol = max(cfg.abs_tol, cfg.rel_tol * r0)
     stats = SolveStats("newton", 0, rnorm, initial_residual=r0)
-    lu = None
     for it in range(cfg.max_iters):
         if rnorm <= tol:
             stats.converged = True
             return U, stats
         J = assemble_jacobian(mesh, op, U)
-        delta, lu = _sparse_solve(J, R, lu)
+        delta = solves.solve(J, R)
         step = 1.0
         accepted = False
         for _ in range(cfg.max_backtracks + 1):
@@ -181,7 +189,8 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
 
 
 def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
-                      U0: DiscreteField, cfg: NewtonConfig | None = None):
+                      U0: DiscreteField, cfg: NewtonConfig | None = None, *,
+                      solves: _LinearSolves | None = None):
     """Lagged-coefficient (Kacanov) iteration for scalar-weight fluxes.
 
     Freezes w = scalar_weight(x, u_prev, |Du_prev|^2), solves the linear
@@ -189,8 +198,10 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
     with a step halved until the nonlinear residual decreases (the plain
     lagged iteration 2-cycles for p > 2; relaxation keeps the same fixed
     points).  Stops when the W^{1,2} increment drops below abs_tol.
+    Linear systems go through ``solves`` as in :func:`newton_solve`.
     """
     cfg = cfg or NewtonConfig()
+    solves = solves or _LinearSolves()
     if op.scalar_weight is None:
         raise Unsupported(
             f"{op.family_tag}: flux is not of scalar-weight form")
@@ -200,7 +211,6 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
     F = scatter_vector(mesh, load_contributions(mesh, b_field))
     # element stiffness blocks for w = 1; a weight scales them by mean_q(w)
     unit = _stiffness_blocks(mesh)
-    lu = None
     rnorm = float(np.linalg.norm(assemble_residual(mesh, op, b_field, U)))
     stats = SolveStats("fixed-point", 0, rnorm, initial_residual=rnorm)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
@@ -214,7 +224,7 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
         wq = np.broadcast_to(op.scalar_weight(mesh.quad_points, uq, t),
                              uq.shape)
         K = scatter_matrix(mesh, (wq @ mesh.quad_frac)[:, None, None] * unit)
-        sol, lu = _sparse_solve(K, -F, lu)
+        sol = solves.solve(K, -F)
         direction = sol - U.values[mesh.interior]
         step = 1.0
         accepted = False
@@ -253,7 +263,9 @@ def p2_presolve(mesh: Mesh, b_field) -> DiscreteField:
     the default initial guess of a continuation run."""
     F = scatter_vector(mesh, load_contributions(mesh,
                                                 _b_at_quad(mesh, b_field)))
-    sol, _ = _sparse_solve(scatter_matrix(mesh, _stiffness_blocks(mesh)), -F)
+    # its own solves: the p = 2 factor preconditions later Jacobians poorly
+    sol = _LinearSolves().solve(
+        scatter_matrix(mesh, _stiffness_blocks(mesh)), -F)
     return field_from_interior(mesh, sol)
 
 
@@ -360,8 +372,9 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
     The first solve starts from the p = 2 pre-solve (or ``u0``); later
     solves warm-start from the previous solution, mirroring the extraction
     of a single convergent sequence in the limit passage.  On Newton
-    failure a scalar-weight fixed-point fallback is attempted.  Solver
-    errors propagate with the partial trace attached.
+    failure a scalar-weight fixed-point fallback is attempted.  All eps
+    steps share one ``_LinearSolves``, so one LU factor preconditions CG
+    for the whole run.  Solver errors propagate with the partial trace.
     """
     cfg = cfg or NewtonConfig()
     check_regularization_exponents(op.p, op.q, op.dim, schedule.eps0)
@@ -379,16 +392,19 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
                               schedule=schedule, mesh=mesh,
                               meta=meta or {})
     prev_solution = None
+    solves = _LinearSolves()
     for eps in schedule.epsilons():
         rop = regularize(op, float(eps), schedule.eps0)
         try:
             try:
-                U, stats = newton_solve(mesh, rop, b_field, U_prev, cfg)
+                U, stats = newton_solve(mesh, rop, b_field, U_prev, cfg,
+                                        solves=solves)
             except NonConvergence as exc:
                 log.info("newton failed at eps=%.4g (%s); trying fixed point",
                          eps, exc)
                 start = exc.best if exc.best is not None else U_prev
-                U, stats = fixed_point_solve(mesh, rop, b_field, start, cfg)
+                U, stats = fixed_point_solve(mesh, rop, b_field, start, cfg,
+                                             solves=solves)
         except (NonConvergence, SingularJacobian) as exc:
             if isinstance(exc, NonConvergence):
                 exc.trace = trace
@@ -407,6 +423,8 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
                  norms["lp_gradient"])
         prev_solution = U
         U_prev = U
+    log.info("linear solves over %d eps steps: %d LU, %d CG iterations",
+             len(trace.steps), solves.factorizations, solves.cg_iterations)
 
     trace.final_field = trace.steps[-1].field
     if len(trace.steps) >= 2:

@@ -137,6 +137,54 @@ def test_bad_newton_tol_exits_3(opfile, tmp_path, capsys, command, tol):
     assert not out.exists()
 
 
+def test_usage_errors_exit_3(opfile, capsys):
+    for argv in (["check"],
+                 ["check", "--operator", opfile(PLAP3), "--samples", "abc"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: pq check") and "pq check: error:" in err
+
+
+def _one_step_trace(opfile, tmp_path):
+    trace = tmp_path / "one-step.json"
+    assert main(["continuation", "--operator", opfile(DP_DESCRIPTOR),
+                 "--rhs", "constant:-2", "--mesh", "2d:9x9", "--schedule",
+                 "eps0=0.2,steps=1", "--out", str(trace)]) == 0
+    return ["estimates", "--trace", str(trace)]
+
+
+MALFORMED = {
+    "out-in-missing-directory": lambda opfile, tmp_path: [
+        "continuation", "--operator", opfile(DP_DESCRIPTOR), "--rhs",
+        "constant:-2", "--mesh", "2d:9x9", "--schedule", "eps0=0.2,steps=2"],
+    "samples-0": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--samples", "0"],
+    "p-not-a-number": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({**PLAP3, "p": "abc"})],
+    "double-phase-without-weight": lambda opfile, tmp_path: [
+        "check", "--operator",
+        opfile({k: v for k, v in DP_DESCRIPTOR.items() if k != "params"})],
+    "estimates-on-one-step-trace": _one_step_trace,
+    "threads-0": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--threads", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_3(opfile, tmp_path, capsys, case):
+    argv = MALFORMED[case](opfile, tmp_path)
+    capsys.readouterr()
+    out = tmp_path / ("missing" if case.startswith("out") else ".") / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("configuration error") and "\n" not in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_mms_subcommand(opfile, tmp_path):
     out = tmp_path / "mms.csv"
     rc = main(["mms", "--operator", opfile(PLAP3), "--case", "sine2d",

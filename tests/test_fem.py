@@ -5,7 +5,7 @@ import pqelliptic as pq
 from pqelliptic import (DiscreteField, MeshError, QuadratureFailure,
                         assemble_jacobian, assemble_residual, build_mesh,
                         interpolate, make_family, unit_box, zero_field)
-from pqelliptic.solvers import _sparse_solve
+from pqelliptic.solvers import _LinearSolves
 from conftest import constant_rhs
 
 
@@ -167,13 +167,16 @@ def test_jacobian_matches_directional_fd(tag, params):
     assert rel < 1e-6
     if params is None:
         assert abs(J - J.T).max() > 1e-3
-    sol, lu = _sparse_solve(J, V)
+    solves = _LinearSolves()
+    sol = solves.solve(J, V)
+    lu = solves.lu
     np.testing.assert_allclose(J @ sol, V, atol=1e-10)
-    # given a factor, a symmetric J is solved by CG with it; the
+    # with a factor held, a symmetric J is solved by CG with it; the
     # non-symmetric u-dependent J takes the LU path and a new factor
-    sol, lu2 = _sparse_solve(J, V, lu)
+    sol = solves.solve(J, V)
     np.testing.assert_allclose(J @ sol, V, atol=1e-10)
-    assert (lu2 is lu) == (params is not None)
+    assert (solves.lu is lu) == (params is not None)
+    assert solves.factorizations == (1 if params is not None else 2)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 7)])

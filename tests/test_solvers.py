@@ -1,13 +1,17 @@
+import logging
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import pqelliptic as pq
 from pqelliptic import (EpsilonSchedule, InvalidExponents, NewtonConfig,
                         NonConvergence, SingularJacobian, Unsupported,
                         build_mesh, make_family, unit_box, zero_field)
 from pqelliptic.fem import scatter_matrix
-from pqelliptic.solvers import _sparse_solve, _stiffness_blocks
+from pqelliptic.solvers import _LinearSolves, _stiffness_blocks
 from conftest import constant_rhs
 
 
@@ -80,7 +84,8 @@ def test_residual_strictly_decreases_along_newton():
 
 
 # ---------------------------------------------------------------------------
-# per-solve work: one rhs evaluation, a factor reused through CG
+# per-solve work: one rhs evaluation, a factor reused through CG, one factor
+# per continuation run
 
 def test_rhs_evaluated_once_per_solve():
     op = make_family("p-laplacian", {"p": 4})
@@ -110,28 +115,80 @@ def test_sparse_solve_reuses_nearby_factor_through_cg():
     A = _weighted_stiffness(m, np.ones(m.n_elements))
     B = _weighted_stiffness(m, 1.0 + 0.2 * rng.random(m.n_elements))
     rhs = rng.standard_normal(m.interior.size)
-    _, lu = _sparse_solve(A, rhs)
-    sol, lu_b = _sparse_solve(B, rhs, lu)
-    assert lu_b is lu
-    fresh, _ = _sparse_solve(B, rhs)
+    solves = _LinearSolves()
+    solves.solve(A, rhs)
+    lu = solves.lu
+    sol = solves.solve(B, rhs)
+    assert solves.lu is lu
+    assert solves.factorizations == 1 and solves.cg_iterations > 0
+    fresh = _LinearSolves().solve(B, rhs)
     np.testing.assert_allclose(sol, fresh, rtol=0, atol=1e-10)
 
 
-def test_sparse_solve_falls_back_to_lu_with_unrelated_factor():
+class _Factor:
+    """A SuperLU factor that a weak reference can follow."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, rhs):
+        return self._lu.solve(rhs)
+
+
+def test_sparse_solve_falls_back_to_lu_with_unrelated_factor(monkeypatch):
     m = build_mesh(2, unit_box(2), 17)
     rng = np.random.default_rng(5)
     A = _weighted_stiffness(m, np.ones(m.n_elements))
     n = m.interior.size
     D = sp.diags(10.0 ** rng.uniform(-6, 6, n)).tocsr()
     rhs = rng.standard_normal(n)
-    _, lu_d = _sparse_solve(D, rhs)
-    sol, lu = _sparse_solve(A, rhs, lu_d)
-    assert lu is not lu_d
+    solves = _LinearSolves()
+    factors, at_call = [], []
+    real_splu = spla.splu
+
+    def splu(*args, **kwargs):
+        # what is alive when a new factor is made: the held one, and any
+        # earlier factor that something else still references
+        at_call.append((solves.lu, [f() for f in factors]))
+        factor = _Factor(real_splu(*args, **kwargs))
+        factors.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(spla, "splu", splu)
+    solves.solve(D, rhs)
+    sol = solves.solve(A, rhs)  # CG with D's factor fails: a new factor
+    assert solves.cg_iterations > 0 and solves.factorizations == 2
+    assert at_call == [(None, []), (None, [None])]
     np.testing.assert_allclose(A @ sol, rhs, rtol=0, atol=1e-10)
-    np.testing.assert_array_equal(lu.solve(rhs), sol)
+    np.testing.assert_array_equal(solves.lu.solve(rhs), sol)
     # a singular J breaks CG down (quietly) and then fails to factor
     with pytest.raises(SingularJacobian):
-        _sparse_solve(sp.csr_matrix(A.shape), rhs, lu)
+        solves.solve(sp.csr_matrix(A.shape), rhs)
+    assert solves.lu is None and solves.factorizations == 2
+
+
+def test_continuation_factors_once_per_run(double_phase_op, monkeypatch,
+                                           caplog):
+    calls = []
+    real_splu = spla.splu
+
+    def splu(*args, **kwargs):
+        calls.append(1)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    m = build_mesh(2, unit_box(2), 17)
+    with caplog.at_level(logging.INFO, logger="pq.solve"):
+        tr = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
+                                   EpsilonSchedule(eps0=0.2))
+    # the p = 2 presolve and the first Newton step; later steps run CG
+    assert len(calls) == 2
+    assert [s.stats.iterations for s in tr.steps] == [3, 2, 2, 2, 2]
+    assert [s.stats.backtracks for s in tr.steps] == [0] * 5
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("linear solves")]
+    assert len(lines) == 1
+    assert lines[0].startswith("linear solves over 5 eps steps: 1 LU, ")
 
 
 # ---------------------------------------------------------------------------
