@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +233,26 @@ def test_reproducibility_across_threads(opfile, tmp_path):
         a = (outs["1"] / name).read_bytes()
         b = (outs["3"] / name).read_bytes()
         assert a == b, f"{name} differs across thread counts"
+
+
+def test_check_logs_timings_on_stderr_only_with_pq_log_info(opfile, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    op = opfile(PLAP3)
+    runs = {}
+    for level in ("info", None):
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PQ_LOG", None)
+        if level:
+            env["PQ_LOG"] = level
+        out = tmp_path / f"report-{level}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqelliptic.cli", "check", "--operator",
+             op, "--samples", "500", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[level] = (proc.stderr, out.read_bytes())
+    logged = [ln for ln in runs["info"][0].splitlines()
+              if ln.startswith("pq.check INFO: ")]
+    assert len(logged) == 9 and "shared sample cloud" in logged[0]
+    assert "pq.check" not in runs[None][0]
+    assert runs["info"][1] == runs[None][1]

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,92 @@ def test_determinism_across_threads(cfg, double_phase_op):
     rep4 = pq.run_structure_checks(double_phase_op,
                                    dataclasses.replace(cfg, threads=4))
     assert rep1.to_dict() == rep4.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# the shared base cloud
+
+def test_drawn_samples_are_read_only():
+    S = draw_samples(make_family("p-laplacian", {"p": 2}),
+                     SampleConfig(seed=1, count=50))
+    for a in (S.x, S.u, S.xi, S.eta, S.lam):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_unit_vectors_bitwise_equal_to_linalg_norm(dim):
+    from pqelliptic.verify import _unit_vectors
+
+    v = np.random.default_rng(dim).standard_normal((1000, dim))
+    v[7] = 0.0  # takes the norms < 1e-12 guard
+
+    class Fixed:
+        def standard_normal(self, shape):
+            assert shape == v.shape
+            return v.copy()
+
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    got = _unit_vectors(Fixed(), *v.shape)
+    assert np.array_equal(got, v / norms)
+    assert np.array_equal(got[7], np.zeros(dim))
+
+
+def test_structure_checks_draw_five_clouds(monkeypatch):
+    import pqelliptic.verify as verify
+
+    calls = []
+    real = verify.draw_samples
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "draw_samples", counting)
+    op = make_family("p-laplacian", {"p": 3})
+    pq.run_structure_checks(op, SampleConfig(seed=2, count=200))
+    # base, derivative-consistency, local-conditions, large-|xi|, doubled
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("seed", [4, 11])
+@pytest.mark.parametrize("family, params", [
+    ("double-phase", {"p": 2, "q": 2.2,
+                      "weight": lambda x: np.asarray(x)[..., 0]}),
+    ("p-laplacian-degenerate", {"p": 4}),
+    ("anisotropic", {"exponents": [2, 2.5]}),
+])
+def test_structure_checks_equal_standalone_checks(family, params, seed):
+    op = make_family(family, params)
+    cfg = SampleConfig(seed=seed, count=3000)
+    alone = [pq.check_derivative_consistency(op, cfg),
+             pq.check_ellipticity(op, cfg),
+             pq.check_growth_xi(op, cfg),
+             pq.check_growth_u(op, cfg),
+             pq.check_local_conditions(op, cfg.u_radius, None, cfg),
+             pq.check_monotonicity(op, cfg),
+             pq.check_coercivity_lower(op, cfg)[1],
+             pq.check_lemma_lower_bound(op, cfg)]
+    rep = pq.run_structure_checks(op, cfg)
+    assert [e.to_dict() for e in rep.entries] == [e.to_dict() for e in alone]
+    if family == "p-laplacian-degenerate":
+        ell = rep.entries[1]
+        assert not ell.passed and np.allclose(ell.witness["xi"], 0.0)
+
+
+def test_structure_checks_log_timings_at_info_only(caplog):
+    op = make_family("p-laplacian", {"p": 3})
+    cfg = SampleConfig(seed=6, count=300)
+    with caplog.at_level(logging.WARNING, logger="pq.check"):
+        quiet = pq.run_structure_checks(op, cfg)
+    assert not [r for r in caplog.records if r.name == "pq.check"]
+    with caplog.at_level(logging.INFO, logger="pq.check"):
+        loud = pq.run_structure_checks(op, cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "pq.check"]
+    n = len(draw_samples(op, cfg))
+    assert lines[0] == f"shared sample cloud: {n} points"
+    ids = [e.condition_id for e in loud.entries]
+    assert [line.split(":")[0] for line in lines[1:]] == ids
+    assert all(line.endswith(" s") for line in lines[1:])
+    assert loud.to_dict() == quiet.to_dict()
