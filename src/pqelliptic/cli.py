@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -182,6 +183,13 @@ def parse_rhs(spec: str, op, mesh):
 def cmd_check(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not (math.isfinite(args.L) and args.L > 0):
+        raise ConfigError(f"--L must be a finite number > 0, got {args.L}")
+    for flag, value in (("--gamma", args.gamma), ("--s0", args.s0)):
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     op = load_operator(args.operator)
     cfg = SampleConfig(seed=args.seed, count=args.samples,
                        threads=args.threads)
@@ -237,6 +245,8 @@ def trace_csv_rows(trace: ContinuationTrace) -> list:
 
 
 def cmd_continuation(args) -> int:
+    if not 0.0 <= args.delta < 0.5:
+        raise ConfigError(f"--delta must lie in [0, 0.5), got {args.delta}")
     op = load_operator(args.operator)
     if op.descriptor is None:
         raise ConfigError("continuation needs a descriptor-built operator")
@@ -264,6 +274,9 @@ ESTIMATE_COLUMNS = ["eps", "lp_grad", "bracket", "ratio", "c_gradient",
 
 
 def cmd_estimates(args) -> int:
+    if not (math.isfinite(args.lp_bound) and args.lp_bound > 0):
+        raise ConfigError(
+            f"--lp-bound must be a finite number > 0, got {args.lp_bound}")
     try:
         with open(args.trace) as fh:
             trace = ContinuationTrace.from_dict(json.load(fh))

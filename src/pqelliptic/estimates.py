@@ -17,6 +17,7 @@ import numpy as np
 from .errors import InvalidExponents
 from .fem import (DiscreteField, ball_element_mask, ball_node_mask,
                   element_gradients, gradient_weight_integral, h2_seminorm)
+from .operators import _sq
 from .verify import theta_exponent
 
 
@@ -81,7 +82,7 @@ def global_lp_rhs(mesh, op, b_field, p: float, pstar: float) -> float:
     xq = mesh.quad_points
     zero_u = np.zeros(xq.shape[:-1])
     zero_xi = np.zeros_like(xq)
-    a0 = np.linalg.norm(op.flux(xq, zero_u, zero_xi), axis=-1)
+    a0 = np.sqrt(_sq(op.flux(xq, zero_u, zero_xi)))
     bq = _b_at_quad(mesh, b_field)
     from .errors import QuadratureFailure
     if not np.all(np.isfinite(a0)):
@@ -145,7 +146,7 @@ def interior_gradient_constant(U: DiscreteField, p: float, q: float, n: int,
     center = _resolve_balls(mesh, rho, R, center)
     inner = ball_element_mask(mesh, center, rho)
     outer = ball_element_mask(mesh, center, R)
-    g = np.linalg.norm(element_gradients(U), axis=-1)
+    g = np.sqrt(_sq(element_gradients(U)))
     lhs = float(g[inner].max())
     integral = gradient_weight_integral(U, p, element_mask=outer)
     alpha = compute_alpha(n, p, q)

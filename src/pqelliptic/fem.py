@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MeshError, QuadratureFailure
-from .operators import Box
+from .operators import Box, _sq
 
 
 @dataclass
@@ -330,7 +330,7 @@ def interior_element_mask(mesh: Mesh, delta: float) -> np.ndarray:
 
 
 def ball_element_mask(mesh: Mesh, center, radius: float) -> np.ndarray:
-    d = np.linalg.norm(mesh.centroids - np.asarray(center), axis=-1)
+    d = np.sqrt(_sq(mesh.centroids - np.asarray(center)))
     mask = d <= radius
     if not mask.any():
         raise MeshError("ball contains no element centroid")
@@ -338,7 +338,7 @@ def ball_element_mask(mesh: Mesh, center, radius: float) -> np.ndarray:
 
 
 def ball_node_mask(mesh: Mesh, center, radius: float) -> np.ndarray:
-    d = np.linalg.norm(mesh.nodes - np.asarray(center), axis=-1)
+    d = np.sqrt(_sq(mesh.nodes - np.asarray(center)))
     return d <= radius
 
 
@@ -349,7 +349,7 @@ def lp_gradient_norm(U: DiscreteField, p: float,
                      element_mask=None) -> float:
     """||Du_h||_{L^p}: exact elementwise integral of the P1 gradient."""
     m = U.mesh
-    g = np.linalg.norm(element_gradients(U), axis=-1)
+    g = np.sqrt(_sq(element_gradients(U)))
     areas = m.areas
     if element_mask is not None:
         g = g[element_mask]
@@ -368,7 +368,7 @@ def lp_norm(U: DiscreteField, p: float) -> float:
 def linf_gradient_interior(U: DiscreteField, delta: float) -> float:
     """max |Du_h| over elements whose centroid is >= delta from the boundary."""
     mask = interior_element_mask(U.mesh, delta)
-    g = np.linalg.norm(element_gradients(U), axis=-1)
+    g = np.sqrt(_sq(element_gradients(U)))
     return float(g[mask].max())
 
 
@@ -429,7 +429,7 @@ def gradient_weight_integral(U: DiscreteField, exponent: float,
                              element_mask=None) -> float:
     """int (1 + |Du_h|^2)^(exponent/2) dx over the (masked) elements."""
     m = U.mesh
-    t = np.sum(element_gradients(U) ** 2, axis=-1)
+    t = _sq(element_gradients(U))
     areas = m.areas
     if element_mask is not None:
         t = t[element_mask]

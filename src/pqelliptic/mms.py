@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InconsistentExactData
 from .fem import DiscreteField, build_mesh, zero_field
-from .operators import OperatorSpec
+from .operators import OperatorSpec, _sq
 from .solvers import NewtonConfig, newton_solve, p2_presolve
 
 #: Step for the numeric divergence, as a fraction of the box width.
@@ -253,7 +253,7 @@ def _refined_errors(mesh, U: DiscreteField, case: ManufacturedCase):
                 uh = uh_vert[:, 0] + grad[:, 0] * (xq[:, 0] - coords[:, 0, 0])
                 du_err = grad - np.asarray(case.du_exact(xq), float)
                 l2 += wq * half * (uh - case.u_exact(xq)) ** 2
-                w12g += wq * half * np.sum(du_err ** 2, axis=-1)
+                w12g += wq * half * _sq(du_err)
     else:
         A, B, C = coords[:, 0], coords[:, 1], coords[:, 2]
         mAB, mBC, mCA = 0.5 * (A + B), 0.5 * (B + C), 0.5 * (C + A)
@@ -269,7 +269,7 @@ def _refined_errors(mesh, U: DiscreteField, case: ManufacturedCase):
                 uh = uh_vert[:, 0] + np.einsum("ed,ed->e", grad, xq - A)
                 du_err = grad - np.asarray(case.du_exact(xq), float)
                 l2 += child_area / 3.0 * (uh - case.u_exact(xq)) ** 2
-                w12g += child_area / 3.0 * np.sum(du_err ** 2, axis=-1)
+                w12g += child_area / 3.0 * _sq(du_err)
 
     l2_err = float(np.sqrt(l2.sum()))
     w12_err = float(np.sqrt(l2.sum() + w12g.sum()))

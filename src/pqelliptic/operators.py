@@ -148,8 +148,30 @@ class RegularizedOperator(OperatorSpec):
     eps0: float = 0.0
 
 
+# Reductions over the short trailing axis, one column at a time: the same
+# bits as numpy's reductions (a sum starts from +0.0), without their
+# per-call overhead on (N, 2) chunks.
+
+def _dot(a, b):
+    """np.sum(a * b, axis=-1)."""
+    s = 0.0 + a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        s += a[..., k] * b[..., k]
+    return s
+
+
 def _sq(xi):
-    return np.sum(xi * xi, axis=-1)
+    return _dot(xi, xi)
+
+
+def _max_abs(a, axes=1):
+    """np.max(np.abs(a), axis=...) over the last ``axes`` axes."""
+    a = np.abs(a)
+    cols = a.reshape(a.shape[:-axes] + (math.prod(a.shape[-axes:]),))
+    m = cols[..., 0]
+    for k in range(1, cols.shape[-1]):
+        m = np.maximum(m, cols[..., k])
+    return m
 
 
 def _check_point(op, xi):

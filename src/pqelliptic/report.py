@@ -4,7 +4,9 @@ A check produces one :class:`CheckEntry`.  The entry records the worst
 margin seen over all sample points, the sample that attained it and any
 constants fitted along the way.  The pass/fail rule is uniform:
 
-    fail  <=>  worst_margin < -tolerance
+    pass  <=>  worst_margin >= -tolerance
+
+so a NaN margin fails.
 
 Sampled non-strict inequalities carry a small positive tolerance (margin
 may dip a rounding error below zero).  Strict inequalities carry a
@@ -46,7 +48,7 @@ class CheckEntry:
 
     @property
     def passed(self) -> bool:
-        return not (self.worst_margin < -self.tolerance)
+        return bool(self.worst_margin >= -self.tolerance)
 
     def to_dict(self) -> dict:
         return {

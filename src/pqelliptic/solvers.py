@@ -26,7 +26,8 @@ from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   linf_norm_interior, load_contributions, lp_gradient_norm,
                   scatter_matrix, scatter_vector, w12_distance, zero_field,
                   _b_at_quad)
-from .operators import OperatorSpec, check_regularization_exponents, regularize
+from .operators import (OperatorSpec, _sq, check_regularization_exponents,
+                        regularize)
 
 log = logging.getLogger("pq.solve")
 
@@ -219,7 +220,7 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
             stats.converged = True
             return U, stats
         xi = element_gradients(U)
-        t = np.sum(xi * xi, axis=-1)[:, None]
+        t = _sq(xi)[:, None]
         uq = np.einsum("qv,ev->eq", mesh.quad_bary, U.values[mesh.elements])
         wq = np.broadcast_to(op.scalar_weight(mesh.quad_points, uq, t),
                              uq.shape)

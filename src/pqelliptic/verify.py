@@ -7,10 +7,11 @@ infinity).  Reductions are order-independent, so reports are bit-identical
 for any worker-thread count.
 
 Margin convention: margin = (right-hand side) - (left-hand side) of the
-bound, minimized over samples; an entry fails iff the worst margin drops
-below -tolerance.  Checks that *fit* a constant (the paper only asserts
-existence of constants, never values) report the fitted value and encode
-a stability criterion into the margin, as documented per check.
+bound, minimized over samples; an entry passes iff the worst margin is at
+least -tolerance, so a NaN margin fails.  Checks that *fit* a constant (the
+paper only asserts existence of constants, never values) report the fitted
+value and encode a stability criterion into the margin, as documented per
+check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import InvalidExponents
-from .operators import OperatorSpec, RegularizedOperator
+from .operators import OperatorSpec, RegularizedOperator, _dot, _max_abs, _sq
 from .report import AssumptionReport, CheckEntry, nonstrict_entry
 
 log = logging.getLogger("pq.check")
@@ -53,7 +54,8 @@ class SampleConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be >= 1")
-        if min(self.xi_radius, self.u_radius, self.large_xi_radius) <= 0:
+        if not all(r > 0 for r in (self.xi_radius, self.u_radius,
+                                   self.large_xi_radius)):
             raise ValueError("radii must be positive")
 
 
@@ -71,11 +73,7 @@ class Samples:
 
 def _unit_vectors(rng, n, dim):
     v = rng.standard_normal((n, dim))
-    # np.linalg.norm(v, axis=-1) column by column: the same bits, faster
-    sq = v[:, 0] * v[:, 0]
-    for k in range(1, dim):
-        sq = sq + v[:, k] * v[:, k]
-    norms = np.sqrt(sq)[:, None]
+    norms = np.sqrt(_sq(v))[:, None]
     norms[norms < 1e-12] = 1.0
     return v / norms
 
@@ -104,15 +102,18 @@ def _structured_block(dim, xi_radius, large_radius):
 
 def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
                  u_cap: float | None = None, xi_radius: float | None = None,
-                 structured: bool = True, xi_low_frac: float = 0.0) -> Samples:
+                 structured: bool = True, xi_low_frac: float = 0.0,
+                 directions: bool = True) -> Samples:
     """Seeded sample cloud over the operator's domain.
 
     x is uniform in the box (or a given sub-box); u uniform in
     [-u_cap, u_cap]; xi, eta and lambda are random directions with
     |N(0,1)|-scaled magnitudes.  ``xi_low_frac > 0`` lifts magnitudes away
     from zero (used by the derivative-consistency check, where degenerate
-    built-ins are not twice differentiable at xi = 0).  The arrays are
-    read-only, so checks that share one cloud cannot change it.
+    built-ins are not twice differentiable at xi = 0).  eta and lambda are
+    drawn last, so ``directions=False`` leaves them None and x, u and xi
+    unchanged.  The arrays are read-only, so checks that share one cloud
+    cannot change it.
     """
     dim = op.dim
     box = box or op.domain
@@ -129,9 +130,11 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
     if xi_low_frac > 0.0:
         mag = xi_low_frac * radius + rng.random(n) * (1.0 - xi_low_frac) * radius
     xi = _unit_vectors(rng, n, dim) * mag[:, None]
-    mag_eta = np.abs(rng.standard_normal(n)) * radius
-    eta = _unit_vectors(rng, n, dim) * mag_eta[:, None]
-    lam = _unit_vectors(rng, n, dim)
+    eta = lam = None
+    if directions:
+        mag_eta = np.abs(rng.standard_normal(n)) * radius
+        eta = _unit_vectors(rng, n, dim) * mag_eta[:, None]
+        lam = _unit_vectors(rng, n, dim)
 
     if structured:
         xs, es, ls = _structured_block(dim, radius, cfg.large_xi_radius)
@@ -139,10 +142,12 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
         x = np.vstack([np.broadcast_to(box.center, (k, dim)), x])
         u = np.concatenate([np.zeros(k), u])
         xi = np.vstack([xs, xi])
-        eta = np.vstack([es, eta])
-        lam = np.vstack([ls, lam])
+        if directions:
+            eta = np.vstack([es, eta])
+            lam = np.vstack([ls, lam])
     for a in (x, u, xi, eta, lam):
-        a.flags.writeable = False
+        if a is not None:
+            a.flags.writeable = False
     return Samples(x=x, u=u, xi=xi, eta=eta, lam=lam)
 
 
@@ -198,7 +203,7 @@ def ellipticity_margin(op, x, u, xi, lam):
     J = op.dflux_dxi(np.asarray(x, float), np.asarray(u, float),
                      np.asarray(xi, float))
     lam = np.asarray(lam, float)
-    t = np.sum(np.asarray(xi, float) ** 2, axis=-1)
+    t = _sq(np.asarray(xi, float))
     quad = np.einsum("...i,...ij,...j->...", lam, J, lam)
     return quad - op.m * (1.0 + t) ** ((op.p - 2.0) / 2.0)
 
@@ -206,13 +211,12 @@ def ellipticity_margin(op, x, u, xi, lam):
 def growth_xi_margin(op, x, u, xi):
     J = op.dflux_dxi(np.asarray(x, float), np.asarray(u, float),
                      np.asarray(xi, float))
-    t = np.sum(np.asarray(xi, float) ** 2, axis=-1)
+    t = _sq(np.asarray(xi, float))
     u = np.asarray(u, float)
     bound = op.M * (1.0 + t) ** ((op.q - 2.0) / 2.0)
     if op.growth_alpha > 0.0:
         bound = bound + op.M * np.abs(u) ** op.growth_alpha
-    worst_entry = np.max(np.abs(J), axis=(-2, -1))
-    return bound - worst_entry
+    return bound - _max_abs(J, 2)
 
 
 def growth_u_margin(op, x, u, xi, u_floor=U_FLOOR):
@@ -225,13 +229,13 @@ def growth_u_margin(op, x, u, xi, u_floor=U_FLOOR):
     """
     au = op.dflux_du(np.asarray(x, float), np.asarray(u, float),
                      np.asarray(xi, float))
-    t = np.sum(np.asarray(xi, float) ** 2, axis=-1)
+    t = _sq(np.asarray(xi, float))
     u_abs = np.abs(np.asarray(u, float))
     if op.beta < 1.0:
         u_abs = np.maximum(u_abs, u_floor)
     bound = (op.M * (1.0 + t) ** ((op.p + op.q - 4.0) / 4.0)
              + op.M * u_abs ** (op.beta - 1.0))
-    return bound - np.max(np.abs(au), axis=-1)
+    return bound - _max_abs(au)
 
 
 def local_condition_ratios(op, x, u, xi):
@@ -240,12 +244,13 @@ def local_condition_ratios(op, x, u, xi):
     u = np.asarray(u, float)
     xi = np.asarray(xi, float)
     J = op.dflux_dxi(x, u, xi)
-    t = np.sum(xi * xi, axis=-1)
+    t = _sq(xi)
     d1 = (1.0 + t) ** ((op.p + op.q - 4.0) / 4.0)
     d2 = (1.0 + t) ** ((op.p + op.q - 2.0) / 4.0)
-    antis = np.max(np.abs(J - np.swapaxes(J, -1, -2)), axis=(-2, -1))
-    ax = np.stack([np.abs(op.dflux_dx(x, u, xi, s)).max(axis=-1)
-                   for s in range(op.dim)], axis=-1).max(axis=-1)
+    antis = _max_abs(J - np.swapaxes(J, -1, -2), 2)
+    ax = _max_abs(op.dflux_dx(x, u, xi, 0))
+    for s in range(1, op.dim):
+        ax = np.maximum(ax, _max_abs(op.dflux_dx(x, u, xi, s)))
     return antis / d1, ax / d2
 
 
@@ -255,10 +260,9 @@ def monotonicity_margin(op, x, u, xi, eta):
     xi = np.asarray(xi, float)
     eta = np.asarray(eta, float)
     diff = xi - eta
-    lhs = np.sum((op.flux(x, u, xi) - op.flux(x, u, eta)) * diff, axis=-1)
+    lhs = _dot(op.flux(x, u, xi) - op.flux(x, u, eta), diff)
     mid = 0.5 * (xi + eta)
-    rhs = (op.m * (1.0 + np.sum(mid * mid, axis=-1)) ** ((op.p - 2.0) / 2.0)
-           * np.sum(diff * diff, axis=-1))
+    rhs = op.m * (1.0 + _sq(mid)) ** ((op.p - 2.0) / 2.0) * _sq(diff)
     return lhs - rhs
 
 
@@ -266,8 +270,8 @@ def coercivity_margin(op, x, u, xi, c1, c2, theta):
     x = np.asarray(x, float)
     u = np.asarray(u, float)
     xi = np.asarray(xi, float)
-    dot = np.sum(op.flux(x, u, xi) * xi, axis=-1)
-    norm = np.sqrt(np.sum(xi * xi, axis=-1))
+    dot = _dot(op.flux(x, u, xi), xi)
+    norm = np.sqrt(_sq(xi))
     return dot - c1 * norm ** op.p + c2 * np.abs(u) ** theta + b1_values(op, x)
 
 
@@ -277,7 +281,7 @@ def b1_values(op, x):
     zeros_xi = np.zeros(x.shape[:-1] + (op.dim,))
     zeros_u = np.zeros(x.shape[:-1])
     a0 = op.flux(x, zeros_u, zeros_xi)
-    return 1.0 + np.linalg.norm(a0, axis=-1) ** (op.p / (op.p - 1.0))
+    return 1.0 + np.sqrt(_sq(a0)) ** (op.p / (op.p - 1.0))
 
 
 def lemma_lower_ratio(op, x, u, xi):
@@ -285,11 +289,11 @@ def lemma_lower_ratio(op, x, u, xi):
     x = np.asarray(x, float)
     u = np.asarray(u, float)
     xi = np.asarray(xi, float)
-    dot = np.sum(op.flux(x, u, xi) * xi, axis=-1)
+    dot = _dot(op.flux(x, u, xi), xi)
     zeros_xi = np.zeros(x.shape[:-1] + (op.dim,))
     zeros_u = np.zeros(x.shape[:-1])
-    a0 = np.linalg.norm(op.flux(x, zeros_u, zeros_xi), axis=-1)
-    norm = np.sqrt(np.sum(xi * xi, axis=-1))
+    a0 = np.sqrt(_sq(op.flux(x, zeros_u, zeros_xi)))
+    norm = np.sqrt(_sq(xi))
     denom = (norm ** op.q + np.abs(u) ** op.q
              + a0 ** (op.q / (op.q - 1.0)) + 1.0)
     return -dot / denom
@@ -301,8 +305,8 @@ def regularized_growth_ratio(rop: RegularizedOperator, x, u, xi):
     u = np.asarray(u, float)
     xi = np.asarray(xi, float)
     qe = rop.base.q + rop.eps
-    mag = np.linalg.norm(rop.flux(x, u, xi), axis=-1)
-    norm = np.sqrt(np.sum(xi * xi, axis=-1))
+    mag = np.sqrt(_sq(rop.flux(x, u, xi)))
+    norm = np.sqrt(_sq(xi))
     denom = norm ** (qe - 1.0) + np.abs(u) ** (qe - 1.0) + b1_values(rop.base, x)
     return mag / denom
 
@@ -380,7 +384,7 @@ def check_local_conditions(op: OperatorSpec, L: float, subdomain,
     otherwise the fitted constant is reported and the entry passes.
     """
     subdomain = subdomain or op.domain.shrink(0.25)
-    S = draw_samples(op, cfg, box=subdomain, u_cap=L)
+    S = draw_samples(op, cfg, box=subdomain, u_cap=L, directions=False)
 
     def ratios(s):
         r1, r2 = local_condition_ratios(op, s.x, s.u, s.xi)
@@ -422,8 +426,8 @@ def _coercivity_feasible(op, S, c1, theta, tol):
     Returns (feasible, needed c2): samples with |u| below the floor must
     satisfy the bound with c2 = 0 outright.
     """
-    dot = np.sum(op.flux(S.x, S.u, S.xi) * S.xi, axis=-1)
-    norm = np.sqrt(np.sum(S.xi * S.xi, axis=-1))
+    dot = _dot(op.flux(S.x, S.u, S.xi), S.xi)
+    norm = np.sqrt(_sq(S.xi))
     residual = c1 * norm ** op.p - dot - b1_values(op, S.x)
     small_u = np.abs(S.u) < U_FLOOR
     if np.any(residual[small_u] > tol):
@@ -450,7 +454,7 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig,
     S = draw_samples(op, cfg) if samples is None else samples
     big_cfg = replace(cfg, seed=cfg.seed + 1, count=max(cfg.count // 4, 16))
     B = draw_samples(op, big_cfg, xi_radius=cfg.large_xi_radius,
-                     structured=False)
+                     structured=False, directions=False)
     S = Samples(x=np.vstack([S.x, B.x]), u=np.concatenate([S.u, B.u]),
                 xi=np.vstack([S.xi, B.xi]))
 
@@ -502,7 +506,7 @@ def _stable_fit(ratio_fn, op, cfg, condition_id, constant_name,
     c = max(float(ratios[idx]), 0.0)
 
     cfg2 = replace(cfg, count=2 * cfg.count)
-    S2 = draw_samples(op, cfg2)
+    S2 = draw_samples(op, cfg2, directions=False)
     ratios2 = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi),
                                S2, cfg.threads)
     c2 = max(float(np.max(ratios2)), 0.0)
@@ -543,23 +547,24 @@ def check_derivative_consistency(op: OperatorSpec, cfg: SampleConfig,
     """
     from .operators import fd_dflux_du, fd_dflux_dx, fd_dflux_dxi
 
-    S = draw_samples(op, cfg, structured=False, xi_low_frac=0.05)
+    S = draw_samples(op, cfg, structured=False, xi_low_frac=0.05,
+                     directions=False)
 
     def rel_err(a, f):
-        scale = np.maximum(1.0, np.maximum(
-            np.max(np.abs(a), axis=tuple(range(1, a.ndim))),
-            np.max(np.abs(f), axis=tuple(range(1, f.ndim)))))
-        return np.max(np.abs(a - f), axis=tuple(range(1, a.ndim))) / scale
+        k = a.ndim - 1
+        scale = np.maximum(1.0, np.maximum(_max_abs(a, k), _max_abs(f, k)))
+        return _max_abs(a - f, k) / scale
 
     def margins(s):
-        errs = [rel_err(op.dflux_dxi(s.x, s.u, s.xi),
-                        fd_dflux_dxi(op.flux, s.x, s.u, s.xi)),
-                rel_err(op.dflux_du(s.x, s.u, s.xi),
-                        fd_dflux_du(op.flux, s.x, s.u, s.xi))]
+        err = np.maximum(rel_err(op.dflux_dxi(s.x, s.u, s.xi),
+                                 fd_dflux_dxi(op.flux, s.x, s.u, s.xi)),
+                         rel_err(op.dflux_du(s.x, s.u, s.xi),
+                                 fd_dflux_du(op.flux, s.x, s.u, s.xi)))
         for axis in range(op.dim):
-            errs.append(rel_err(op.dflux_dx(s.x, s.u, s.xi, axis),
-                                fd_dflux_dx(op.flux, s.x, s.u, s.xi, axis)))
-        return rel_tol - np.max(np.stack(errs), axis=0)
+            err = np.maximum(err, rel_err(
+                op.dflux_dx(s.x, s.u, s.xi, axis),
+                fd_dflux_dx(op.flux, s.x, s.u, s.xi, axis)))
+        return rel_tol - err
 
     vals = _chunked_margins(margins, S, cfg.threads)
     worst, idx = _worst(vals)

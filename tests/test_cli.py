@@ -151,18 +151,22 @@ def test_usage_errors_exit_3(opfile, capsys):
         assert err.startswith("usage: pq check") and "pq check: error:" in err
 
 
-def _one_step_trace(opfile, tmp_path):
-    trace = tmp_path / "one-step.json"
-    assert main(["continuation", "--operator", opfile(DP_DESCRIPTOR),
-                 "--rhs", "constant:-2", "--mesh", "2d:9x9", "--schedule",
-                 "eps0=0.2,steps=1", "--out", str(trace)]) == 0
-    return ["estimates", "--trace", str(trace)]
+def _continuation(opfile, steps=2):
+    return ["continuation", "--operator", opfile(DP_DESCRIPTOR), "--rhs",
+            "constant:-2", "--mesh", "2d:9x9", "--schedule",
+            f"eps0=0.2,steps={steps}"]
+
+
+def _estimates(steps, *flags):
+    def argv(opfile, tmp_path):
+        trace = tmp_path / "trace.json"
+        assert main(_continuation(opfile, steps) + ["--out", str(trace)]) == 0
+        return ["estimates", "--trace", str(trace), *flags]
+    return argv
 
 
 MALFORMED = {
-    "out-in-missing-directory": lambda opfile, tmp_path: [
-        "continuation", "--operator", opfile(DP_DESCRIPTOR), "--rhs",
-        "constant:-2", "--mesh", "2d:9x9", "--schedule", "eps0=0.2,steps=2"],
+    "out-in-missing-directory": lambda opfile, tmp_path: _continuation(opfile),
     "samples-0": lambda opfile, tmp_path: [
         "check", "--operator", opfile(PLAP3), "--samples", "0"],
     "p-not-a-number": lambda opfile, tmp_path: [
@@ -170,9 +174,24 @@ MALFORMED = {
     "double-phase-without-weight": lambda opfile, tmp_path: [
         "check", "--operator",
         opfile({k: v for k, v in DP_DESCRIPTOR.items() if k != "params"})],
-    "estimates-on-one-step-trace": _one_step_trace,
+    "estimates-on-one-step-trace": _estimates(1),
     "threads-0": lambda opfile, tmp_path: [
         "check", "--operator", opfile(PLAP3), "--threads", "0"],
+    "check-L-nan": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--L", "nan"],
+    "check-L-negative": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--L", "-5"],
+    "check-seed-negative": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--seed", "-1"],
+    "check-gamma-nan": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--gamma", "nan"],
+    "check-s0-nan": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--s0", "nan"],
+    "estimates-lp-bound-nan": _estimates(2, "--lp-bound", "nan"),
+    "continuation-delta-nan": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--delta", "nan"],
+    "continuation-delta-negative": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--delta", "-1"],
 }
 
 

@@ -270,3 +270,53 @@ def test_descriptor_roundtrip_and_unknown_keys():
     bad["extra"] = 1
     with pytest.raises(pq.ConfigError):
         pq.operator_from_descriptor(bad)
+
+
+# ---------------------------------------------------------------------------
+# column-wise trailing-axis reductions
+
+def _bits(a):
+    return np.asarray(a, float).view(np.uint64)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dot_and_sq_bitwise_equal_to_numpy(dim):
+    from pqelliptic.operators import _dot, _sq
+
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((500, dim))
+    b = rng.standard_normal((500, dim))
+    a[3] = 0.0                # an all-zero row
+    a[4], b[4] = -0.0, 1.0    # only -0.0 products: numpy's sum gives +0.0
+    assert np.array_equal(_bits(_dot(a, b)), _bits(np.sum(a * b, axis=-1)))
+    assert np.array_equal(_bits(np.sqrt(_sq(a))),
+                          _bits(np.linalg.norm(a, axis=-1)))
+    wide = np.broadcast_to(a[:1], (7, dim))   # stride 0, not contiguous
+    assert np.array_equal(_bits(_dot(wide, b[:7])),
+                          _bits(np.sum(wide * b[:7], axis=-1)))
+    back = a[::-2, ::-1]                      # negative strides
+    assert np.array_equal(_bits(_sq(back)), _bits(np.sum(back ** 2, axis=-1)))
+    blocks = rng.standard_normal((40, 3, dim))
+    assert np.array_equal(_bits(_sq(blocks)),
+                          _bits(np.sum(blocks * blocks, axis=-1)))
+
+
+@pytest.mark.parametrize("shape, axes", [
+    ((500, 1), 1), ((500, 2), 1), ((500, 3), 1), ((500, 2, 2), 2),
+    ((500, 3, 3), 2), ((40, 3, 2, 2), 2), ((40, 3, 2, 2), 3)])
+def test_max_abs_bitwise_equal_to_numpy(shape, axes):
+    from pqelliptic.operators import _max_abs
+
+    a = np.random.default_rng(len(shape) + axes).standard_normal(shape)
+    a[3] = 0.0
+    a[5].flat[0] = np.nan
+    a[6].flat[-1] = -np.inf
+    a[7].flat[-1] = np.nan
+    a[7].flat[0] = np.inf
+    trailing = tuple(range(-axes, 0))
+    got = _max_abs(a, axes)
+    assert got.shape == shape[:-axes]
+    assert np.array_equal(_bits(got), _bits(np.max(np.abs(a), axis=trailing)))
+    wide = np.broadcast_to(a[:1], (9,) + shape[1:])
+    assert np.array_equal(_bits(_max_abs(wide, axes)),
+                          _bits(np.max(np.abs(wide), axis=trailing)))

@@ -319,14 +319,15 @@ def test_structure_checks_draw_five_clouds(monkeypatch):
     real = verify.draw_samples
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("directions", True))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify, "draw_samples", counting)
     op = make_family("p-laplacian", {"p": 3})
     pq.run_structure_checks(op, SampleConfig(seed=2, count=200))
-    # base, derivative-consistency, local-conditions, large-|xi|, doubled
-    assert len(calls) == 5
+    # base, derivative-consistency, local-conditions, large-|xi|, doubled;
+    # only the base cloud draws eta and lambda
+    assert calls == [True, False, False, False, False]
 
 
 @pytest.mark.parametrize("seed", [4, 11])
@@ -369,3 +370,149 @@ def test_structure_checks_log_timings_at_info_only(caplog):
     assert [line.split(":")[0] for line in lines[1:]] == ids
     assert all(line.endswith(" s") for line in lines[1:])
     assert loud.to_dict() == quiet.to_dict()
+
+
+def test_draw_without_directions_keeps_the_other_bits():
+    op = make_family("anisotropic", {"exponents": [2, 2.5]})
+    cfg = SampleConfig(seed=5, count=400)
+    for kwargs in ({}, {"structured": False, "xi_low_frac": 0.05},
+                   {"u_cap": 2.0, "box": op.domain.shrink(0.25)}):
+        full = draw_samples(op, cfg, **kwargs)
+        bare = draw_samples(op, cfg, directions=False, **kwargs)
+        assert bare.eta is None and bare.lam is None
+        for name in ("x", "u", "xi"):
+            a, b = getattr(full, name), getattr(bare, name)
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), name
+            assert not b.flags.writeable
+
+
+def test_nan_margin_fails():
+    from pqelliptic.report import nonstrict_entry, strict_entry
+
+    assert not nonstrict_entry("x", float("nan"), 0.0).passed
+    assert not strict_entry("x", float("nan")).passed
+    assert nonstrict_entry("x", -1e-11, 1e-10).passed
+    assert not nonstrict_entry("x", -1e-9, 1e-10).passed
+    assert not strict_entry("x", 0.0).passed
+    assert strict_entry("x", 1e-13).passed
+
+
+@pytest.mark.parametrize("field", ["xi_radius", "u_radius", "large_xi_radius"])
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+def test_sample_config_rejects_bad_radius(field, value):
+    with pytest.raises(ValueError):
+        SampleConfig(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# margin kernels against the reductions they replaced
+
+ZOO = {
+    "double-phase": {"family": "double-phase", "p": 2, "q": 2.2,
+                     "params": {"weight": {"type": "affine",
+                                           "coeffs": [1.0, 0.0],
+                                           "offset": 0.0}}},
+    "log": {"family": "log", "p": 2, "q": 2.2},
+    "variable-exponent": {
+        "family": "variable-exponent",
+        "params": {"pfun": {"type": "affine", "offset": 2.0,
+                            "coeffs": [0.2, 0.0]},
+                   "pmin": 2.0, "pmax": 2.2}},
+    "anisotropic": {"family": "anisotropic",
+                    "params": {"exponents": [2, 2.5]}},
+    "p-laplacian-degenerate": {"family": "p-laplacian-degenerate", "p": 4},
+}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_margin_kernels_bitwise_equal_to_numpy_reductions(name):
+    from pqelliptic import verify as v
+
+    op = pq.operator_from_descriptor(
+        {**ZOO[name], "domain": {"min": [0, 0], "max": [1, 1]}})
+    S = draw_samples(op, SampleConfig(seed=3, count=3000))
+    x, u, xi, eta, lam = S.x, S.u, S.xi, S.eta, S.lam
+    p, q, m, M = op.p, op.q, op.m, op.M
+    J = op.dflux_dxi(x, u, xi)
+    t = np.sum(xi ** 2, axis=-1)
+    zero_u, zero_xi = np.zeros_like(u), np.zeros_like(xi)
+    a0 = np.linalg.norm(op.flux(x, zero_u, zero_xi), axis=-1)
+    dot = np.sum(op.flux(x, u, xi) * xi, axis=-1)
+    norm = np.sqrt(np.sum(xi * xi, axis=-1))
+    b1 = 1.0 + a0 ** (p / (p - 1.0))
+
+    quad = np.einsum("...i,...ij,...j->...", lam, J, lam)
+    assert _same_bits(v.ellipticity_margin(op, x, u, xi, lam),
+                      quad - m * (1.0 + t) ** ((p - 2.0) / 2.0))
+    bound = M * (1.0 + t) ** ((q - 2.0) / 2.0)
+    if op.growth_alpha > 0.0:
+        bound = bound + M * np.abs(u) ** op.growth_alpha
+    assert _same_bits(v.growth_xi_margin(op, x, u, xi),
+                      bound - np.max(np.abs(J), axis=(-2, -1)))
+    keep = np.abs(u) >= v.U_FLOOR
+    u_abs = np.abs(u[keep])
+    bound = (M * (1.0 + t[keep]) ** ((p + q - 4.0) / 4.0)
+             + M * u_abs ** (op.beta - 1.0))
+    au = op.dflux_du(x[keep], u[keep], xi[keep])
+    assert _same_bits(v.growth_u_margin(op, x[keep], u[keep], xi[keep]),
+                      bound - np.max(np.abs(au), axis=-1))
+    antis = np.max(np.abs(J - np.swapaxes(J, -1, -2)), axis=(-2, -1))
+    ax = np.stack([np.abs(op.dflux_dx(x, u, xi, s)).max(axis=-1)
+                   for s in range(op.dim)], axis=-1).max(axis=-1)
+    r1, r2 = local_condition_ratios(op, x, u, xi)
+    assert _same_bits(r1, antis / (1.0 + t) ** ((p + q - 4.0) / 4.0))
+    assert _same_bits(r2, ax / (1.0 + t) ** ((p + q - 2.0) / 4.0))
+    diff, mid = xi - eta, 0.5 * (xi + eta)
+    lhs = np.sum((op.flux(x, u, xi) - op.flux(x, u, eta)) * diff, axis=-1)
+    rhs = (m * (1.0 + np.sum(mid * mid, axis=-1)) ** ((p - 2.0) / 2.0)
+           * np.sum(diff * diff, axis=-1))
+    assert _same_bits(monotonicity_margin(op, x, u, xi, eta), lhs - rhs)
+    assert _same_bits(v.b1_values(op, x), b1)
+    theta = theta_exponent(p, q, op.beta)
+    assert _same_bits(v.coercivity_margin(op, x, u, xi, 0.5, 2.0, theta),
+                      dot - 0.5 * norm ** p + 2.0 * np.abs(u) ** theta + b1)
+    residual = 0.5 * norm ** p - dot - b1
+    big = (residual > 1e-10) & (np.abs(u) >= v.U_FLOOR)
+    c2 = np.max(residual[big] / np.abs(u[big]) ** theta) if big.any() else 0.0
+    assert v._coercivity_feasible(op, S, 0.5, theta, 1e-10) == (
+        True, float(c2))
+    denom = norm ** q + np.abs(u) ** q + a0 ** (q / (q - 1.0)) + 1.0
+    assert _same_bits(v.lemma_lower_ratio(op, x, u, xi), -dot / denom)
+    rop = regularize(op, 0.05)
+    qe = q + 0.05
+    mag = np.linalg.norm(rop.flux(x, u, xi), axis=-1)
+    denom = norm ** (qe - 1.0) + np.abs(u) ** (qe - 1.0) + b1
+    assert _same_bits(v.regularized_growth_ratio(rop, x, u, xi), mag / denom)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_derivative_consistency_equals_numpy_reductions(name):
+    from pqelliptic.operators import fd_dflux_du, fd_dflux_dx, fd_dflux_dxi
+
+    op = pq.operator_from_descriptor(
+        {**ZOO[name], "domain": {"min": [0, 0], "max": [1, 1]}})
+    cfg = SampleConfig(seed=3, count=3000)
+    S = draw_samples(op, cfg, structured=False, xi_low_frac=0.05)
+    x, u, xi = S.x, S.u, S.xi
+
+    def rel_err(a, f):
+        axes = tuple(range(1, a.ndim))
+        scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=axes),
+                                           np.max(np.abs(f), axis=axes)))
+        return np.max(np.abs(a - f), axis=axes) / scale
+
+    errs = [rel_err(op.dflux_dxi(x, u, xi), fd_dflux_dxi(op.flux, x, u, xi)),
+            rel_err(op.dflux_du(x, u, xi), fd_dflux_du(op.flux, x, u, xi))]
+    errs += [rel_err(op.dflux_dx(x, u, xi, s),
+                     fd_dflux_dx(op.flux, x, u, xi, s))
+             for s in range(op.dim)]
+    ref = 1e-6 - np.max(np.stack(errs), axis=0)
+    entry = pq.check_derivative_consistency(op, cfg)
+    assert _same_bits(entry.worst_margin, ref.min())
+    assert entry.witness["xi"] == xi[int(np.argmin(ref))].tolist()
