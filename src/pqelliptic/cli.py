@@ -24,7 +24,7 @@ import numpy as np
 from .errors import (ConfigError, InvalidExponents, MeshError,
                      NonConvergence, NonnegativityViolation, PQError,
                      QuadratureFailure, SingularJacobian, Unsupported)
-from .estimates import build_estimate_report
+from .estimates import build_estimate_report, lp_ratio
 from .fem import build_mesh, zero_field
 from .mms import builtin_case, convergence_study
 from .operators import operator_from_descriptor, validate_assumptions
@@ -114,7 +114,10 @@ def parse_mesh_spec(spec: str, box):
     if box.dim != dim:
         raise ConfigError(
             f"mesh spec {spec!r} does not match operator domain (dim {box.dim})")
-    return build_mesh(dim, box, nodes)
+    try:
+        return build_mesh(dim, box, nodes)
+    except MeshError as exc:
+        raise ConfigError(f"bad mesh spec {spec!r}: {exc}") from exc
 
 
 def parse_schedule(spec: str) -> EpsilonSchedule:
@@ -273,17 +276,27 @@ ESTIMATE_COLUMNS = ["eps", "lp_grad", "bracket", "ratio", "c_gradient",
                     "c_hessian", "alpha", "pstar"]
 
 
+def _read_trace(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"bad trace file {path!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"bad trace file {path!r}: not a JSON object")
+    return doc
+
+
 def cmd_estimates(args) -> int:
     if not (math.isfinite(args.lp_bound) and args.lp_bound > 0):
         raise ConfigError(
             f"--lp-bound must be a finite number > 0, got {args.lp_bound}")
     try:
-        with open(args.trace) as fh:
-            trace = ContinuationTrace.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        trace = ContinuationTrace.from_dict(_read_trace(args.trace))
+        opdesc, rhs = trace.meta.get("operator"), trace.meta.get("rhs")
+    except (AttributeError, KeyError, TypeError, ValueError,
+            MeshError) as exc:
         raise ConfigError(f"bad trace file {args.trace!r}: {exc}") from exc
-    opdesc = (trace.meta or {}).get("operator")
-    rhs = (trace.meta or {}).get("rhs")
     if not opdesc or not rhs:
         raise ConfigError("trace carries no operator/rhs descriptors")
     if len(trace.steps) < 2:
@@ -330,11 +343,7 @@ def cmd_mms(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.trace) as fh:
-            trace_doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad trace file: {exc}") from exc
+    trace_doc = _read_trace(args.trace)
     estimates_rows = []
     if args.estimates:
         try:
@@ -343,15 +352,20 @@ def cmd_report(args) -> int:
         except OSError as exc:
             raise ConfigError(f"bad estimates file: {exc}") from exc
     steps = trace_doc.get("steps", [])
+    try:
+        lp = [s["lp_gradient"] for s in steps]
+        ratio = lp_ratio(lp) if lp else None
+        operator = (trace_doc.get("meta") or {}).get("operator")
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"bad trace file {args.trace!r}: {exc}") from exc
     increments = [s.get("cauchy_increment_w12") for s in steps
                   if s.get("cauchy_increment_w12") is not None]
-    lp = [s["lp_gradient"] for s in steps]
     summary = {
         "schedule": trace_doc.get("schedule"),
         "mesh": trace_doc.get("mesh"),
-        "operator": (trace_doc.get("meta") or {}).get("operator"),
+        "operator": operator,
         "steps": [{k: s[k] for k in s if k != "values"} for s in steps],
-        "lp_gradient_ratio": (max(lp) / min(lp)) if lp else None,
+        "lp_gradient_ratio": ratio,
         "increments_strictly_decreasing": all(
             a > b for a, b in zip(increments, increments[1:])),
         "estimates": estimates_rows,

@@ -104,6 +104,13 @@ class UniformLpResult:
                 "lhs_over_bracket": self.lhs_over_bracket}
 
 
+def lp_ratio(norms) -> float:
+    """max / min of tracked gradient norms: 1 if all vanish (u = 0), inf if
+    only some do."""
+    hi, lo = max(norms), min(norms)
+    return float(hi / lo) if lo > 0 else 1.0 if hi == 0 else np.inf
+
+
 def check_uniform_lp(trace, bound: float = 1.5,
                      bracket: float | None = None) -> UniformLpResult:
     """Uniformity of ||Du_eps||_{L^p} across the continuation steps.
@@ -115,7 +122,7 @@ def check_uniform_lp(trace, bound: float = 1.5,
     if len(trace.steps) < 2:
         raise ValueError("uniformity needs at least two continuation steps")
     norms = np.asarray([s.lp_gradient for s in trace.steps])
-    ratio = float(norms.max() / norms.min())
+    ratio = lp_ratio(norms)
     per_step = None
     if bracket is not None:
         per_step = [float(v ** trace.p / bracket) for v in norms]

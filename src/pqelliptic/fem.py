@@ -19,10 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import MeshError, QuadratureFailure
 from .operators import Box, _sq
+
+#: Elements per chunk of the Jacobian kernel: its temporaries then scale with
+#: the chunk, not the mesh, and stay out of the peak memory of a large solve.
+JACOBIAN_CHUNK = 16384
 
 
 @dataclass
@@ -242,6 +245,9 @@ def _matrix_pattern(mesh: Mesh) -> tuple:
     kept on the mesh.  The index arrays are scipy's own, read-only, and
     shared by every matrix; ``slot`` sends each (E, nv, nv) block entry to
     its nonzero, or to the extra slot nnz if it touches a boundary node."""
+    # scipy is imported where a matrix is first built, not with the package:
+    # pq check, estimates and report never build one and skip its load time
+    import scipy.sparse as sp
     if mesh.pattern is None:
         row = mesh.full_to_interior[mesh.elements][:, :, None]
         col = row.transpose(0, 2, 1)
@@ -263,6 +269,7 @@ def _matrix_pattern(mesh: Mesh) -> tuple:
 def scatter_matrix(mesh: Mesh, block: np.ndarray) -> sp.csr_matrix:
     """Interior matrix summed from element blocks (E, nv, nv) into the
     mesh's fixed CSR pattern."""
+    import scipy.sparse as sp
     indptr, indices, slot = _matrix_pattern(mesh)
     data = np.bincount(slot, weights=block.ravel(),
                        minlength=indices.size + 1)[:-1]
@@ -299,22 +306,30 @@ def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
 
 
 def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
-    """J = dR/dU over interior nodes, from dflux_dxi and dflux_du."""
+    """J = dR/dU over interior nodes, from dflux_dxi and dflux_du, evaluated
+    over JACOBIAN_CHUNK elements at a time."""
     vals = U.values
-    xi = np.einsum("evd,ev->ed", mesh.grads, vals[mesh.elements])
-    uq = vals[mesh.elements] @ mesh.quad_bary.T
-    Jq = op.dflux_dxi(mesh.quad_points, uq, xi[:, None, :])   # (E,nq,d,d)
-    au = op.dflux_du(mesh.quad_points, uq, xi[:, None, :])    # (E,nq,d)
-    if not (np.all(np.isfinite(Jq)) and np.all(np.isfinite(au))):
-        raise QuadratureFailure("non-finite derivative at a quadrature point")
-    # P1 gradients are constant per element, so with G = grads[e] the block
-    # is area * G ((sum_q frac_q Jq) G^T + sum_q frac_q au_q (x) phi(q))
-    J_mean = np.einsum("q,eqij->eij", mesh.quad_frac, Jq)
-    # stacked matmul: einsum's optimized path copies au, raising peak memory
-    au = np.broadcast_to(au, (*uq.shape, mesh.dim)).transpose(0, 2, 1)
-    au_phi = au @ (mesh.quad_frac[:, None] * mesh.quad_bary)
-    block = mesh.grads @ (J_mean @ mesh.grads.transpose(0, 2, 1) + au_phi)
-    return scatter_matrix(mesh, mesh.areas[:, None, None] * block)
+    phi = mesh.quad_frac[:, None] * mesh.quad_bary
+    block = np.empty((mesh.n_elements, mesh.dim + 1, mesh.dim + 1))
+    for lo in range(0, mesh.n_elements, JACOBIAN_CHUNK):
+        e = slice(lo, lo + JACOBIAN_CHUNK)
+        G, ve, x = mesh.grads[e], vals[mesh.elements[e]], mesh.quad_points[e]
+        xi = np.einsum("evd,ev->ed", G, ve)[:, None, :]
+        uq = ve @ mesh.quad_bary.T
+        Jq = op.dflux_dxi(x, uq, xi)                          # (E,nq,d,d)
+        au = op.dflux_du(x, uq, xi)                           # (E,nq,d)
+        if not (np.all(np.isfinite(Jq)) and np.all(np.isfinite(au))):
+            raise QuadratureFailure(
+                "non-finite derivative at a quadrature point")
+        # P1 gradients are constant per element, so the block is
+        # area * G ((sum_q frac_q Jq) G^T + sum_q frac_q au_q (x) phi(q))
+        J_mean = np.einsum("q,eqij->eij", mesh.quad_frac, Jq)
+        # stacked matmul: einsum's optimized path copies au, raising peak memory
+        au = np.broadcast_to(au, (*uq.shape, mesh.dim)).transpose(0, 2, 1)
+        np.multiply(mesh.areas[e, None, None],
+                    G @ (J_mean @ G.transpose(0, 2, 1) + au @ phi),
+                    out=block[e])
+    return scatter_matrix(mesh, block)
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,8 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or len(lo) == 0:
             raise ConfigError("box corners must have equal positive length")
-        if any(h <= l for l, h in zip(lo, hi)):
-            raise ConfigError("box must have positive widths")
+        if not all(-math.inf < l < h < math.inf for l, h in zip(lo, hi)):
+            raise ConfigError("box must have finite corners and positive widths")
 
     @property
     def dim(self) -> int:
@@ -105,10 +105,13 @@ class Box:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Box":
-        extra = set(d) - {"min", "max"}
-        if extra:
-            raise ConfigError(f"unknown domain keys: {sorted(extra)}")
-        return cls(tuple(d["min"]), tuple(d["max"]))
+        if not isinstance(d, dict) or set(d) != {"min", "max"}:
+            raise ConfigError(f"domain must be {{'min': [..], 'max': [..]}}, "
+                              f"got {d!r}")
+        try:
+            return cls(tuple(d["min"]), tuple(d["max"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad domain corners: {exc}") from exc
 
 
 def unit_box(dim: int) -> Box:
@@ -774,22 +777,14 @@ def operator_from_descriptor(desc: dict) -> OperatorSpec:
     if extra:
         raise ConfigError(f"unknown operator descriptor keys: {sorted(extra)}")
     family = desc.get("family")
-    if family not in _FAMILY_BUILDERS:
+    if not isinstance(family, str) or family not in _FAMILY_BUILDERS:
         raise ConfigError(f"unknown or missing family {family!r}")
 
     domain = Box.from_dict(desc["domain"]) if "domain" in desc else None
     dim = domain.dim if domain is not None else 2
+    if not isinstance(desc.get("params") or {}, dict):
+        raise ConfigError("descriptor 'params' must be a JSON object")
     params = dict(desc.get("params") or {})
-
-    # translate function-valued params from their JSON descriptors
-    if family == "double-phase" and "weight" in params:
-        fun, grad = _function_from_descriptor(params["weight"], dim)
-        params["weight"] = fun
-        params.setdefault("grad_weight", grad)
-    if family.startswith("variable-exponent") and "pfun" in params:
-        fun, grad = _function_from_descriptor(params["pfun"], dim)
-        params["pfun"] = fun
-        params.setdefault("dpfun", grad)
 
     for key in ("p", "q", "m", "M"):
         if key in desc:
@@ -799,10 +794,20 @@ def operator_from_descriptor(desc: dict) -> OperatorSpec:
     if domain is not None:
         params["domain"] = domain
 
-    try:
+    try:  # translate function-valued params from their JSON descriptors
+        if family == "double-phase" and "weight" in params:
+            fun, grad = _function_from_descriptor(params["weight"], dim)
+            params["weight"] = fun
+            params.setdefault("grad_weight", grad)
+        if family.startswith("variable-exponent") and "pfun" in params:
+            fun, grad = _function_from_descriptor(params["pfun"], dim)
+            params["pfun"] = fun
+            params.setdefault("dpfun", grad)
         op = make_family(family, params)
     except KeyError as exc:  # a required parameter, e.g. double-phase weight
         raise ConfigError(f"{family} descriptor lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a parameter of the wrong type
+        raise ConfigError(f"bad {family} descriptor: {exc}") from exc
 
     def jsonable(v):
         return v if not isinstance(v, dict) else dict(v)

@@ -15,8 +15,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (InvalidExponents, NonConvergence, SingularJacobian,
                      Unsupported)
@@ -105,6 +103,7 @@ class _LinearSolves:
         self.lu, self.factorizations, self.cg_iterations = None, 0, 0
 
     def solve(self, J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+        import scipy.sparse.linalg as spla  # loaded at first use, as in fem
         if self.lu is not None and abs(J - J.T).max() <= 1e-12 * abs(J).max():
             its = []  # one entry per CG iteration
             M = spla.LinearOperator(J.shape, self.lu.solve, dtype=float)
@@ -133,6 +132,9 @@ def _stiffness_blocks(mesh: Mesh) -> np.ndarray:
     return np.einsum("e,evd,ewd->evw", mesh.areas, mesh.grads, mesh.grads)
 
 
+# numpy's overflow warnings are off in solves: explicit checks catch each
+# non-finite value and raise QuadratureFailure, SingularJacobian or the like
+@np.errstate(over="ignore", invalid="ignore")
 def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
                  cfg: NewtonConfig | None = None, *,
                  solves: _LinearSolves | None = None):
@@ -189,6 +191,7 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
         f"iterations (residual {rnorm:.3e})", best=U, stats=stats)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
                       U0: DiscreteField, cfg: NewtonConfig | None = None, *,
                       solves: _LinearSolves | None = None):
@@ -362,6 +365,7 @@ def _tracked_norms(U: DiscreteField, p: float, delta: float) -> dict:
     }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
                        schedule: EpsilonSchedule,
                        cfg: NewtonConfig | None = None, *,

@@ -1,7 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import pqelliptic as pq
+
+# Hypothesis caches what it reads of the sources, even with database=None:
+# keep that in pytest's cache directory rather than a .hypothesis/ of its own
+set_hypothesis_home_dir(
+    Path(__file__).resolve().parents[1] / ".pytest_cache" / "hypothesis")
 
 
 def dp_weight(x):

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqelliptic.cli import main
 from conftest import DP_DESCRIPTOR
@@ -151,8 +155,11 @@ def test_usage_errors_exit_3(opfile, capsys):
         assert err.startswith("usage: pq check") and "pq check: error:" in err
 
 
-def _continuation(opfile, steps=2):
-    return ["continuation", "--operator", opfile(DP_DESCRIPTOR), "--rhs",
+P1D = {"family": "p-laplacian", "p": 2.5, "domain": {"min": [0], "max": [1]}}
+
+
+def _continuation(opfile, steps=2, op=DP_DESCRIPTOR):
+    return ["continuation", "--operator", opfile(op), "--rhs",
             "constant:-2", "--mesh", "2d:9x9", "--schedule",
             f"eps0=0.2,steps={steps}"]
 
@@ -162,6 +169,14 @@ def _estimates(steps, *flags):
         trace = tmp_path / "trace.json"
         assert main(_continuation(opfile, steps) + ["--out", str(trace)]) == 0
         return ["estimates", "--trace", str(trace), *flags]
+    return argv
+
+
+def _bad_trace(command, doc):
+    def argv(opfile, tmp_path):
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps(doc))
+        return [command, "--trace", str(trace)]
     return argv
 
 
@@ -192,6 +207,34 @@ MALFORMED = {
         opfile) + ["--delta", "nan"],
     "continuation-delta-negative": lambda opfile, tmp_path: _continuation(
         opfile) + ["--delta", "-1"],
+    "estimates-trace-list": _bad_trace("estimates", [1, 2]),
+    "estimates-trace-string": _bad_trace("estimates", "s"),
+    "report-trace-list": _bad_trace("report", [1, 2]),
+    "report-trace-string": _bad_trace("report", "s"),
+    "report-step-without-lp-gradient": _bad_trace(
+        "report", {"steps": [{"eps": 0.2}]}),
+    "report-trace-meta-list": _bad_trace("report", {"steps": [], "meta": [1]}),
+    "estimates-trace-mesh-2x2": _bad_trace("estimates", {"mesh": {
+        "dim": 2, "box": {"min": [0, 0], "max": [1, 1]},
+        "nodes_per_axis": [2, 2]}}),
+    "mesh-1d-0": lambda opfile, tmp_path: _continuation(
+        opfile, op=P1D) + ["--mesh", "1d:0"],
+    "mesh-2d-2x9": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--mesh", "2d:2x9"],
+    "mesh-2d-9x9x9": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--mesh", "2d:9x9x9"],
+    "descriptor-family-list": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({**PLAP3, "family": [1]})],
+    "descriptor-params-number": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({**PLAP3, "params": -1})],
+    "descriptor-param-mistyped": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({**PLAP3, "family": "anisotropic",
+                                       "params": {"exponents": "ab"}})],
+    "descriptor-domain-empty": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({**PLAP3, "domain": {}})],
+    "descriptor-domain-nan": lambda opfile, tmp_path: [
+        "check", "--operator",
+        opfile({**PLAP3, "domain": {"min": [0, 0], "max": [1, "nan"]}})],
 }
 
 
@@ -206,6 +249,40 @@ def test_malformed_input_exits_3(opfile, tmp_path, capsys, case):
     assert err.startswith("configuration error") and "\n" not in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_zero_solution_passes_estimates_and_report(opfile, tmp_path):
+    trace, report = tmp_path / "trace.json", tmp_path / "report.json"
+    assert main(["continuation", "--operator", opfile(P1D), "--rhs",
+                 "constant:0", "--mesh", "1d:9", "--schedule",
+                 "eps0=0.2,steps=2", "--out", str(trace)]) == 0
+    assert main(["estimates", "--trace", str(trace)]) == 0
+    assert main(["report", "--trace", str(trace), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["lp_gradient_ratio"] == 1.0
+
+
+def test_scipy_loads_only_at_first_sparse_matrix(opfile, tmp_path):
+    trace = tmp_path / "trace.json"
+    assert main(_continuation(opfile) + ["--out", str(trace)]) == 0
+    script = (
+        "import sys\n"
+        "import pqelliptic, pqelliptic.cli\n"
+        "from pqelliptic.cli import main\n"
+        "op, trace = sys.argv[1:]\n"
+        "assert main(['check', '--operator', op, '--samples', '1000']) == 0\n"
+        "assert main(['estimates', '--trace', trace]) == 0\n"
+        "assert main(['report', '--trace', trace]) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n"
+        "assert main(['solve', '--operator', op, '--rhs', 'constant:-2',\n"
+        "             '--mesh', '2d:9x9']) == 0\n"
+        "print('scipy.sparse' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, opfile(DP_DESCRIPTOR), str(trace)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_mms_subcommand(opfile, tmp_path):
@@ -275,3 +352,85 @@ def test_check_logs_timings_on_stderr_only_with_pq_log_info(opfile, tmp_path):
     assert len(logged) == 9 and "shared sample cloud" in logged[0]
     assert "pq.check" not in runs[None][0]
     assert runs["info"][1] == runs[None][1]
+
+
+# -- property: the exit-code contract holds for any small input --------------
+
+_OPERATORS = [DP_DESCRIPTOR, PLAP3, DEG4,
+              {"family": "log", "p": 2, "q": 2.2,
+               "domain": {"min": [0, 0], "max": [1, 1]}}, P1D]
+_JUNK = st.one_of(
+    st.sampled_from([0, -1, 1.5, 1e300, float("nan"), float("inf"), "", "x",
+                     [1], {}, None, {"min": [0], "max": [0]},
+                     {"weight": {"type": "constant", "value": -1}},
+                     {"weight": {"type": "constant", "value": "x"}},
+                     {"exponents": "ab"}]),
+    st.floats(-5, 5), st.text(max_size=3))
+_SOMETIMES = st.sampled_from([False, False, True])
+
+
+@st.composite
+def _continuation_argv(draw):
+    """Mostly well-formed continuation arguments, each part sometimes junk."""
+    desc = dict(draw(st.sampled_from(_OPERATORS)))
+    dim = len(desc["domain"]["min"])
+    if draw(_SOMETIMES):
+        key = draw(st.sampled_from(["family", "p", "q", "m", "domain",
+                                    "params", "extra"]))
+        desc[key] = draw(_JUNK)
+    sizes = draw(st.lists(st.integers(3, 9), min_size=dim, max_size=dim))
+    mesh = f"{dim}d:" + "x".join(map(str, sizes))
+    if draw(_SOMETIMES):
+        mesh = draw(st.one_of(st.text(max_size=5), st.builds(
+            lambda kind, sizes: f"{kind}:" + "x".join(map(str, sizes)),
+            st.sampled_from(["1d", "2d", "3d", ""]),
+            st.lists(st.integers(-1, 9), min_size=1, max_size=3))))
+    schedule = "eps0={},ratio={},steps={}".format(
+        draw(st.sampled_from([0.2, 0.05])), draw(st.sampled_from([0.5, 0.25])),
+        draw(st.integers(1, 3)))
+    if draw(_SOMETIMES):
+        schedule = draw(st.one_of(st.text(max_size=5), st.builds(
+            "eps0={},ratio={},steps={}".format, _JUNK, _JUNK, _JUNK)))
+    rhs = draw(st.sampled_from(["constant:-2", "constant:0", "constant:3",
+                                "manufactured:sine2d"]))
+    if draw(_SOMETIMES):
+        rhs = draw(st.one_of(st.text(max_size=5), st.builds(
+            "{}:{}".format, st.sampled_from(["constant", "manufactured",
+                                             "file"]), _JUNK)))
+    return desc, [f"--mesh={mesh}", f"--schedule={schedule}", f"--rhs={rhs}"]
+
+
+def _run(argv, out):
+    """main's exit code; it prints no traceback, and a non-zero exit leaves
+    no --out file."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv + [f"--out={out}"])
+        except SystemExit as exc:  # argparse usage error
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:
+        assert not os.path.exists(out), argv
+    return rc
+
+
+# on a failure, Hypothesis imports libcst, which warns about mypy_extensions
+@pytest.mark.filterwarnings(
+    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(case=_continuation_argv())
+def test_exit_code_contract_property(case):
+    desc, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        op = os.path.join(tmp, "op.json")
+        with open(op, "w") as fh:
+            json.dump(desc, fh)
+        trace = os.path.join(tmp, "trace.json")
+        if _run(["continuation", f"--operator={op}", *flags], trace) != 0:
+            assert not os.path.exists(os.path.join(tmp, "trace.csv"))
+            return
+        _run(["estimates", f"--trace={trace}"],
+             os.path.join(tmp, "estimates.csv"))
+        _run(["report", f"--trace={trace}"], os.path.join(tmp, "report.json"))

@@ -5,6 +5,7 @@ import pqelliptic as pq
 from pqelliptic import (DiscreteField, MeshError, QuadratureFailure,
                         assemble_jacobian, assemble_residual, build_mesh,
                         interpolate, make_family, unit_box, zero_field)
+from pqelliptic import fem
 from pqelliptic.solvers import _LinearSolves
 from conftest import constant_rhs
 
@@ -213,6 +214,66 @@ def test_fixed_pattern_matches_coo_reference(dim, n):
     assert np.shares_memory(J1.indptr, J2.indptr)
     assert np.shares_memory(J1.indices, J2.indices)
     assert J1.has_sorted_indices and J1.has_canonical_format
+
+
+def _one_shot_jacobian(m, op, U):
+    """The Jacobian kernel over all elements at once."""
+    vals = U.values
+    xi = np.einsum("evd,ev->ed", m.grads, vals[m.elements])[:, None, :]
+    uq = vals[m.elements] @ m.quad_bary.T
+    Jq = op.dflux_dxi(m.quad_points, uq, xi)
+    au = op.dflux_du(m.quad_points, uq, xi)
+    J_mean = np.einsum("q,eqij->eij", m.quad_frac, Jq)
+    au = np.broadcast_to(au, (*uq.shape, m.dim)).transpose(0, 2, 1)
+    au_phi = au @ (m.quad_frac[:, None] * m.quad_bary)
+    block = m.grads @ (J_mean @ m.grads.transpose(0, 2, 1) + au_phi)
+    return fem.scatter_matrix(m, m.areas[:, None, None] * block)
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "double-phase-eps",
+                                  "u-dependent"])
+def test_chunked_jacobian_equals_one_shot_bitwise(monkeypatch,
+                                                  double_phase_op, case):
+    op = {"1d": make_family("p-laplacian", {"p": 3,
+                                            "domain": unit_box(1)}),
+          "2d": make_family("p-laplacian", {"p": 4}),
+          "double-phase-eps": pq.regularize(double_phase_op, 0.1, 0.2),
+          "u-dependent": _u_dependent_op(2)}[case]
+    m = build_mesh(op.dim, op.domain, 30 if op.dim == 1 else 9)
+    assert m.n_elements > 7 and m.n_elements % 7  # a ragged last chunk
+    rng = np.random.default_rng(5)
+    vals = np.zeros(m.n_nodes)
+    vals[m.interior] = rng.standard_normal(m.interior.size)
+    U = DiscreteField(m, vals)
+    monkeypatch.setattr(fem, "JACOBIAN_CHUNK", 7)
+    J, ref = assemble_jacobian(m, op, U), _one_shot_jacobian(m, op, U)
+    for attr in ("data", "indices", "indptr"):
+        a, b = getattr(J, attr), getattr(ref, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+@pytest.mark.parametrize("derivative", ["dflux_dxi", "dflux_du"])
+def test_chunked_jacobian_nonfinite_in_late_chunk(monkeypatch, derivative):
+    def late_nan(name, x, value):
+        """value, with NaN near x_1 = 1 (the last chunks) in ``derivative``"""
+        if name == derivative:
+            bad = x[..., 0] > 0.9
+            value = np.where(bad.reshape(bad.shape + (1,) * (value.ndim - 2)),
+                             np.nan, value)
+        return value
+
+    op = pq.make_custom(
+        lambda x, u, xi: xi, dim=2, p=2, q=2, m=1, M=1,
+        dflux_dxi=lambda x, u, xi: late_nan(
+            "dflux_dxi", x, np.broadcast_to(np.eye(2), (*u.shape, 2, 2))),
+        dflux_du=lambda x, u, xi: late_nan(
+            "dflux_du", x, np.zeros((*u.shape, 2))))
+    m = build_mesh(2, unit_box(2), 9)
+    monkeypatch.setattr(fem, "JACOBIAN_CHUNK", 7)
+    first_bad = np.flatnonzero((m.quad_points[..., 0] > 0.9).any(axis=1))[0]
+    assert first_bad >= 7 * 10
+    with pytest.raises(QuadratureFailure):
+        assemble_jacobian(m, op, zero_field(m))
 
 
 def test_jacobian_symmetric_for_u_independent_gradient_flux():
