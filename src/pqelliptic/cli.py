@@ -3,8 +3,8 @@
 Subcommands: check, solve, continuation, estimates, mms, report.  All data
 goes to files (written atomically); diagnostics go to standard error.
 Exit codes: 0 success, 1 verification failure, 2 numerical failure,
-3 configuration error.  Outputs embed no timestamps or thread counts, so
-identical configurations and seeds reproduce byte-identical files.
+3 configuration error.  Outputs embed no timestamps, so identical
+configurations and seeds reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -194,8 +194,7 @@ def cmd_check(args) -> int:
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
     op = load_operator(args.operator)
-    cfg = SampleConfig(seed=args.seed, count=args.samples,
-                       threads=args.threads)
+    cfg = SampleConfig(seed=args.seed, count=args.samples)
     report = validate_assumptions(op, n=op.dim, gamma=args.gamma, s0=args.s0)
     structural = run_structure_checks(op, cfg, L=args.L)
     report.extend(structural)
@@ -390,13 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Workbench for divergence-form elliptic problems with "
                     "(p,q)-growth: structural verification, epsilon-"
                     "continuation solves and a priori estimate tracking.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads (outputs are identical for any N)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="run structural assumption checks")
+    p = sub.add_parser("check", help="run structural assumption checks")
     p.add_argument("--operator", required=True)
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
@@ -406,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", parents=[common], help="single Newton solve")
+    p = sub.add_parser("solve", help="single Newton solve")
     p.add_argument("--operator", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--mesh", required=True)
@@ -415,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("continuation", parents=[common], help="epsilon-continuation run")
+    p = sub.add_parser("continuation", help="epsilon-continuation run")
     p.add_argument("--operator", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--mesh", required=True)
@@ -426,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_continuation)
 
-    p = sub.add_parser("estimates", parents=[common], help="estimate constants from a trace")
+    p = sub.add_parser("estimates", help="estimate constants from a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--rho", type=float, default=0.25,
                    help="inner ball radius / min box width")
@@ -436,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_estimates)
 
-    p = sub.add_parser("mms", parents=[common], help="manufactured-solution convergence study")
+    p = sub.add_parser("mms", help="manufactured-solution convergence study")
     p.add_argument("--operator", required=True)
     p.add_argument("--case", required=True)
     p.add_argument("--grids", required=True)
@@ -444,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mms)
 
-    p = sub.add_parser("report", parents=[common], help="merge a trace and estimates CSV")
+    p = sub.add_parser("report", help="merge a trace and estimates CSV")
     p.add_argument("--trace", required=True)
     p.add_argument("--estimates", default=None)
     p.add_argument("--out", default=None)
@@ -464,11 +459,11 @@ def _configure_logging() -> None:
 def main(argv=None) -> int:
     _configure_logging()
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
     out = getattr(args, "out", None)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        if unknown:
+            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
             raise ConfigError(f"--out directory does not exist: {out}")
         return args.func(args)

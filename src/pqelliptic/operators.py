@@ -762,6 +762,17 @@ def _function_from_descriptor(d: dict, dim: int):
 
 
 _DESCRIPTOR_KEYS = {"family", "p", "q", "m", "M", "params", "domain"}
+# the params keys each family builder reads, less the gradients grad_weight
+# and dpfun, which come from the weight and pfun descriptors; a degenerate
+# variant reads the keys of its family
+_PARAMS_KEYS = {
+    "p-laplacian": {"p", "m", "M", "domain", "dim"},
+    "log": {"p", "q", "m", "M", "domain", "dim"},
+    "variable-exponent": {"pfun", "pmin", "pmax", "m", "M", "domain", "dim"},
+    "anisotropic": {"exponents", "m", "M", "domain"},
+    "double-phase": {"p", "q", "weight", "weight_max", "m", "M", "domain",
+                     "dim"},
+}
 
 
 def operator_from_descriptor(desc: dict) -> OperatorSpec:
@@ -769,7 +780,8 @@ def operator_from_descriptor(desc: dict) -> OperatorSpec:
 
     Schema: {"family": ..., "p": ..., "q": ..., "m": ..., "M": ...,
     "params": {...}, "domain": {"min": [...], "max": [...]}}.  Unknown
-    keys are rejected.  Custom fluxes are code-level only.
+    keys, at the top level and in params, are rejected.  Custom fluxes are
+    code-level only.
     """
     if not isinstance(desc, dict):
         raise ConfigError("operator descriptor must be a JSON object")
@@ -785,6 +797,9 @@ def operator_from_descriptor(desc: dict) -> OperatorSpec:
     if not isinstance(desc.get("params") or {}, dict):
         raise ConfigError("descriptor 'params' must be a JSON object")
     params = dict(desc.get("params") or {})
+    extra = set(params) - _PARAMS_KEYS[family.removesuffix("-degenerate")]
+    if extra:
+        raise ConfigError(f"unknown {family} params keys: {sorted(extra)}")
 
     for key in ("p", "q", "m", "M"):
         if key in desc:
@@ -796,13 +811,11 @@ def operator_from_descriptor(desc: dict) -> OperatorSpec:
 
     try:  # translate function-valued params from their JSON descriptors
         if family == "double-phase" and "weight" in params:
-            fun, grad = _function_from_descriptor(params["weight"], dim)
-            params["weight"] = fun
-            params.setdefault("grad_weight", grad)
+            params["weight"], params["grad_weight"] = (
+                _function_from_descriptor(params["weight"], dim))
         if family.startswith("variable-exponent") and "pfun" in params:
-            fun, grad = _function_from_descriptor(params["pfun"], dim)
-            params["pfun"] = fun
-            params.setdefault("dpfun", grad)
+            params["pfun"], params["dpfun"] = _function_from_descriptor(
+                params["pfun"], dim)
         op = make_family(family, params)
     except KeyError as exc:  # a required parameter, e.g. double-phase weight
         raise ConfigError(f"{family} descriptor lacks {exc}") from exc

@@ -132,63 +132,78 @@ def _stiffness_blocks(mesh: Mesh) -> np.ndarray:
     return np.einsum("e,evd,ewd->evw", mesh.areas, mesh.grads, mesh.grads)
 
 
+def _damped_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
+                  cfg: NewtonConfig, method: str, step_of, *,
+                  increment_stop: bool = False):
+    """Damped iteration on the interior unknowns, shared by Newton and
+    Kacanov.
+
+    ``step_of(U, R)`` returns the interior update d at the iterate U with
+    residual R.  The first of U - s d for s = 1, f, f^2, ... (f the
+    backtrack factor, at most ``max_backtracks`` reductions) that strictly
+    lowers the residual 2-norm is accepted.  Stops when the residual
+    reaches max(abs_tol, rel_tol * r0) or, with ``increment_stop``, when the
+    W^{1,2} increment of a step drops below abs_tol.  Returns
+    (DiscreteField, SolveStats); raises NonConvergence with the best iterate
+    attached.
+    """
+    assert_dirichlet(U0)
+    U = U0.copy()
+    b_field = _b_at_quad(mesh, b_field)  # once per solve
+    R = assemble_residual(mesh, op, b_field, U)
+    rnorm = float(np.linalg.norm(R))
+    tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
+    stats = SolveStats(method, 0, rnorm, initial_residual=rnorm)
+    stats.converged = rnorm <= tol
+    while not stats.converged and stats.iterations < cfg.max_iters:
+        d = step_of(U, R)
+        step = 1.0
+        for _ in range(cfg.max_backtracks + 1):
+            trial = U.values.copy()
+            trial[mesh.interior] -= step * d
+            Ut = DiscreteField(mesh, trial)
+            Rt = assemble_residual(mesh, op, b_field, Ut)
+            rt = float(np.linalg.norm(Rt))
+            if rt < rnorm:
+                break
+            step *= cfg.backtrack_factor
+            stats.backtracks += 1
+        else:
+            stats.iterations += 1
+            raise NonConvergence(
+                f"{method} backtracking stalled at residual {rnorm:.3e}",
+                best=U, stats=stats)
+        small_increment = (increment_stop
+                           and w12_distance(Ut, U) <= cfg.abs_tol)
+        U, R, rnorm = Ut, Rt, rt
+        stats.iterations += 1
+        stats.residual_norm = rnorm
+        stats.converged = rnorm <= tol or small_increment
+        log.debug("%s it=%d residual=%.3e step=%.2e", method,
+                  stats.iterations, rnorm, step)
+    if not stats.converged:
+        raise NonConvergence(
+            f"{method} did not converge in {cfg.max_iters} iterations "
+            f"(residual {rnorm:.3e}, tolerance {tol:.3e})",
+            best=U, stats=stats)
+    return U, stats
+
+
 # numpy's overflow warnings are off in solves: explicit checks catch each
 # non-finite value and raise QuadratureFailure, SingularJacobian or the like
 @np.errstate(over="ignore", invalid="ignore")
 def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
                  cfg: NewtonConfig | None = None, *,
                  solves: _LinearSolves | None = None):
-    """Damped Newton iteration on the interior unknowns.
-
-    Each accepted step strictly decreases the residual 2-norm; the step is
-    halved up to ``max_backtracks`` times until it does.  The rhs is
-    evaluated once; linear systems go through ``solves`` (a fresh
-    _LinearSolves by default).  Returns (DiscreteField, SolveStats); raises
-    NonConvergence (with the best iterate attached) or SingularJacobian.
+    """Damped Newton iteration: :func:`_damped_solve` with the step
+    J(U)^{-1} R.  Linear systems go through ``solves`` (a fresh
+    _LinearSolves by default).  Raises NonConvergence (with the best
+    iterate attached) or SingularJacobian.
     """
-    cfg = cfg or NewtonConfig()
     solves = solves or _LinearSolves()
-    assert_dirichlet(U0)
-    U = U0.copy()
-    b_field = _b_at_quad(mesh, b_field)  # once per solve
-    R = assemble_residual(mesh, op, b_field, U)
-    rnorm = float(np.linalg.norm(R))
-    r0 = rnorm
-    tol = max(cfg.abs_tol, cfg.rel_tol * r0)
-    stats = SolveStats("newton", 0, rnorm, initial_residual=r0)
-    for it in range(cfg.max_iters):
-        if rnorm <= tol:
-            stats.converged = True
-            return U, stats
-        J = assemble_jacobian(mesh, op, U)
-        delta = solves.solve(J, R)
-        step = 1.0
-        accepted = False
-        for _ in range(cfg.max_backtracks + 1):
-            trial = U.values.copy()
-            trial[mesh.interior] -= step * delta
-            Ut = DiscreteField(mesh, trial)
-            Rt = assemble_residual(mesh, op, b_field, Ut)
-            rt = float(np.linalg.norm(Rt))
-            if rt < rnorm:
-                U, R, rnorm = Ut, Rt, rt
-                accepted = True
-                break
-            step *= cfg.backtrack_factor
-            stats.backtracks += 1
-        stats.iterations = it + 1
-        stats.residual_norm = rnorm
-        log.debug("newton it=%d residual=%.3e step=%.2e", it + 1, rnorm, step)
-        if not accepted:
-            raise NonConvergence(
-                f"backtracking stalled at residual {rnorm:.3e}",
-                best=U, stats=stats)
-    if rnorm <= tol:
-        stats.converged = True
-        return U, stats
-    raise NonConvergence(
-        f"newton did not reach tolerance {tol:.3e} in {cfg.max_iters} "
-        f"iterations (residual {rnorm:.3e})", best=U, stats=stats)
+    return _damped_solve(
+        mesh, op, b_field, U0, cfg or NewtonConfig(), "newton",
+        lambda U, R: solves.solve(assemble_jacobian(mesh, op, U), R))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -199,67 +214,30 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
 
     Freezes w = scalar_weight(x, u_prev, |Du_prev|^2), solves the linear
     problem int w Du . Dv = -int b v, and relaxes toward the linear solve
-    with a step halved until the nonlinear residual decreases (the plain
-    lagged iteration 2-cycles for p > 2; relaxation keeps the same fixed
-    points).  Stops when the W^{1,2} increment drops below abs_tol.
-    Linear systems go through ``solves`` as in :func:`newton_solve`.
+    through :func:`_damped_solve` (the plain lagged iteration 2-cycles for
+    p > 2; relaxation keeps the same fixed points).  Also stops when the
+    W^{1,2} increment drops below abs_tol.  Linear systems go through
+    ``solves`` as in :func:`newton_solve`.
     """
-    cfg = cfg or NewtonConfig()
-    solves = solves or _LinearSolves()
     if op.scalar_weight is None:
         raise Unsupported(
             f"{op.family_tag}: flux is not of scalar-weight form")
-    assert_dirichlet(U0)
-    U = U0.copy()
-    b_field = _b_at_quad(mesh, b_field)  # once per solve
+    solves = solves or _LinearSolves()
+    b_field = _b_at_quad(mesh, b_field)  # the driver passes (E, nq) through
     F = scatter_vector(mesh, load_contributions(mesh, b_field))
     # element stiffness blocks for w = 1; a weight scales them by mean_q(w)
     unit = _stiffness_blocks(mesh)
-    rnorm = float(np.linalg.norm(assemble_residual(mesh, op, b_field, U)))
-    stats = SolveStats("fixed-point", 0, rnorm, initial_residual=rnorm)
-    tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
-    for it in range(cfg.max_iters):
-        if rnorm <= tol:
-            stats.converged = True
-            return U, stats
-        xi = element_gradients(U)
-        t = _sq(xi)[:, None]
+
+    def step_of(U, R):
+        t = _sq(element_gradients(U))[:, None]
         uq = np.einsum("qv,ev->eq", mesh.quad_bary, U.values[mesh.elements])
         wq = np.broadcast_to(op.scalar_weight(mesh.quad_points, uq, t),
                              uq.shape)
         K = scatter_matrix(mesh, (wq @ mesh.quad_frac)[:, None, None] * unit)
-        sol = solves.solve(K, -F)
-        direction = sol - U.values[mesh.interior]
-        step = 1.0
-        accepted = False
-        for _ in range(cfg.max_backtracks + 1):
-            trial = U.values.copy()
-            trial[mesh.interior] += step * direction
-            Ut = DiscreteField(mesh, trial)
-            rt = float(np.linalg.norm(
-                assemble_residual(mesh, op, b_field, Ut)))
-            if rt < rnorm:
-                accepted = True
-                break
-            step *= cfg.backtrack_factor
-            stats.backtracks += 1
-        if not accepted:
-            stats.iterations = it + 1
-            raise NonConvergence(
-                f"fixed-point relaxation stalled at residual {rnorm:.3e}",
-                best=U, stats=stats)
-        diff = w12_distance(Ut, U)
-        U, rnorm = Ut, rt
-        stats.iterations = it + 1
-        stats.residual_norm = rnorm
-        log.debug("fixed-point it=%d increment=%.3e residual=%.3e step=%.2e",
-                  it + 1, diff, rnorm, step)
-        if diff <= cfg.abs_tol:
-            stats.converged = True
-            return U, stats
-    raise NonConvergence(
-        f"fixed-point increment stalled above {cfg.abs_tol:.3e} after "
-        f"{cfg.max_iters} iterations", best=U, stats=stats)
+        return U.values[mesh.interior] - solves.solve(K, -F)
+
+    return _damped_solve(mesh, op, b_field, U0, cfg or NewtonConfig(),
+                         "fixed-point", step_of, increment_stop=True)
 
 
 def p2_presolve(mesh: Mesh, b_field) -> DiscreteField:

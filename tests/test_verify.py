@@ -273,15 +273,6 @@ def test_witness_reproduces_margin(cfg, suite_operators):
                 assert again >= min(entry.worst_margin, 0.0) - 1e-12
 
 
-def test_determinism_across_threads(cfg, double_phase_op):
-    import dataclasses
-    rep1 = pq.run_structure_checks(double_phase_op,
-                                   dataclasses.replace(cfg, threads=1))
-    rep4 = pq.run_structure_checks(double_phase_op,
-                                   dataclasses.replace(cfg, threads=4))
-    assert rep1.to_dict() == rep4.to_dict()
-
-
 # ---------------------------------------------------------------------------
 # the shared base cloud
 
