@@ -95,27 +95,22 @@ def load_operator(path: str):
 
 
 def parse_mesh_spec(spec: str, box):
-    """'1d:N' or '2d:NXxNY' on the operator's domain box."""
+    """'Nd:N0[xN1...]' on the operator's domain box; one size is used on
+    every axis."""
+    kind, _, sizes = spec.partition(":")
     try:
-        kind, _, sizes = spec.partition(":")
-        if kind == "1d":
-            nodes = (int(sizes),)
-            dim = 1
-        elif kind == "2d":
-            parts = sizes.lower().split("x")
-            nodes = tuple(int(p) for p in parts)
-            if len(nodes) == 1:
-                nodes = nodes * 2
-            dim = 2
-        else:
+        if not kind.endswith("d"):
             raise ValueError(spec)
+        dim = int(kind[:-1])
+        nodes = tuple(int(p) for p in sizes.lower().split("x"))
     except ValueError as exc:
-        raise ConfigError(f"bad mesh spec {spec!r}; use '1d:N' or '2d:NxM'") from exc
+        raise ConfigError(f"bad mesh spec {spec!r}; use 'Nd:N0[xN1...]', "
+                          "e.g. '1d:33' or '2d:33x17'") from exc
     if box.dim != dim:
         raise ConfigError(
             f"mesh spec {spec!r} does not match operator domain (dim {box.dim})")
     try:
-        return build_mesh(dim, box, nodes)
+        return build_mesh(dim, box, nodes * dim if len(nodes) == 1 else nodes)
     except MeshError as exc:
         raise ConfigError(f"bad mesh spec {spec!r}: {exc}") from exc
 

@@ -1,13 +1,16 @@
 """Structured simplicial meshes, P1 assembly and discrete norms.
 
-Meshes are tensor grids on an interval (1D, a testing device) or an
-axis-aligned rectangle (2D), split into right triangles with alternating
-diagonals.  Assembly integrates the weak form
+Meshes are uniform tensor grids on an axis-aligned box.  One table,
+SIMPLICES, holds a row per dimension: how a cell splits into simplices
+(looked up by the parity of the cell's index on each axis), the quadrature
+rule, exact for quadratics, and the red refinement of a simplex.  Mesh
+build, assembly and the norms read that row and do not branch on the
+dimension; the table has rows for 1D (a testing device) and 2D.  Assembly
+integrates the weak form
 
     R_j = int a(x, u_h, Du_h) . grad(phi_j) dx + int b phi_j dx
 
-with a quadrature rule exact for quadratics (edge midpoints on triangles,
-2-point Gauss on segments).  The interior CSR sparsity pattern is built
+with that quadrature rule.  The interior CSR sparsity pattern is built
 once per mesh, at its first matrix assembly, and kept on the mesh; every
 matrix is then one ``np.bincount`` into that pattern.  Second derivatives
 are measured by nodal second difference quotients, which are well-defined
@@ -16,6 +19,8 @@ on the tensor grid.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,80 +90,88 @@ class Mesh:
                           tuple(d["nodes_per_axis"]))
 
 
+#: A row of the mesh table.  ``corners[c][s]`` holds the cell-corner offsets
+#: of the vertices of simplex ``s``, in element vertex order, for a cell of
+#: parity class ``c``: its index modulo 2 on each axis, numbered in C order.
+#: ``quad_bary`` and ``quad_frac`` are the quadrature rule, exact for
+#: quadratics: barycentric points and weights as fractions of the simplex
+#: measure.  ``children`` are the 2**dim children of one red refinement, as
+#: the barycentric coordinates of their vertices.
+Simplices = namedtuple("Simplices", "corners quad_bary quad_frac children")
+_GAUSS = 0.5 / np.sqrt(3.0)
+_EVEN = [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
+_ODD = [[(0, 0), (1, 0), (0, 1)], [(1, 0), (1, 1), (0, 1)]]
+
+#: The mesh table, one row per dimension: segments in 1D; in 2D two right
+#: triangles per cell, with the diagonal 00-11 in cells of even i + j and
+#: 10-01 in the others.
+SIMPLICES = {
+    1: Simplices(
+        corners=np.array([[[[0], [1]]]] * 2),
+        quad_bary=np.array([[0.5 + _GAUSS, 0.5 - _GAUSS],
+                            [0.5 - _GAUSS, 0.5 + _GAUSS]]),  # 2-point Gauss
+        quad_frac=np.array([0.5, 0.5]),
+        children=np.array([[[1.0, 0.0], [0.5, 0.5]],
+                           [[0.5, 0.5], [0.0, 1.0]]])),
+    2: Simplices(
+        corners=np.array([_EVEN, _ODD, _ODD, _EVEN]),
+        quad_bary=np.array([[0.5, 0.5, 0.0],
+                            [0.0, 0.5, 0.5],
+                            [0.5, 0.0, 0.5]]),  # edge midpoints
+        quad_frac=np.full(3, 1.0 / 3.0),
+        children=np.array([[[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5]],
+                           [[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5]],
+                           [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+                           [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]])),
+}
+
+
 def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
-    """Uniform tensor-grid mesh; 2D cells carry two triangles with
-    alternating diagonals."""
+    """Uniform tensor-grid mesh, its cells split by the dimension's row of
+    SIMPLICES."""
     if isinstance(box, dict):
         box = Box.from_dict(box)
     if box.dim != dim:
         raise MeshError(f"box dimension {box.dim} != mesh dimension {dim}")
-    if dim not in (1, 2):
-        raise MeshError("only dim 1 and 2 are supported")
+    split = SIMPLICES.get(dim)
+    if split is None:
+        raise MeshError(f"no mesh for dim {dim}; dims {sorted(SIMPLICES)} "
+                        "are supported")
     if np.isscalar(nodes_per_axis):
         shape = (int(nodes_per_axis),) * dim
     else:
         shape = tuple(int(v) for v in nodes_per_axis)
     if len(shape) != dim or any(s < 3 for s in shape):
         raise MeshError("need at least 3 nodes per axis")
-    widths = box.widths
-    if np.any(widths <= 0):
-        raise MeshError("degenerate box")
 
-    axes = [np.linspace(box.lo[k], box.hi[k], shape[k]) for k in range(dim)]
-    h = np.array([ax[1] - ax[0] for ax in axes])
+    nodes = box.lattice(shape)
+    grid = nodes.reshape(*shape, dim)
+    h = grid[(1,) * dim] - grid[(0,) * dim]
+    index = np.indices(shape).reshape(dim, -1)
+    boundary = ((index == 0) | (index == np.array(shape)[:, None] - 1)).any(0)
 
-    if dim == 1:
-        nodes = axes[0][:, None]
-        n = shape[0]
-        elements = np.stack([np.arange(n - 1), np.arange(1, n)], axis=-1)
-        boundary = np.zeros(n, bool)
-        boundary[[0, -1]] = True
-        quad_bary = np.array([[0.5 + 0.5 / np.sqrt(3.0),
-                               0.5 - 0.5 / np.sqrt(3.0)],
-                              [0.5 - 0.5 / np.sqrt(3.0),
-                               0.5 + 0.5 / np.sqrt(3.0)]])
-        quad_frac = np.array([0.5, 0.5])
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        nodes = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-        nx, ny = shape
+    # cells in C order, each split into the simplices of its parity class
+    cells = np.indices([s - 1 for s in shape]).reshape(dim, -1).T
+    parity = np.ravel_multi_index(tuple((cells % 2).T), (2,) * dim)
+    vertices = cells[:, None, None, :] + split.corners[parity]
+    elements = np.ravel_multi_index(tuple(np.moveaxis(vertices, -1, 0)),
+                                    shape).reshape(-1, dim + 1)
 
-        # cells in (i, j) order, two triangles each; the diagonal alternates
-        ci, cj = np.meshgrid(np.arange(nx - 1), np.arange(ny - 1),
-                             indexing="ij")
-        n00 = (ci * ny + cj).ravel()
-        n10, n01, n11 = n00 + ny, n00 + 1, n00 + ny + 1
-        even = ((ci + cj) % 2 == 0).ravel()
-        elements = np.stack([
-            n00, n10, np.where(even, n11, n01),
-            np.where(even, n00, n10), n11, n01], axis=-1).reshape(-1, 3)
-        ii, jj = np.divmod(np.arange(nx * ny), ny)
-        boundary = (ii == 0) | (ii == nx - 1) | (jj == 0) | (jj == ny - 1)
-        # edge-midpoint rule: exact for quadratics
-        quad_bary = np.array([[0.5, 0.5, 0.0],
-                              [0.0, 0.5, 0.5],
-                              [0.5, 0.0, 0.5]])
-        quad_frac = np.full(3, 1.0 / 3.0)
+    # every element is a translate of one of the few class simplices, so
+    # gradients and areas are computed once per class and gathered
+    local = split.corners * h                    # (classes, S, dim+1, dim)
+    edges = local[..., 1:, :] - local[..., :1, :]
+    class_areas = np.abs(np.linalg.det(edges)) / math.factorial(dim)
+    if np.any(class_areas <= 0):
+        raise MeshError("element with nonpositive area")
+    g = np.swapaxes(np.linalg.inv(edges), -1, -2)
+    class_grads = np.concatenate([-g.sum(axis=-2, keepdims=True), g], axis=-2)
+    areas = class_areas[parity].ravel()
+    grads = class_grads[parity].reshape(-1, dim + 1, dim)
 
     coords = nodes[elements]                     # (E, dim+1, dim)
-    if dim == 1:
-        edge = coords[:, 1, 0] - coords[:, 0, 0]
-        areas = np.abs(edge)
-        grads = np.stack([-1.0 / edge, 1.0 / edge], axis=1)[..., None]
-    else:
-        v1 = coords[:, 1] - coords[:, 0]
-        v2 = coords[:, 2] - coords[:, 0]
-        det = v1[:, 0] * v2[:, 1] - v1[:, 1] * v2[:, 0]
-        areas = 0.5 * np.abs(det)
-        if np.any(areas <= 0):
-            raise MeshError("element with nonpositive area")
-        inv_det = 1.0 / det
-        g1 = np.stack([v2[:, 1] * inv_det, -v2[:, 0] * inv_det], axis=-1)
-        g2 = np.stack([-v1[:, 1] * inv_det, v1[:, 0] * inv_det], axis=-1)
-        grads = np.stack([-g1 - g2, g1, g2], axis=1)
-
     centroids = coords.mean(axis=1)
-    quad_points = np.einsum("qv,evd->eqd", quad_bary, coords)
+    quad_points = np.einsum("qv,evd->eqd", split.quad_bary, coords)
     interior = np.flatnonzero(~boundary)
     full_to_interior = np.full(nodes.shape[0], -1, dtype=np.int64)
     full_to_interior[interior] = np.arange(interior.size)
@@ -166,7 +179,7 @@ def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
     return Mesh(dim=dim, box=box, shape=shape, nodes=nodes,
                 elements=elements, boundary_mask=boundary, h=h,
                 areas=areas, grads=grads, centroids=centroids,
-                quad_bary=quad_bary, quad_frac=quad_frac,
+                quad_bary=split.quad_bary, quad_frac=split.quad_frac,
                 quad_points=quad_points, interior=interior,
                 full_to_interior=full_to_interior)
 
@@ -398,30 +411,30 @@ def h2_seminorm(U: DiscreteField, node_mask=None) -> float:
     """Discrete W^{2,2} seminorm from nodal second difference quotients.
 
     |D^2 u|^2 at a node sums the squared pure quotients plus twice the
-    squared mixed quotient (Frobenius norm of the Hessian); each node
+    squared mixed quotient of each pair of axes (Frobenius norm of the
+    Hessian); each node
     contributes its cell measure prod(h).  Only index-interior nodes have
     the needed neighbors; ``node_mask`` further restricts the set.
     """
     m = U.mesh
     G = m.node_grid(U.values)
     cell = float(np.prod(m.h))
-    if m.dim == 1:
-        (hx,) = m.h
-        dxx = (G[2:] - 2.0 * G[1:-1] + G[:-2]) / hx ** 2
-        dens = dxx ** 2
-        mask = np.ones(dens.shape, bool)
-        if node_mask is not None:
-            mask &= m.node_grid(node_mask)[1:-1]
-    else:
-        hx, hy = m.h
-        core = G[1:-1, 1:-1]
-        dxx = (G[2:, 1:-1] - 2.0 * core + G[:-2, 1:-1]) / hx ** 2
-        dyy = (G[1:-1, 2:] - 2.0 * core + G[1:-1, :-2]) / hy ** 2
-        dxy = (G[2:, 2:] - G[2:, :-2] - G[:-2, 2:] + G[:-2, :-2]) / (4 * hx * hy)
-        dens = dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2
-        mask = np.ones(dens.shape, bool)
-        if node_mask is not None:
-            mask &= m.node_grid(node_mask)[1:-1, 1:-1]
+
+    def near(A, offset):
+        """A on the index-interior nodes, moved by ``offset`` nodes."""
+        return A[tuple(slice(1 + o, n - 1 + o) for o, n in zip(offset, A.shape))]
+
+    e, h = np.eye(m.dim, dtype=int), m.h
+    here = 0 * e[0]
+    pure = [(near(G, e[i]) - 2.0 * near(G, here) + near(G, -e[i])) / h[i] ** 2
+            for i in range(m.dim)]
+    mixed = [(near(G, e[i] + e[j]) - near(G, e[i] - e[j])
+              - near(G, e[j] - e[i]) + near(G, -e[i] - e[j])) / (4 * h[i] * h[j])
+             for i in range(m.dim) for j in range(i + 1, m.dim)]
+    dens = sum(d ** 2 for d in pure) + sum(2.0 * d ** 2 for d in mixed)
+    mask = np.ones(dens.shape, bool)
+    if node_mask is not None:
+        mask &= near(m.node_grid(node_mask), here)
     if not mask.any():
         raise MeshError("no nodes available for the second difference quotients")
     return float(np.sqrt(cell * dens[mask].sum()))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentExactData
-from .fem import DiscreteField, build_mesh, zero_field
+from .fem import SIMPLICES, DiscreteField, build_mesh, zero_field
 from .operators import OperatorSpec, _sq
 from .solvers import NewtonConfig, newton_solve, p2_presolve
 
@@ -121,84 +121,62 @@ def make_manufactured(op: OperatorSpec, u_exact, du_exact,
 # ---------------------------------------------------------------------------
 # built-in cases (defined on the operator's box through affine rescaling)
 
-def _scaled(box):
-    lo = np.asarray(box.lo)
-    w = np.asarray(box.widths, float)
-    return lo, w
+#: Profiles f(s) on [0, 1] with f(0) = f(1) = 0, as (f, f', f'').
+PROFILES = {
+    "sine": (lambda s: np.sin(math.pi * s),
+             lambda s: math.pi * np.cos(math.pi * s),
+             lambda s: -math.pi ** 2 * np.sin(math.pi * s)),
+    "bump": (lambda s: s * (1.0 - s),
+             lambda s: 1.0 - 2.0 * s,
+             lambda s: np.full(np.shape(s), -2.0)),
+}
+
+#: Built-in case name -> (profile, dimension).
+BUILTIN_CASES = {"quad1d": ("bump", 1), "sine2d": ("sine", 2),
+                 "bump2d": ("bump", 2)}
 
 
 def builtin_case(name: str, op: OperatorSpec) -> ManufacturedCase:
-    """Named exact solutions: 'quad1d', 'sine2d', 'bump2d'."""
-    box = op.domain
-    lo, w = _scaled(box)
-    if name == "quad1d":
-        if op.dim != 1:
-            raise InconsistentExactData("quad1d needs a 1D operator")
-
-        def u(x):
-            s = (x[..., 0] - lo[0]) / w[0]
-            return s * (1.0 - s)
-
-        def du(x):
-            s = (x[..., 0] - lo[0]) / w[0]
-            return ((1.0 - 2.0 * s) / w[0])[..., None]
-
-        def hess(x):
-            shape = np.shape(x)[:-1]
-            return np.full(shape + (1, 1), -2.0 / w[0] ** 2)
-
-    elif name in ("sine2d", "bump2d"):
-        if op.dim != 2:
-            raise InconsistentExactData(f"{name} needs a 2D operator")
-        if name == "sine2d":
-            def u(x):
-                s = (x - lo) / w
-                return np.sin(math.pi * s[..., 0]) * np.sin(math.pi * s[..., 1])
-
-            def du(x):
-                s = (x - lo) / w
-                sx, sy = s[..., 0], s[..., 1]
-                return np.stack(
-                    [math.pi / w[0] * np.cos(math.pi * sx) * np.sin(math.pi * sy),
-                     math.pi / w[1] * np.sin(math.pi * sx) * np.cos(math.pi * sy)],
-                    axis=-1)
-
-            def hess(x):
-                s = (x - lo) / w
-                sx, sy = s[..., 0], s[..., 1]
-                pxx = -(math.pi / w[0]) ** 2 * np.sin(math.pi * sx) * np.sin(math.pi * sy)
-                pyy = -(math.pi / w[1]) ** 2 * np.sin(math.pi * sx) * np.sin(math.pi * sy)
-                pxy = (math.pi ** 2 / (w[0] * w[1])
-                       * np.cos(math.pi * sx) * np.cos(math.pi * sy))
-                H = np.empty(sx.shape + (2, 2))
-                H[..., 0, 0] = pxx
-                H[..., 1, 1] = pyy
-                H[..., 0, 1] = H[..., 1, 0] = pxy
-                return H
-        else:
-            def u(x):
-                s = (x - lo) / w
-                sx, sy = s[..., 0], s[..., 1]
-                return sx * (1 - sx) * sy * (1 - sy)
-
-            def du(x):
-                s = (x - lo) / w
-                sx, sy = s[..., 0], s[..., 1]
-                return np.stack(
-                    [(1 - 2 * sx) * sy * (1 - sy) / w[0],
-                     sx * (1 - sx) * (1 - 2 * sy) / w[1]], axis=-1)
-
-            def hess(x):
-                s = (x - lo) / w
-                sx, sy = s[..., 0], s[..., 1]
-                H = np.empty(sx.shape + (2, 2))
-                H[..., 0, 0] = -2.0 * sy * (1 - sy) / w[0] ** 2
-                H[..., 1, 1] = -2.0 * sx * (1 - sx) / w[1] ** 2
-                H[..., 0, 1] = H[..., 1, 0] = ((1 - 2 * sx) * (1 - 2 * sy)
-                                               / (w[0] * w[1]))
-                return H
-    else:
+    """Named exact solutions u*(x) = prod_i f(s_i) of a profile f in the
+    box coordinates s = (x - lo) / w, listed in BUILTIN_CASES."""
+    if name not in BUILTIN_CASES:
         raise InconsistentExactData(f"unknown manufactured case {name!r}")
+    profile, dim = BUILTIN_CASES[name]
+    if op.dim != dim:
+        raise InconsistentExactData(f"{name} needs a {dim}D operator")
+    f, df, ddf = PROFILES[profile]
+    lo = np.asarray(op.domain.lo)
+    w = np.asarray(op.domain.widths, float)
+
+    def scaled(x):
+        """The box coordinates s_k = (x_k - lo_k) / w_k, column by column."""
+        x = np.asarray(x, float)
+        return [(x[..., k] - lo[k]) / w[k] for k in range(dim)]
+
+    def others(F, *axes):
+        """Product of F over the axes not listed: f vanishes on the
+        boundary, so it is multiplied in, never divided out."""
+        return math.prod(F[k] for k in range(dim) if k not in axes)
+
+    def u(x):
+        return others([f(sk) for sk in scaled(x)])
+
+    def du(x):
+        s = scaled(x)
+        F = [f(sk) for sk in s]
+        return np.stack([df(s[i]) / w[i] * others(F, i) for i in range(dim)],
+                        axis=-1)
+
+    def hess(x):
+        s = scaled(x)
+        F = [f(sk) for sk in s]
+        D1 = [df(sk) / wk for sk, wk in zip(s, w)]
+        H = np.empty(s[0].shape + (dim, dim))
+        for i in range(dim):
+            H[..., i, i] = ddf(s[i]) / w[i] ** 2 * others(F, i)
+            for j in range(i + 1, dim):
+                H[..., i, j] = H[..., j, i] = D1[i] * D1[j] * others(F, i, j)
+        return H
 
     return make_manufactured(op, u, du, hessian_exact=hess, name=name)
 
@@ -234,42 +212,20 @@ def _refined_errors(mesh, U: DiscreteField, case: ManufacturedCase):
     """L2 and W^{1,2} errors against u*, integrated with one extra
     refinement of the quadrature rule (standard hygiene against
     superconvergence artifacts)."""
-    coords = mesh.nodes[mesh.elements]          # (E, nv, dim)
+    split = SIMPLICES[mesh.dim]
+    # the mesh rule mapped into each child of one red refinement
+    bary = np.einsum("qk,ckv->cqv", split.quad_bary,
+                     split.children).reshape(-1, mesh.dim + 1)
+    frac = np.tile(split.quad_frac, len(split.children)) / len(split.children)
     uh_vert = U.values[mesh.elements]           # (E, nv)
     grad = np.einsum("evd,ev->ed", mesh.grads, uh_vert)
-
-    if mesh.dim == 1:
-        a = coords[:, 0, 0]
-        b = coords[:, 1, 0]
-        mid = 0.5 * (a + b)
-        subs = [(a, mid), (mid, b)]
-        l2 = np.zeros(mesh.n_elements)
-        w12g = np.zeros(mesh.n_elements)
-        for lo_, hi_ in subs:
-            half = hi_ - lo_
-            for frac, wq in ((0.5 - 0.5 / np.sqrt(3), 0.5),
-                             (0.5 + 0.5 / np.sqrt(3), 0.5)):
-                xq = (lo_ + frac * half)[:, None]
-                uh = uh_vert[:, 0] + grad[:, 0] * (xq[:, 0] - coords[:, 0, 0])
-                du_err = grad - np.asarray(case.du_exact(xq), float)
-                l2 += wq * half * (uh - case.u_exact(xq)) ** 2
-                w12g += wq * half * _sq(du_err)
-    else:
-        A, B, C = coords[:, 0], coords[:, 1], coords[:, 2]
-        mAB, mBC, mCA = 0.5 * (A + B), 0.5 * (B + C), 0.5 * (C + A)
-        children = [(A, mAB, mCA), (mAB, B, mBC), (mCA, mBC, C),
-                    (mAB, mBC, mCA)]
-        bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        l2 = np.zeros(mesh.n_elements)
-        w12g = np.zeros(mesh.n_elements)
-        child_area = mesh.areas / 4.0
-        for (P, Q, R_) in children:
-            for q in range(3):
-                xq = bary[q, 0] * P + bary[q, 1] * Q + bary[q, 2] * R_
-                uh = uh_vert[:, 0] + np.einsum("ed,ed->e", grad, xq - A)
-                du_err = grad - np.asarray(case.du_exact(xq), float)
-                l2 += child_area / 3.0 * (uh - case.u_exact(xq)) ** 2
-                w12g += child_area / 3.0 * _sq(du_err)
+    points = np.tensordot(bary, mesh.nodes[mesh.elements], axes=(1, 1))
+    l2 = np.zeros(mesh.n_elements)
+    w12g = np.zeros(mesh.n_elements)
+    for xq, uh, wq in zip(points, bary @ uh_vert.T, frac):
+        weight = wq * mesh.areas
+        l2 += weight * (uh - case.u_exact(xq)) ** 2
+        w12g += weight * _sq(grad - np.asarray(case.du_exact(xq), float))
 
     l2_err = float(np.sqrt(l2.sum()))
     w12_err = float(np.sqrt(l2.sum() + w12g.sum()))

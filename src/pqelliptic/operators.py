@@ -88,9 +88,12 @@ class Box:
         hi = np.asarray(self.hi) + pad
         return np.all((x >= lo) & (x <= hi), axis=-1)
 
-    def lattice(self, per_axis: int = PROBE_PER_AXIS) -> np.ndarray:
-        """Closed tensor lattice of probe points, shape (per_axis**dim, dim)."""
-        axes = [np.linspace(l, h, per_axis) for l, h in zip(self.lo, self.hi)]
+    def lattice(self, per_axis=PROBE_PER_AXIS) -> np.ndarray:
+        """Closed tensor lattice, shape (prod(counts), dim), in C order of
+        its axes; ``per_axis`` is one count for every axis or one per axis."""
+        counts = np.broadcast_to(per_axis, (self.dim,))
+        axes = [np.linspace(l, h, n)
+                for l, h, n in zip(self.lo, self.hi, counts)]
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -268,11 +271,13 @@ def _unavailable(name):
 # ---------------------------------------------------------------------------
 # isotropic scalar-weight machinery: a(x,u,xi) = w(x,u,|xi|^2) xi
 
-def _isotropic_callables(dim, w, wt, wu=None, wx=None, flux_for_fd=None):
-    """Build (flux, dflux_dxi, dflux_du, dflux_dx) from the radial weight.
+def _isotropic_callables(dim, w, wt, wx=None):
+    """Build (flux, dflux_dxi, dflux_du, dflux_dx) from the radial weight,
+    which does not depend on u.
 
     ``wt`` must already be guarded at t == 0 (it multiplies xi xi^T, so the
-    guarded value only has to be finite, not the analytic limit).
+    guarded value only has to be finite, not the analytic limit).  Without
+    ``wx``, dflux_dx is a finite difference of the flux.
     """
     eye = np.eye(dim)
 
@@ -288,24 +293,17 @@ def _isotropic_callables(dim, w, wt, wu=None, wx=None, flux_for_fd=None):
         ww, cc = np.broadcast_arrays(ww, cc)
         return ww[..., None, None] * eye + 2.0 * cc[..., None, None] * outer
 
-    if wu is None:
-        def dflux_du(x, u, xi):
-            shape = np.broadcast_shapes(np.shape(u), np.shape(xi)[:-1])
-            return np.zeros(shape + (dim,))
-    else:
-        def dflux_du(x, u, xi):
-            t = _sq(xi)
-            return wu(x, u, t)[..., None] * xi
+    def dflux_du(x, u, xi):
+        shape = np.broadcast_shapes(np.shape(u), np.shape(xi)[:-1])
+        return np.zeros(shape + (dim,))
 
     if wx is not None:
         def dflux_dx(x, u, xi, s):
             t = _sq(xi)
             return wx(x, u, t, s)[..., None] * xi
     else:
-        base = flux_for_fd if flux_for_fd is not None else flux
-
         def dflux_dx(x, u, xi, s):
-            return fd_dflux_dx(base, x, u, xi, s)
+            return fd_dflux_dx(flux, x, u, xi, s)
 
     return flux, dflux_dxi, dflux_du, dflux_dx
 
@@ -317,12 +315,18 @@ def _validate_pq(p, q):
 
 
 def _resolve_domain(params, default_dim=2):
+    """The box of ``params``: its 'domain', else the unit box of its 'dim'
+    (``default_dim`` when absent).  A 'dim' beside a domain must match it."""
     dom = params.get("domain")
+    dim = params.get("dim", default_dim)
     if dom is None:
-        return unit_box(params.get("dim", default_dim))
-    if isinstance(dom, Box):
-        return dom
-    return Box.from_dict(dom)
+        box = unit_box(dim)
+    else:
+        box = dom if isinstance(dom, Box) else Box.from_dict(dom)
+    if "dim" in params and box.dim != dim:
+        raise ConfigError(f"params dim {dim!r} disagrees with the domain, "
+                          f"which has dim {box.dim}")
+    return box
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +431,6 @@ def _family_variable_exponent(params, degenerate):
             return np.where(t > 0.0, e * ts ** (e - 1.0), 0.0)
 
         def wx(x, u, t, s):
-            if dpfun is None:
-                return None
             e = (np.asarray(pfun(x), float) - 2.0) / 2.0
             dp = np.asarray(dpfun(x), float)[..., s]
             ts = np.where(t > 0.0, t, 1.0)
@@ -443,14 +445,12 @@ def _family_variable_exponent(params, degenerate):
             return e * (1.0 + t) ** (e - 1.0)
 
         def wx(x, u, t, s):
-            if dpfun is None:
-                return None
             e = (np.asarray(pfun(x), float) - 2.0) / 2.0
             dp = np.asarray(dpfun(x), float)[..., s]
             return (1.0 + t) ** e * 0.5 * dp * np.log1p(t)
 
-    wx_arg = wx if dpfun is not None else None
-    flux, dxi, du, dx = _isotropic_callables(dim, w, wt, wx=wx_arg)
+    flux, dxi, du, dx = _isotropic_callables(
+        dim, w, wt, wx=wx if dpfun is not None else None)
     m = float(params.get("m", 1.0))
     M = float(params.get("M", max(pmax - 1.0, 1.0)))
     tag = ("variable-exponent-degenerate" if degenerate
@@ -464,11 +464,7 @@ def _family_anisotropic(params):
     p = float(exps.min())
     q = float(exps.max())
     _validate_pq(p, q)
-    domain = params.get("domain")
-    if domain is None:
-        domain = unit_box(len(exps))
-    elif not isinstance(domain, Box):
-        domain = Box.from_dict(domain)
+    domain = _resolve_domain(params, default_dim=len(exps))
     dim = domain.dim
     if len(exps) != dim:
         raise ConfigError(f"anisotropic needs {dim} exponents, got {len(exps)}")
@@ -572,7 +568,7 @@ def _batchify(fn, out_trailing):
         x = np.asarray(x, float)
         u = np.asarray(u, float)
         xi = np.asarray(xi, float)
-        if xi.ndim == 1:
+        if xi.ndim < 2:  # a single point
             return np.asarray(fn(x, float(u), xi, *rest), float)
         lead = np.broadcast_shapes(x.shape[:-1], u.shape, xi.shape[:-1])
         xb = np.broadcast_to(x, lead + x.shape[-1:])
@@ -792,8 +788,6 @@ def operator_from_descriptor(desc: dict) -> OperatorSpec:
     if not isinstance(family, str) or family not in _FAMILY_BUILDERS:
         raise ConfigError(f"unknown or missing family {family!r}")
 
-    domain = Box.from_dict(desc["domain"]) if "domain" in desc else None
-    dim = domain.dim if domain is not None else 2
     if not isinstance(desc.get("params") or {}, dict):
         raise ConfigError("descriptor 'params' must be a JSON object")
     params = dict(desc.get("params") or {})
@@ -806,10 +800,16 @@ def operator_from_descriptor(desc: dict) -> OperatorSpec:
             params[key] = desc[key]
         if not isinstance(params.get(key, 0.0), (int, float)):
             raise ConfigError(f"descriptor {key!r} must be a number")
-    if domain is not None:
-        params["domain"] = domain
+    if "domain" in desc:
+        params["domain"] = desc["domain"]
 
-    try:  # translate function-valued params from their JSON descriptors
+    try:
+        # one box for the JSON functions and the family; anisotropic's
+        # default dimension is its number of exponents
+        params["domain"] = _resolve_domain(params, default_dim=(
+            len(params["exponents"]) if family == "anisotropic" else 2))
+        dim = params["domain"].dim
+        # translate function-valued params from their JSON descriptors
         if family == "double-phase" and "weight" in params:
             params["weight"], params["grad_weight"] = (
                 _function_from_descriptor(params["weight"], dim))

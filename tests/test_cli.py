@@ -155,6 +155,16 @@ def test_usage_errors_exit_3(opfile, capsys):
         assert err.startswith("usage: pq check") and "pq check: error:" in err
 
 
+def test_check_3d_double_phase_from_params_dim(opfile, tmp_path):
+    out = tmp_path / "report.json"
+    desc = {"family": "double-phase", "p": 2, "q": 2.2, "params": {
+        "dim": 3, "weight": {"type": "affine", "coeffs": [1.0, 0.0, 0.5]}}}
+    rc = main(["check", "--operator", opfile(desc), "--samples", "2000",
+               "--seed", "3", "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["passed"]
+
+
 P1D = {"family": "p-laplacian", "p": 2.5, "domain": {"min": [0], "max": [1]}}
 
 
@@ -236,6 +246,17 @@ MALFORMED = {
     "descriptor-params-misspelt-weight-max": lambda opfile, tmp_path: [
         "check", "--operator", opfile({**DP_DESCRIPTOR, "params": {
             **DP_DESCRIPTOR["params"], "wieght_max": 1.0}})],
+    "descriptor-dim-3-two-coeffs": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({
+            k: v for k, v in DP_DESCRIPTOR.items() if k != "domain"} | {
+            "params": {**DP_DESCRIPTOR["params"], "dim": 3}})],
+    "descriptor-dim-disagrees-with-domain": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({**DP_DESCRIPTOR, "params": {
+            **DP_DESCRIPTOR["params"], "dim": 3}})],
+    "mesh-3d": lambda opfile, tmp_path: [
+        "solve", "--operator", opfile({**PLAP3, "domain": {
+            "min": [0, 0, 0], "max": [1, 1, 1]}}), "--rhs", "constant:-2",
+        "--mesh", "3d:5"],
     "descriptor-domain-empty": lambda opfile, tmp_path: [
         "check", "--operator", opfile({**PLAP3, "domain": {}})],
     "descriptor-domain-nan": lambda opfile, tmp_path: [

@@ -358,3 +358,18 @@ def test_mesh_serialization_roundtrip():
     assert np.array_equal(m.nodes, m2.nodes)
     assert np.array_equal(m.elements, m2.elements)
     assert d["nodes"] == m.nodes.tolist()
+
+
+def test_h2_seminorm_mixed_quotient_oracle():
+    # u = x y: d_xy = 1 and d_xx = d_yy = 0 at every index-interior node
+    nx, ny = 9, 5
+    m = build_mesh(2, pq.Box((0.0, -1.0), (2.0, 0.5)), (nx, ny))
+    hx, hy = m.h
+    U = interpolate(m, lambda x: x[..., 0] * x[..., 1])
+    assert pq.h2_seminorm(U) == pytest.approx(
+        np.sqrt(2.0 * hx * hy * (nx - 2) * (ny - 2)), rel=1e-12)
+
+
+def test_build_mesh_has_no_3d_row():
+    with pytest.raises(MeshError, match="dim 3"):
+        build_mesh(3, unit_box(3), 5)

@@ -5,6 +5,7 @@ import pqelliptic as pq
 from pqelliptic import (InconsistentExactData, build_mesh, builtin_case,
                         convergence_study, make_family, make_manufactured,
                         unit_box)
+from pqelliptic.mms import _refined_errors
 
 
 def test_quad1d_rhs_is_minus_two():
@@ -122,3 +123,49 @@ def test_builtin_case_dimension_guard():
         builtin_case("quad1d", op)
     with pytest.raises(InconsistentExactData):
         builtin_case("nope", op)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_refined_errors_vanish_for_linear_exact_solution(dim):
+    # u* = 1 + 2x - y is in the P1 space, so its interpolant has no error
+    slope = np.array([2.0, -1.0])[:dim]
+
+    def u(x):
+        return 1.0 + x @ slope
+
+    def du(x):
+        return np.broadcast_to(slope, np.shape(x)).copy()
+
+    case = pq.ManufacturedCase(name="linear", u_exact=u, du_exact=du,
+                               b_field=None, provenance="analytic")
+    mesh = build_mesh(dim, unit_box(dim), 9)
+    l2, w12 = _refined_errors(mesh, pq.interpolate(mesh, u), case)
+    assert l2 < 1e-13 and w12 < 1e-13
+
+
+def test_bump2d_rhs_hand_value():
+    # p = 2: b = laplace(u*) = -2 [y(1-y) + x(1-x)], -0.9 at (0.3, 0.6)
+    op = make_family("p-laplacian", {"p": 2})
+    case = builtin_case("bump2d", op)
+    assert case.b_field(np.array([[0.3, 0.6]]))[0] == pytest.approx(-0.9,
+                                                                    rel=1e-12)
+
+
+@pytest.mark.parametrize("name,box", [
+    ("quad1d", pq.Box((-1.0,), (2.0,))),
+    ("sine2d", pq.Box((-1.0, 0.5), (2.0, 1.0))),
+    ("bump2d", pq.Box((-1.0, 0.5), (2.0, 1.0))),
+])
+def test_builtin_cases_on_non_square_box(name, box):
+    # make_manufactured spot-checks Du and b against finite differences
+    op = make_family("p-laplacian", {"p": 3, "domain": box})
+    case = builtin_case(name, op)
+    assert case.provenance == "analytic"
+    x = box.shrink(0.1).lattice(5)
+    corners = box.lattice(2)
+    np.testing.assert_allclose(case.u_exact(corners), 0.0, atol=1e-15)
+    h = 1e-5 * box.widths
+    fd = np.stack([(case.du_exact(x + h * e) - case.du_exact(x - h * e))
+                   / (2.0 * h @ e) for e in np.eye(box.dim)], axis=-1)
+    np.testing.assert_allclose(case.hessian_exact(x), fd, rtol=1e-6,
+                               atol=1e-6)

@@ -272,6 +272,32 @@ def test_descriptor_roundtrip_and_unknown_keys():
         pq.operator_from_descriptor(bad)
 
 
+def _dp_with_dim(coeffs, **top):
+    return {"family": "double-phase", "p": 2, "q": 2.2, **top,
+            "params": {"dim": 3, "weight": {"type": "affine", "offset": 0.5,
+                                            "coeffs": coeffs}}}
+
+
+def test_descriptor_dim_reaches_functions_and_family():
+    op = pq.operator_from_descriptor(_dp_with_dim([1.0, 0.0, 2.0]))
+    assert op.dim == 3 and op.domain == pq.unit_box(3)
+    x = np.array([[0.5, 0.25, 0.25]])
+    xi = np.array([[1.0, 0.0, 0.0]])
+    # a = ((1+t)^0 + w(x) (1+t)^0.1) xi with w(x) = 0.5 + x1 + 2 x3 = 1.5
+    assert op.flux(x, np.zeros(1), xi)[0, 0] == pytest.approx(
+        1.0 + 1.5 * 2.0 ** 0.1)
+
+
+@pytest.mark.parametrize("desc,message", [
+    (_dp_with_dim([1.0, 0.0]), "affine coeffs must have length 3"),
+    (_dp_with_dim([1.0, 0.0], domain={"min": [0, 0], "max": [1, 1]}),
+     "params dim 3 disagrees with the domain, which has dim 2"),
+])
+def test_descriptor_dim_conflicts_rejected(desc, message):
+    with pytest.raises(pq.ConfigError, match=message):
+        pq.operator_from_descriptor(desc)
+
+
 # ---------------------------------------------------------------------------
 # column-wise trailing-axis reductions
 
