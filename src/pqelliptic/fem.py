@@ -1,24 +1,38 @@
-"""Structured simplicial meshes, P1 assembly and discrete norms.
+"""Structured simplicial meshes, P1 assembly, multigrid transfers and
+discrete norms.
 
 Meshes are uniform tensor grids on an axis-aligned box.  One table,
 SIMPLICES, holds a row per dimension: how a cell splits into simplices
 (looked up by the parity of the cell's index on each axis), the quadrature
 rule, exact for quadratics, and the red refinement of a simplex.  Mesh
 build, assembly and the norms read that row and do not branch on the
-dimension; the table has rows for 1D (a testing device) and 2D.  Assembly
-integrates the weak form
+dimension; the table has rows for 1D (a testing device) and 2D.
+
+Every element is a translate of one of a few class simplices, one per
+parity class of its cell and simplex within the cell.  The elements are
+stored sorted by class, so a class is a slice of them with one gradient
+matrix G (nv, dim) and one measure, and each element kernel is one matrix
+product per class with a small constant matrix.  Assembly integrates the
+weak form
 
     R_j = int a(x, u_h, Du_h) . grad(phi_j) dx + int b phi_j dx
 
-with that quadrature rule.  The interior CSR sparsity pattern is built
-once per mesh, at its first matrix assembly, and kept on the mesh; every
-matrix is then one ``np.bincount`` into that pattern.  Second derivatives
-are measured by nodal second difference quotients, which are well-defined
-on the tensor grid.
+with the quadrature rule.  The interior CSR sparsity pattern is built once
+per mesh, at its first matrix assembly, and kept on the mesh; every matrix
+is then one ``np.bincount`` into that pattern.
+
+The meshes nest: every other node of a mesh with an odd node count on each
+axis is the mesh of (n + 1) / 2 nodes per axis, and each of its simplices
+is a union of fine ones, so P1 interpolation from it is exact.
+:func:`prolongations` builds these interpolations once per mesh, down to a
+small coarsest level, for the multigrid solver.  Second derivatives are
+measured by nodal second difference quotients, which are well-defined on
+the tensor grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -33,6 +47,11 @@ from .operators import Box, _sq
 JACOBIAN_CHUNK = 16384
 
 
+#: The elements of one class, a slice of the mesh's elements, with the
+#: gradients (dim+1, dim) of their barycentric coordinates and their measure.
+ElementClass = namedtuple("ElementClass", "elements grads area")
+
+
 @dataclass
 class Mesh:
     dim: int
@@ -45,6 +64,7 @@ class Mesh:
     # precomputed assembly data
     areas: np.ndarray = field(default=None, repr=False)
     grads: np.ndarray = field(default=None, repr=False)       # (E, dim+1, dim)
+    classes: list = field(default=None, repr=False)  # ElementClass per class
     centroids: np.ndarray = field(default=None, repr=False)
     quad_bary: np.ndarray = field(default=None, repr=False)   # (nq, dim+1)
     quad_frac: np.ndarray = field(default=None, repr=False)   # (nq,)
@@ -52,6 +72,7 @@ class Mesh:
     interior: np.ndarray = field(default=None, repr=False)
     full_to_interior: np.ndarray = field(default=None, repr=False)
     pattern: tuple = field(default=None, repr=False)  # see _matrix_pattern
+    transfers: list = field(default=None, repr=False)  # see prolongations
 
     @property
     def n_nodes(self) -> int:
@@ -126,6 +147,16 @@ SIMPLICES = {
 }
 
 
+def _interior_numbering(shape) -> np.ndarray:
+    """Index of each node of a tensor grid among its interior nodes, in C
+    order; -1 on the boundary."""
+    index = np.indices(shape).reshape(len(shape), -1)
+    boundary = ((index == 0) | (index == np.array(shape)[:, None] - 1)).any(0)
+    numbering = np.full(boundary.size, -1, dtype=np.int64)
+    numbering[~boundary] = np.arange(np.count_nonzero(~boundary))
+    return numbering
+
+
 def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
     """Uniform tensor-grid mesh, its cells split by the dimension's row of
     SIMPLICES."""
@@ -147,18 +178,10 @@ def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
     nodes = box.lattice(shape)
     grid = nodes.reshape(*shape, dim)
     h = grid[(1,) * dim] - grid[(0,) * dim]
-    index = np.indices(shape).reshape(dim, -1)
-    boundary = ((index == 0) | (index == np.array(shape)[:, None] - 1)).any(0)
-
-    # cells in C order, each split into the simplices of its parity class
-    cells = np.indices([s - 1 for s in shape]).reshape(dim, -1).T
-    parity = np.ravel_multi_index(tuple((cells % 2).T), (2,) * dim)
-    vertices = cells[:, None, None, :] + split.corners[parity]
-    elements = np.ravel_multi_index(tuple(np.moveaxis(vertices, -1, 0)),
-                                    shape).reshape(-1, dim + 1)
+    full_to_interior = _interior_numbering(shape)
 
     # every element is a translate of one of the few class simplices, so
-    # gradients and areas are computed once per class and gathered
+    # gradients and areas are computed once per class
     local = split.corners * h                    # (classes, S, dim+1, dim)
     edges = local[..., 1:, :] - local[..., :1, :]
     class_areas = np.abs(np.linalg.det(edges)) / math.factorial(dim)
@@ -166,22 +189,95 @@ def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
         raise MeshError("element with nonpositive area")
     g = np.swapaxes(np.linalg.inv(edges), -1, -2)
     class_grads = np.concatenate([-g.sum(axis=-2, keepdims=True), g], axis=-2)
-    areas = class_areas[parity].ravel()
-    grads = class_grads[parity].reshape(-1, dim + 1, dim)
+
+    # cells in C order; elements sorted stably by class: the parity class of
+    # their cell, then the simplex within the cell
+    cells = np.indices([s - 1 for s in shape]).reshape(dim, -1).T
+    parity = np.ravel_multi_index(tuple((cells % 2).T), (2,) * dim)
+    vertices, slices, stop = [], [], 0
+    for c, corners in enumerate(split.corners):
+        cell = cells[parity == c]
+        for corner in corners:
+            vertices.append(cell[:, None, :] + corner)
+            slices.append(slice(stop, stop + len(cell)))
+            stop += len(cell)
+    elements = np.ravel_multi_index(
+        tuple(np.moveaxis(np.concatenate(vertices), -1, 0)), shape)
+    class_grads = class_grads.reshape(-1, dim + 1, dim)
+    class_areas = class_areas.ravel()
+    classes = [ElementClass(*k) for k in zip(slices, class_grads, class_areas)]
+    which = np.repeat(np.arange(len(slices)), [len(v) for v in vertices])
 
     coords = nodes[elements]                     # (E, dim+1, dim)
     centroids = coords.mean(axis=1)
     quad_points = np.einsum("qv,evd->eqd", split.quad_bary, coords)
-    interior = np.flatnonzero(~boundary)
-    full_to_interior = np.full(nodes.shape[0], -1, dtype=np.int64)
-    full_to_interior[interior] = np.arange(interior.size)
 
     return Mesh(dim=dim, box=box, shape=shape, nodes=nodes,
-                elements=elements, boundary_mask=boundary, h=h,
-                areas=areas, grads=grads, centroids=centroids,
+                elements=elements, boundary_mask=full_to_interior < 0, h=h,
+                areas=class_areas[which], grads=class_grads[which],
+                classes=classes, centroids=centroids,
                 quad_bary=split.quad_bary, quad_frac=split.quad_frac,
-                quad_points=quad_points, interior=interior,
+                quad_points=quad_points,
+                interior=np.flatnonzero(full_to_interior >= 0),
                 full_to_interior=full_to_interior)
+
+
+#: Coarsening stops at a level with at most this many nodes on every axis;
+#: that level is factored.
+COARSEST_NODES = 9
+
+#: One step of a mesh's coarsening hierarchy: the P1 prolongation P from the
+#: interior nodes of the coarser level (of ``shape`` nodes per axis) to those
+#: of the finer one, and its transpose, both CSR.
+Transfer = namedtuple("Transfer", "P PT shape")
+
+
+def _prolongation(split: Simplices, fine: tuple, coarse: tuple):
+    """P1 interpolation from the coarse grid to the fine grid of 2n - 1 nodes
+    per axis, restricted to interior rows and columns.
+
+    The fine node 2c + a, a in {0,1}^dim, is the midpoint of the edge of
+    coarse cell c whose corner offsets sum to a: the coarse node c itself
+    when a = 0.  Each fine node takes half of each end of that edge."""
+    import scipy.sparse as sp
+    dim = len(fine)
+    ends = np.zeros((2 ** dim, 2 ** dim, 2, dim), dtype=np.int64)
+    for parity, simplices in enumerate(split.corners):
+        for simplex in simplices:
+            for i, j in itertools.combinations(range(dim + 1), 2):
+                a = simplex[i] + simplex[j]
+                if a.max() <= 1:
+                    ends[parity, np.ravel_multi_index(a, (2,) * dim)] = (
+                        simplex[i], simplex[j])
+    f = np.indices(fine).reshape(dim, -1)
+    c, a = f // 2, f % 2
+    key = tuple(np.ravel_multi_index(tuple(v), (2,) * dim) for v in (c % 2, a))
+    ends = c.T[:, None, :] + ends[key]                       # (Nf, 2, dim)
+    rows = np.repeat(_interior_numbering(fine), 2)
+    cols = _interior_numbering(coarse)[np.ravel_multi_index(
+        tuple(np.moveaxis(ends, -1, 0)), coarse).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    P = sp.csr_matrix((np.full(np.count_nonzero(keep), 0.5),
+                       (rows[keep], cols[keep])),
+                      shape=(rows.max() + 1, cols.max() + 1))
+    return P, P.T.tocsr()
+
+
+def prolongations(mesh: Mesh) -> list:
+    """The Transfers from the mesh down to its coarsest level, built once and
+    kept on the mesh.  A level is coarsened while every axis has an odd node
+    count of at least 5 and some axis more than COARSEST_NODES; a mesh that
+    cannot be coarsened has none."""
+    if mesh.transfers is None:
+        transfers, shape = [], mesh.shape
+        while (all(n % 2 and n >= 5 for n in shape)
+               and max(shape) > COARSEST_NODES):
+            coarse = tuple((n + 1) // 2 for n in shape)
+            transfers.append(Transfer(
+                *_prolongation(SIMPLICES[mesh.dim], shape, coarse), coarse))
+            shape = coarse
+        mesh.transfers = transfers
+    return mesh.transfers
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +332,11 @@ def assert_dirichlet(U: DiscreteField) -> None:
 def element_gradients(U: DiscreteField) -> np.ndarray:
     """Piecewise-constant gradient per element, shape (E, dim)."""
     m = U.mesh
-    return np.einsum("evd,ev->ed", m.grads, U.values[m.elements])
+    out = np.empty((m.n_elements, m.dim))
+    for k in m.classes:
+        np.matmul(U.values[m.elements[k.elements]], k.grads,
+                  out=out[k.elements])
+    return out
 
 
 def _b_at_quad(mesh: Mesh, b_field) -> np.ndarray:
@@ -245,7 +345,7 @@ def _b_at_quad(mesh: Mesh, b_field) -> np.ndarray:
     bq = np.asarray(b_field(mesh.quad_points) if callable(b_field)
                     else b_field, float)
     if bq.shape == (mesh.n_nodes,):
-        bq = np.einsum("qv,ev->eq", mesh.quad_bary, bq[mesh.elements])
+        bq = bq[mesh.elements] @ mesh.quad_bary.T
     elif bq.shape != mesh.quad_points.shape[:2]:
         raise MeshError("rhs table does not match the mesh")
     if not np.all(np.isfinite(bq)):
@@ -296,52 +396,71 @@ def scatter_vector(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
     return total[mesh.interior]
 
 
+# Element kernels run per class: the class's gradients G (nv, dim) and
+# measure are constants there, so each integral over its elements is one
+# matrix product of the quadrature-point values with a small constant matrix.
+
+def _at_quad(values: np.ndarray, n: int, nq: int) -> np.ndarray:
+    """(n, nq, ...) values, broadcast along the quadrature axis if they do
+    not vary on it, as rows of one matrix (n, nq * ...)."""
+    return np.broadcast_to(values, (n, nq) + values.shape[2:]).reshape(n, -1)
+
+
 def load_contributions(mesh: Mesh, bq: np.ndarray) -> np.ndarray:
     """area * int b phi_v per element (E, nv), from b at the quadrature
     points (E, nq)."""
-    return mesh.areas[:, None] * np.einsum(
-        "eq,qv->ev", bq, mesh.quad_frac[:, None] * mesh.quad_bary)
+    out = np.empty(mesh.elements.shape)
+    for k in mesh.classes:
+        # K[q, v] = area frac_q phi_v(q)
+        np.matmul(bq[k.elements], k.area * mesh.quad_frac[:, None]
+                  * mesh.quad_bary, out=out[k.elements])
+    return out
 
 
 def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
     """R_j = int a(x,u_h,Du_h).grad(phi_j) + int b phi_j, interior j only."""
     vals = U.values
-    xi = np.einsum("evd,ev->ed", mesh.grads, vals[mesh.elements])
-    uq = vals[mesh.elements] @ mesh.quad_bary.T
-    aq = op.flux(mesh.quad_points, uq, xi[:, None, :])
-    if not np.all(np.isfinite(aq)):
-        raise QuadratureFailure("non-finite flux at a quadrature point")
-    bq = _b_at_quad(mesh, b_field)
-    # area * (sum_q frac_q a_q) . grad_v, as grad_v is constant per element
-    a_mean = np.einsum("q,eqd->ed", mesh.quad_frac, aq)
-    flux_part = np.einsum("e,evd,ed->ev", mesh.areas, mesh.grads, a_mean)
-    return scatter_vector(mesh, flux_part + load_contributions(mesh, bq))
+    contrib = load_contributions(mesh, _b_at_quad(mesh, b_field))
+    nq, nv = mesh.quad_bary.shape
+    for k in mesh.classes:
+        e = k.elements
+        ve = vals[mesh.elements[e]]
+        aq = op.flux(mesh.quad_points[e], ve @ mesh.quad_bary.T,
+                     (ve @ k.grads)[:, None, :])
+        if not np.all(np.isfinite(aq)):
+            raise QuadratureFailure("non-finite flux at a quadrature point")
+        # K[(q, i), v] = area frac_q G[v, i]: sum_q area frac_q a_q . grad_v
+        K = k.area * mesh.quad_frac[:, None, None] * k.grads.T
+        contrib[e] += _at_quad(aq, len(ve), nq) @ K.reshape(-1, nv)
+    return scatter_vector(mesh, contrib)
 
 
 def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
     """J = dR/dU over interior nodes, from dflux_dxi and dflux_du, evaluated
-    over JACOBIAN_CHUNK elements at a time."""
+    per class over JACOBIAN_CHUNK elements at a time."""
     vals = U.values
-    phi = mesh.quad_frac[:, None] * mesh.quad_bary
-    block = np.empty((mesh.n_elements, mesh.dim + 1, mesh.dim + 1))
-    for lo in range(0, mesh.n_elements, JACOBIAN_CHUNK):
-        e = slice(lo, lo + JACOBIAN_CHUNK)
-        G, ve, x = mesh.grads[e], vals[mesh.elements[e]], mesh.quad_points[e]
-        xi = np.einsum("evd,ev->ed", G, ve)[:, None, :]
-        uq = ve @ mesh.quad_bary.T
-        Jq = op.dflux_dxi(x, uq, xi)                          # (E,nq,d,d)
-        au = op.dflux_du(x, uq, xi)                           # (E,nq,d)
-        if not (np.all(np.isfinite(Jq)) and np.all(np.isfinite(au))):
-            raise QuadratureFailure(
-                "non-finite derivative at a quadrature point")
-        # P1 gradients are constant per element, so the block is
-        # area * G ((sum_q frac_q Jq) G^T + sum_q frac_q au_q (x) phi(q))
-        J_mean = np.einsum("q,eqij->eij", mesh.quad_frac, Jq)
-        # stacked matmul: einsum's optimized path copies au, raising peak memory
-        au = np.broadcast_to(au, (*uq.shape, mesh.dim)).transpose(0, 2, 1)
-        np.multiply(mesh.areas[e, None, None],
-                    G @ (J_mean @ G.transpose(0, 2, 1) + au @ phi),
-                    out=block[e])
+    nq, nv = mesh.quad_bary.shape
+    block = np.empty((mesh.n_elements, nv * nv))
+    for k in mesh.classes:
+        # K_J[(q, i, j), (v, w)] = area frac_q G[v, i] G[w, j] and
+        # K_u[(q, i), (v, w)] = area frac_q G[v, i] phi_w(q)
+        frac, GT = k.area * mesh.quad_frac, k.grads.T
+        K_J = (frac[:, None, None, None, None] * GT[:, None, :, None]
+               * GT[None, :, None, :]).reshape(-1, nv * nv)
+        K_u = (frac[:, None, None, None] * GT[:, :, None]
+               * mesh.quad_bary[:, None, None, :]).reshape(-1, nv * nv)
+        for lo in range(k.elements.start, k.elements.stop, JACOBIAN_CHUNK):
+            e = slice(lo, min(lo + JACOBIAN_CHUNK, k.elements.stop))
+            ve, x = vals[mesh.elements[e]], mesh.quad_points[e]
+            xi = (ve @ k.grads)[:, None, :]
+            uq = ve @ mesh.quad_bary.T
+            Jq = op.dflux_dxi(x, uq, xi)                      # (n,nq,d,d)
+            au = op.dflux_du(x, uq, xi)                       # (n,nq,d)
+            if not (np.all(np.isfinite(Jq)) and np.all(np.isfinite(au))):
+                raise QuadratureFailure(
+                    "non-finite derivative at a quadrature point")
+            np.matmul(_at_quad(Jq, len(ve), nq), K_J, out=block[e])
+            block[e] += _at_quad(au, len(ve), nq) @ K_u
     return scatter_matrix(mesh, block)
 
 
@@ -388,9 +507,8 @@ def lp_gradient_norm(U: DiscreteField, p: float,
 def lp_norm(U: DiscreteField, p: float) -> float:
     """||u_h||_{L^p} by the element quadrature rule."""
     m = U.mesh
-    uq = np.einsum("qv,ev->eq", m.quad_bary, U.values[m.elements])
-    val = np.einsum("e,q,eq->", m.areas, m.quad_frac, np.abs(uq) ** p)
-    return float(val ** (1.0 / p))
+    uq = U.values[m.elements] @ m.quad_bary.T
+    return float((m.areas @ (np.abs(uq) ** p @ m.quad_frac)) ** (1.0 / p))
 
 
 def linf_gradient_interior(U: DiscreteField, delta: float) -> float:

@@ -19,6 +19,7 @@ satisfies the corresponding hypothesis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -170,6 +171,34 @@ def _sq(xi):
     return _dot(xi, xi)
 
 
+def _scaled(w, xi, base=None):
+    """w[..., None] * xi (plus ``base``), one column at a time."""
+    shape = np.broadcast_shapes(np.shape(w), xi.shape[:-1],
+                                np.shape(base)[:-1]) + xi.shape[-1:]
+    out = np.empty(shape)
+    for i in range(xi.shape[-1]):
+        col = w * xi[..., i]
+        out[..., i] = col if base is None else base[..., i] + col
+    return out
+
+
+def _radial_matrix(w, c, xi, base=None):
+    """w[..., None, None] * I + c[..., None, None] * (xi xi^T) (plus
+    ``base``), one entry at a time; w * 0.0 off the diagonal keeps the bits
+    of the broadcast product."""
+    d = xi.shape[-1]
+    shape = np.broadcast_shapes(np.shape(w), np.shape(c), xi.shape[:-1],
+                                np.shape(base)[:-2])
+    out = np.empty(shape + (d, d))
+    for i in range(d):
+        for j in range(i, d):  # the term is symmetric: one product per pair
+            entry = (w if i == j else w * 0.0) + c * (xi[..., i] * xi[..., j])
+            for a, b in {(i, j), (j, i)}:
+                out[..., a, b] = (entry if base is None
+                                  else base[..., a, b] + entry)
+    return out
+
+
 def _max_abs(a, axes=1):
     """np.max(np.abs(a), axis=...) over the last ``axes`` axes."""
     a = np.abs(a)
@@ -279,19 +308,12 @@ def _isotropic_callables(dim, w, wt, wx=None):
     guarded value only has to be finite, not the analytic limit).  Without
     ``wx``, dflux_dx is a finite difference of the flux.
     """
-    eye = np.eye(dim)
-
     def flux(x, u, xi):
-        t = _sq(xi)
-        return w(x, u, t)[..., None] * xi
+        return _scaled(w(x, u, _sq(xi)), xi)
 
     def dflux_dxi(x, u, xi):
         t = _sq(xi)
-        ww = w(x, u, t)
-        cc = wt(x, u, t)
-        outer = xi[..., :, None] * xi[..., None, :]
-        ww, cc = np.broadcast_arrays(ww, cc)
-        return ww[..., None, None] * eye + 2.0 * cc[..., None, None] * outer
+        return _radial_matrix(w(x, u, t), 2.0 * wt(x, u, t), xi)
 
     def dflux_du(x, u, xi):
         shape = np.broadcast_shapes(np.shape(u), np.shape(xi)[:-1])
@@ -317,8 +339,12 @@ def _validate_pq(p, q):
 def _resolve_domain(params, default_dim=2):
     """The box of ``params``: its 'domain', else the unit box of its 'dim'
     (``default_dim`` when absent).  A 'dim' beside a domain must match it."""
-    dom = params.get("domain")
     dim = params.get("dim", default_dim)
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) \
+            or dim < 1:
+        raise ConfigError(
+            f"params.dim must be a positive integer, got {dim!r}")
+    dom = params.get("domain")
     if dom is None:
         box = unit_box(dim)
     else:
@@ -642,21 +668,18 @@ def regularize(op: OperatorSpec, eps: float, eps0: float | None = None
 
     qe = op.q + eps
     se = (qe - 2.0) / 2.0
-    eye = np.eye(op.dim)
     base_flux = op.flux
     base_dxi = op.dflux_dxi
 
     def flux(x, u, xi):
         t = _sq(xi)
-        return base_flux(x, u, xi) + eps * ((1.0 + t) ** se)[..., None] * xi
+        return _scaled(eps * (1.0 + t) ** se, xi, base=base_flux(x, u, xi))
 
     def dflux_dxi(x, u, xi):
         t = _sq(xi)
-        outer = xi[..., :, None] * xi[..., None, :]
-        term = (eps * ((1.0 + t) ** se)[..., None, None] * eye
-                + eps * (qe - 2.0) * ((1.0 + t) ** (se - 1.0))[..., None, None]
-                * outer)
-        return base_dxi(x, u, xi) + term
+        return _radial_matrix(eps * (1.0 + t) ** se,
+                              eps * (qe - 2.0) * (1.0 + t) ** (se - 1.0), xi,
+                              base=base_dxi(x, u, xi))
 
     scalar_weight = None
     if op.scalar_weight is not None:

@@ -22,17 +22,21 @@ from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   assert_dirichlet, element_gradients, field_from_interior,
                   h2_seminorm_interior, linf_gradient_interior,
                   linf_norm_interior, load_contributions, lp_gradient_norm,
-                  scatter_matrix, scatter_vector, w12_distance, zero_field,
-                  _b_at_quad)
+                  prolongations, scatter_matrix, scatter_vector, w12_distance,
+                  zero_field, _b_at_quad)
 from .operators import (OperatorSpec, _sq, check_regularization_exponents,
                         regularize)
 
 log = logging.getLogger("pq.solve")
 
-# CG stops at a relative residual of CG_RTOL or falls back to a fresh LU after
-# CG_MAXITER iterations: at 257^2 one splu costs about 35 triangular solves.
+# CG stops at a relative residual of CG_RTOL or falls back to a direct LU
+# after CG_MAXITER iterations; with the V-cycle it takes about 13 at any size.
 CG_RTOL = 1e-12
 CG_MAXITER = 30
+# The V-cycle's damped Jacobi smoother: its weight, and its sweeps before and
+# after each coarse correction.
+JACOBI_WEIGHT = 0.6
+JACOBI_SWEEPS = 2
 
 
 @dataclass(frozen=True)
@@ -94,33 +98,86 @@ class SolveStats:
                 "backtracks": self.backtracks, "converged": self.converged}
 
 
-class _LinearSolves:
-    """Solves of nearby systems J x = rhs that share one LU factor: a
-    symmetric J is solved by CG preconditioned with it; otherwise, or if CG
-    stalls, the factor is dropped before J is factored afresh."""
+def _factor(A: sp.csr_matrix):
+    """SuperLU factor of A; SingularJacobian if A is singular."""
+    import scipy.sparse.linalg as spla  # loaded at first use, as in fem
+    try:  # P1 patterns are structurally symmetric: minimum degree on A^T+A
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SingularJacobian(str(exc)) from exc
 
-    def __init__(self):
-        self.lu, self.factorizations, self.cg_iterations = None, 0, 0
+
+class _VCycle:
+    """Multigrid V-cycle for J over the mesh's levels: Galerkin coarse
+    matrices P^T A P, damped Jacobi smoothing and an LU factor of the
+    coarsest level only.  The cycle is a loop in a method, not a recursive
+    closure, so it leaves no reference cycle to keep the levels alive."""
+
+    def __init__(self, J: sp.csr_matrix, transfers: list):
+        self.levels = []
+        A = J
+        for t in transfers:
+            self.levels.append((A, JACOBI_WEIGHT / A.diagonal(), t))
+            A = (t.PT @ A @ t.P).tocsr()
+        self.coarse = _factor(A)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        down = []
+        for A, w, t in self.levels:
+            x = w * r
+            for _ in range(JACOBI_SWEEPS - 1):
+                x += w * (r - A @ x)
+            down.append((r, x))
+            r = t.PT @ (r - A @ x)
+        x = self.coarse.solve(r)
+        for (A, w, t), (r, fine) in zip(reversed(self.levels), reversed(down)):
+            fine += t.P @ x
+            for _ in range(JACOBI_SWEEPS):
+                fine += w * (r - A @ fine)
+            x = fine
+        return x
+
+
+class _LinearSolves:
+    """Solves J x = rhs on one mesh, with their counts.  A symmetric J is
+    solved by CG preconditioned with a V-cycle over the mesh's levels
+    (fem.prolongations).  A non-symmetric J, a CG run that fails, or a mesh
+    of one level takes a direct LU of J."""
+
+    def __init__(self, mesh: Mesh):
+        self.mesh = mesh
+        self.multigrid = self.cg_iterations = self.direct = 0
+
+    @property
+    def levels(self) -> str:
+        """The finest and the coarsest level in nodes per axis, as in
+        257\u21929, or the only level."""
+        shapes = [self.mesh.shape] + [t.shape
+                                      for t in prolongations(self.mesh)[-1:]]
+        return "\u2192".join(str(s[0]) if len(set(s)) == 1
+                             else "x".join(map(str, s)) for s in shapes)
 
     def solve(self, J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
         import scipy.sparse.linalg as spla  # loaded at first use, as in fem
-        if self.lu is not None and abs(J - J.T).max() <= 1e-12 * abs(J).max():
+        transfers = prolongations(self.mesh)
+        if transfers and abs(J - J.T).max() <= 1e-12 * abs(J).max():
             its = []  # one entry per CG iteration
-            M = spla.LinearOperator(J.shape, self.lu.solve, dtype=float)
             with np.errstate(all="ignore"):
-                sol, info = spla.cg(J, rhs, rtol=CG_RTOL, atol=0.0, M=M,
-                                    maxiter=CG_MAXITER, callback=its.append)
+                try:
+                    M = spla.LinearOperator(J.shape, _VCycle(J, transfers),
+                                            dtype=float)
+                    sol, info = spla.cg(J, rhs, rtol=CG_RTOL, atol=0.0, M=M,
+                                        maxiter=CG_MAXITER,
+                                        callback=its.append)
+                except SingularJacobian:  # at the coarsest level
+                    info = -1
             self.cg_iterations += len(its)
             if info == 0 and np.all(np.isfinite(sol)):
-                log.debug("linear solve: cg %d its", len(its))
+                self.multigrid += 1
+                log.debug("linear solve: mg-cg %d its", len(its))
                 return sol
-        self.lu = M = None  # M wraps it too; at most one factor is alive
-        try:  # P1 patterns are structurally symmetric: minimum degree on A^T+A
-            self.lu = spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            sol = self.lu.solve(rhs)
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise SingularJacobian(str(exc)) from exc
-        self.factorizations += 1
+        sol = _factor(J).solve(rhs)
+        self.direct += 1
         if not np.all(np.isfinite(sol)):
             raise SingularJacobian("linear solve produced non-finite values")
         log.debug("linear solve: lu")
@@ -129,7 +186,11 @@ class _LinearSolves:
 
 def _stiffness_blocks(mesh: Mesh) -> np.ndarray:
     """Element blocks area * G G^T (E, nv, nv) of the Laplacian."""
-    return np.einsum("e,evd,ewd->evw", mesh.areas, mesh.grads, mesh.grads)
+    nv = mesh.dim + 1
+    return np.concatenate([
+        np.broadcast_to(k.area * k.grads @ k.grads.T,
+                        (k.elements.stop - k.elements.start, nv, nv))
+        for k in mesh.classes])
 
 
 def _damped_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
@@ -200,7 +261,7 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
     _LinearSolves by default).  Raises NonConvergence (with the best
     iterate attached) or SingularJacobian.
     """
-    solves = solves or _LinearSolves()
+    solves = solves or _LinearSolves(mesh)
     return _damped_solve(
         mesh, op, b_field, U0, cfg or NewtonConfig(), "newton",
         lambda U, R: solves.solve(assemble_jacobian(mesh, op, U), R))
@@ -222,7 +283,7 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
     if op.scalar_weight is None:
         raise Unsupported(
             f"{op.family_tag}: flux is not of scalar-weight form")
-    solves = solves or _LinearSolves()
+    solves = solves or _LinearSolves(mesh)
     b_field = _b_at_quad(mesh, b_field)  # the driver passes (E, nq) through
     F = scatter_vector(mesh, load_contributions(mesh, b_field))
     # element stiffness blocks for w = 1; a weight scales them by mean_q(w)
@@ -240,13 +301,14 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
                          "fixed-point", step_of, increment_stop=True)
 
 
-def p2_presolve(mesh: Mesh, b_field) -> DiscreteField:
+def p2_presolve(mesh: Mesh, b_field, *,
+                solves: _LinearSolves | None = None) -> DiscreteField:
     """Solution of the p = 2 linear problem with the same right-hand side;
-    the default initial guess of a continuation run."""
+    the default initial guess of a continuation run.  The linear system goes
+    through ``solves`` as in :func:`newton_solve`."""
     F = scatter_vector(mesh, load_contributions(mesh,
                                                 _b_at_quad(mesh, b_field)))
-    # its own solves: the p = 2 factor preconditions later Jacobians poorly
-    sol = _LinearSolves().solve(
+    sol = (solves or _LinearSolves(mesh)).solve(
         scatter_matrix(mesh, _stiffness_blocks(mesh)), -F)
     return field_from_interior(mesh, sol)
 
@@ -355,17 +417,19 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
     The first solve starts from the p = 2 pre-solve (or ``u0``); later
     solves warm-start from the previous solution, mirroring the extraction
     of a single convergent sequence in the limit passage.  On Newton
-    failure a scalar-weight fixed-point fallback is attempted.  All eps
-    steps share one ``_LinearSolves``, so one LU factor preconditions CG
-    for the whole run.  Solver errors propagate with the partial trace.
+    failure a scalar-weight fixed-point fallback is attempted.  The
+    pre-solve and all eps steps share one ``_LinearSolves``, which counts
+    the run's linear solves.  Solver errors propagate with the partial
+    trace.
     """
     cfg = cfg or NewtonConfig()
     check_regularization_exponents(op.p, op.q, op.dim, schedule.eps0)
     if delta is None:
         delta = 0.25 * float(np.min(np.asarray(mesh.box.widths)))
 
+    solves = _LinearSolves(mesh)
     if u0 is None:
-        U_prev = p2_presolve(mesh, b_field)
+        U_prev = p2_presolve(mesh, b_field, solves=solves)
     elif isinstance(u0, str) and u0 == "zero":
         U_prev = zero_field(mesh)
     else:
@@ -375,7 +439,6 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
                               schedule=schedule, mesh=mesh,
                               meta=meta or {})
     prev_solution = None
-    solves = _LinearSolves()
     for eps in schedule.epsilons():
         rop = regularize(op, float(eps), schedule.eps0)
         try:
@@ -406,8 +469,10 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
                  norms["lp_gradient"])
         prev_solution = U
         U_prev = U
-    log.info("linear solves over %d eps steps: %d LU, %d CG iterations",
-             len(trace.steps), solves.factorizations, solves.cg_iterations)
+    log.info("linear solves over %d eps steps: %d multigrid-CG (levels %s), "
+             "%d CG iterations, %d direct LU", len(trace.steps),
+             solves.multigrid, solves.levels, solves.cg_iterations,
+             solves.direct)
 
     trace.final_field = trace.steps[-1].field
     if len(trace.steps) >= 2:

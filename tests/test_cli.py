@@ -190,6 +190,13 @@ def _bad_trace(command, doc):
     return argv
 
 
+def _params_dim(dim):
+    """pq check on a p-Laplacian whose box comes from params.dim alone."""
+    return lambda opfile, tmp_path: [
+        "check", "--operator",
+        opfile({"family": "p-laplacian", "p": 3, "params": {"dim": dim}})]
+
+
 MALFORMED = {
     "out-in-missing-directory": lambda opfile, tmp_path: _continuation(opfile),
     "samples-0": lambda opfile, tmp_path: [
@@ -257,6 +264,11 @@ MALFORMED = {
         "solve", "--operator", opfile({**PLAP3, "domain": {
             "min": [0, 0, 0], "max": [1, 1, 1]}}), "--rhs", "constant:-2",
         "--mesh", "3d:5"],
+    "descriptor-dim-true": _params_dim(True),
+    "descriptor-dim-float": _params_dim(2.0),
+    "descriptor-dim-string": _params_dim("2"),
+    "descriptor-dim-0": _params_dim(0),
+    "descriptor-dim-negative": _params_dim(-1),
     "descriptor-domain-empty": lambda opfile, tmp_path: [
         "check", "--operator", opfile({**PLAP3, "domain": {}})],
     "descriptor-domain-nan": lambda opfile, tmp_path: [

@@ -29,7 +29,7 @@ def test_mesh_area_partition():
 
 
 def _loop_elements(nx, ny):
-    tris = []
+    tris, classes = [], []
     for i in range(nx - 1):
         for j in range(ny - 1):
             n00, n10 = i * ny + j, (i + 1) * ny + j
@@ -38,7 +38,11 @@ def _loop_elements(nx, ny):
                 tris += [(n00, n10, n11), (n00, n11, n01)]
             else:
                 tris += [(n00, n10, n01), (n10, n11, n01)]
-    return np.asarray(tris, dtype=np.int64)
+            parity = 2 * (i % 2) + j % 2
+            classes += [2 * parity, 2 * parity + 1]
+    # sorted stably by class: the cell's parity class, then the simplex
+    order = np.argsort(classes, kind="stable")
+    return np.asarray(tris, dtype=np.int64)[order]
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (4, 4), (9, 7)])
@@ -168,16 +172,12 @@ def test_jacobian_matches_directional_fd(tag, params):
     assert rel < 1e-6
     if params is None:
         assert abs(J - J.T).max() > 1e-3
-    solves = _LinearSolves()
-    sol = solves.solve(J, V)
-    lu = solves.lu
-    np.testing.assert_allclose(J @ sol, V, atol=1e-10)
-    # with a factor held, a symmetric J is solved by CG with it; the
-    # non-symmetric u-dependent J takes the LU path and a new factor
-    sol = solves.solve(J, V)
-    np.testing.assert_allclose(J @ sol, V, atol=1e-10)
-    assert (solves.lu is lu) == (params is not None)
-    assert solves.factorizations == (1 if params is not None else 2)
+    # a 9x9 mesh is one level: every J, symmetric or not, takes a direct LU
+    solves = _LinearSolves(m)
+    for _ in range(2):
+        sol = solves.solve(J, V)
+        np.testing.assert_allclose(J @ sol, V, atol=1e-10)
+    assert solves.direct == 2 and solves.multigrid == 0
 
 
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 7)])
@@ -216,8 +216,8 @@ def test_fixed_pattern_matches_coo_reference(dim, n):
     assert J1.has_sorted_indices and J1.has_canonical_format
 
 
-def _one_shot_jacobian(m, op, U):
-    """The Jacobian kernel over all elements at once."""
+def _einsum_jacobian(m, op, U):
+    """The Jacobian by per-element einsum formulas over all elements."""
     vals = U.values
     xi = np.einsum("evd,ev->ed", m.grads, vals[m.elements])[:, None, :]
     uq = vals[m.elements] @ m.quad_bary.T
@@ -245,11 +245,16 @@ def test_chunked_jacobian_equals_one_shot_bitwise(monkeypatch,
     vals = np.zeros(m.n_nodes)
     vals[m.interior] = rng.standard_normal(m.interior.size)
     U = DiscreteField(m, vals)
+    monkeypatch.setattr(fem, "JACOBIAN_CHUNK", m.n_elements)
+    whole = assemble_jacobian(m, op, U)  # one chunk per class
     monkeypatch.setattr(fem, "JACOBIAN_CHUNK", 7)
-    J, ref = assemble_jacobian(m, op, U), _one_shot_jacobian(m, op, U)
+    J = assemble_jacobian(m, op, U)
     for attr in ("data", "indices", "indptr"):
-        a, b = getattr(J, attr), getattr(ref, attr)
+        a, b = getattr(J, attr), getattr(whole, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    ref = _einsum_jacobian(m, op, U)
+    assert np.array_equal(J.indices, ref.indices)
+    assert np.abs(J.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
 @pytest.mark.parametrize("derivative", ["dflux_dxi", "dflux_du"])

@@ -1,5 +1,5 @@
+import gc
 import logging
-import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from pqelliptic import (EpsilonSchedule, InvalidExponents, NewtonConfig,
                         build_mesh, make_family, unit_box, zero_field)
 from pqelliptic.fem import scatter_matrix
 from pqelliptic.solvers import _LinearSolves, _stiffness_blocks
-from conftest import constant_rhs
+from conftest import constant_rhs, u_dependent_test_op
 
 
 def test_newton_1d_poisson_nodal_exactness():
@@ -84,8 +84,8 @@ def test_residual_strictly_decreases_along_newton():
 
 
 # ---------------------------------------------------------------------------
-# per-solve work: one rhs evaluation, a factor reused through CG, one factor
-# per continuation run
+# per-solve work: one rhs evaluation; multigrid-preconditioned CG that factors
+# only the coarsest level
 
 def test_rhs_evaluated_once_per_solve():
     op = make_family("p-laplacian", {"p": 4})
@@ -109,86 +109,120 @@ def _weighted_stiffness(m, weights):
     return scatter_matrix(m, weights[:, None, None] * _stiffness_blocks(m))
 
 
-def test_sparse_solve_reuses_nearby_factor_through_cg():
+@pytest.mark.parametrize("dim,n", [(1, 17), (2, 17), (2, 65)])
+def test_galerkin_coarse_stiffness_is_rediscretized(dim, n):
+    # the meshes nest, so P^T K_h P is the stiffness matrix of the coarse mesh
+    m = build_mesh(dim, unit_box(dim), n)
+    t = pq.fem.prolongations(m)[0]
+    coarse = build_mesh(dim, unit_box(dim), t.shape)
+    K_c = _weighted_stiffness(coarse, np.ones(coarse.n_elements)).toarray()
+    galerkin = (t.PT @ _weighted_stiffness(m, np.ones(m.n_elements))
+                @ t.P).toarray()
+    assert t.shape == ((n + 1) // 2,) * dim
+    assert np.abs(galerkin - K_c).max() <= 1e-14 * np.abs(K_c).max()
+
+
+def _double_phase_jacobian(op, n):
+    m = build_mesh(2, unit_box(2), n)
+    U = pq.p2_presolve(m, constant_rhs(-2.0))
+    return m, pq.assemble_jacobian(m, pq.regularize(op, 0.1, 0.2), U)
+
+
+def test_multigrid_cg_matches_direct_lu(double_phase_op):
+    m, J = _double_phase_jacobian(double_phase_op, 65)
+    rhs = np.random.default_rng(4).standard_normal(m.interior.size)
+    solves = _LinearSolves(m)
+    sol = solves.solve(J, rhs)
+    assert solves.multigrid == 1 and solves.direct == 0
+    assert 0 < solves.cg_iterations <= 20
+    direct = spla.splu(J.tocsc()).solve(rhs)
+    assert np.abs(sol - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def test_failed_multigrid_cg_falls_back_to_direct_lu(monkeypatch):
     m = build_mesh(2, unit_box(2), 17)
-    rng = np.random.default_rng(4)
     A = _weighted_stiffness(m, np.ones(m.n_elements))
-    B = _weighted_stiffness(m, 1.0 + 0.2 * rng.random(m.n_elements))
-    rhs = rng.standard_normal(m.interior.size)
-    solves = _LinearSolves()
-    solves.solve(A, rhs)
-    lu = solves.lu
-    sol = solves.solve(B, rhs)
-    assert solves.lu is lu
-    assert solves.factorizations == 1 and solves.cg_iterations > 0
-    fresh = _LinearSolves().solve(B, rhs)
-    np.testing.assert_allclose(sol, fresh, rtol=0, atol=1e-10)
-
-
-class _Factor:
-    """A SuperLU factor that a weak reference can follow."""
-
-    def __init__(self, lu):
-        self._lu = lu
-
-    def solve(self, rhs):
-        return self._lu.solve(rhs)
-
-
-def test_sparse_solve_falls_back_to_lu_with_unrelated_factor(monkeypatch):
-    m = build_mesh(2, unit_box(2), 17)
-    rng = np.random.default_rng(5)
-    A = _weighted_stiffness(m, np.ones(m.n_elements))
-    n = m.interior.size
-    D = sp.diags(10.0 ** rng.uniform(-6, 6, n)).tocsr()
-    rhs = rng.standard_normal(n)
-    solves = _LinearSolves()
-    factors, at_call = [], []
-    real_splu = spla.splu
-
-    def splu(*args, **kwargs):
-        # what is alive when a new factor is made: the held one, and any
-        # earlier factor that something else still references
-        at_call.append((solves.lu, [f() for f in factors]))
-        factor = _Factor(real_splu(*args, **kwargs))
-        factors.append(weakref.ref(factor))
-        return factor
-
-    monkeypatch.setattr(spla, "splu", splu)
-    solves.solve(D, rhs)
-    sol = solves.solve(A, rhs)  # CG with D's factor fails: a new factor
-    assert solves.cg_iterations > 0 and solves.factorizations == 2
-    assert at_call == [(None, []), (None, [None])]
+    rhs = np.random.default_rng(5).standard_normal(m.interior.size)
+    monkeypatch.setattr(pq.solvers, "CG_MAXITER", 2)
+    solves = _LinearSolves(m)
+    sol = solves.solve(A, rhs)  # CG stops unconverged after 2 iterations
+    assert solves.cg_iterations == 2 and solves.direct == 1
+    assert solves.multigrid == 0
     np.testing.assert_allclose(A @ sol, rhs, rtol=0, atol=1e-10)
-    np.testing.assert_array_equal(solves.lu.solve(rhs), sol)
-    # a singular J breaks CG down (quietly) and then fails to factor
+    # a zero J: its coarsest level fails to factor, and so does J itself
     with pytest.raises(SingularJacobian):
         solves.solve(sp.csr_matrix(A.shape), rhs)
-    assert solves.lu is None and solves.factorizations == 2
+    assert solves.direct == 1 and solves.multigrid == 0
 
 
-def test_continuation_factors_once_per_run(double_phase_op, monkeypatch,
-                                           caplog):
-    calls = []
+def test_continuation_factors_only_the_coarsest_level(double_phase_op,
+                                                      monkeypatch, caplog):
+    shapes = []
     real_splu = spla.splu
 
-    def splu(*args, **kwargs):
-        calls.append(1)
-        return real_splu(*args, **kwargs)
+    def splu(A, *args, **kwargs):
+        shapes.append(A.shape)
+        return real_splu(A, *args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", splu)
-    m = build_mesh(2, unit_box(2), 17)
+    m = build_mesh(2, unit_box(2), 65)
     with caplog.at_level(logging.INFO, logger="pq.solve"):
         tr = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
                                    EpsilonSchedule(eps0=0.2))
-    # the p = 2 presolve and the first Newton step; later steps run CG
-    assert len(calls) == 2
+    # the 9x9 level, 49 unknowns, once per linear solve
+    assert shapes and all(max(s) <= 49 for s in shapes)
     assert [s.stats.iterations for s in tr.steps] == [3, 2, 2, 2, 2]
     assert [s.stats.backtracks for s in tr.steps] == [0] * 5
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("linear solves")]
     assert len(lines) == 1
-    assert lines[0].startswith("linear solves over 5 eps steps: 1 LU, ")
+    assert lines[0].startswith("linear solves over 5 eps steps: "
+                               f"{len(shapes)} multigrid-CG (levels 65\u21929), ")
+    assert lines[0].endswith(" CG iterations, 0 direct LU")
+
+
+def test_mesh_that_cannot_coarsen_is_one_level_direct_lu():
+    m = build_mesh(2, unit_box(2), 10)
+    assert pq.fem.prolongations(m) == []
+    A = _weighted_stiffness(m, np.ones(m.n_elements))
+    rhs = np.random.default_rng(5).standard_normal(m.interior.size)
+    solves = _LinearSolves(m)
+    sol = solves.solve(A, rhs)
+    assert solves.direct == 1 and solves.multigrid == 0
+    assert solves.cg_iterations == 0
+    np.testing.assert_allclose(A @ sol, rhs, atol=1e-10)
+
+
+def test_nonsymmetric_jacobian_takes_direct_lu():
+    op = u_dependent_test_op(beta=1.0)
+    m = build_mesh(2, unit_box(2), 17)
+    rng = np.random.default_rng(6)
+    vals = np.zeros(m.n_nodes)
+    vals[m.interior] = rng.standard_normal(m.interior.size)
+    J = pq.assemble_jacobian(m, op, pq.DiscreteField(m, vals))
+    assert abs(J - J.T).max() > 1e-3
+    rhs = rng.standard_normal(m.interior.size)
+    solves = _LinearSolves(m)
+    sol = solves.solve(J, rhs)
+    assert solves.direct == 1 and solves.multigrid == 0
+    assert solves.cg_iterations == 0
+    np.testing.assert_allclose(J @ sol, rhs, atol=1e-10)
+
+
+def test_multigrid_solves_leave_no_reference_cycles(double_phase_op):
+    m, J = _double_phase_jacobian(double_phase_op, 33)
+    rhs = np.ones(m.interior.size)
+    solves = _LinearSolves(m)
+    solves.solve(J, rhs)  # build the mesh's prolongations first
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            solves.solve(J, rhs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert solves.multigrid == 4
 
 
 # ---------------------------------------------------------------------------
