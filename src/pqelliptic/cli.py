@@ -143,13 +143,16 @@ def newton_config(tol: float) -> NewtonConfig:
 
 
 def parse_rhs(spec: str, op, mesh):
-    """'constant:V', 'manufactured:CASE', or 'file:PATH' (nodal table)."""
+    """'constant:V', 'manufactured:CASE', or 'file:PATH' (nodal table); a
+    constant or a table must be finite."""
     kind, _, arg = spec.partition(":")
     if kind == "constant":
         try:
             value = float(arg)
         except ValueError as exc:
             raise ConfigError(f"bad constant rhs {spec!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"constant rhs must be finite, got {spec!r}")
 
         def b(x):
             return np.full(np.shape(x)[:-1], value)
@@ -171,6 +174,8 @@ def parse_rhs(spec: str, op, mesh):
         values = np.asarray(table["values"], float)
         if mesh is None or values.shape != (mesh.n_nodes,):
             raise ConfigError("rhs table length does not match the mesh")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"rhs table {arg!r} has non-finite values")
         return values
     raise ConfigError(f"bad rhs spec {spec!r}")
 

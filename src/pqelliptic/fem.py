@@ -354,10 +354,13 @@ def _b_at_quad(mesh: Mesh, b_field) -> np.ndarray:
 
 
 def _matrix_pattern(mesh: Mesh) -> tuple:
-    """(indptr, indices, slot) of the interior CSR pattern, built once and
-    kept on the mesh.  The index arrays are scipy's own, read-only, and
-    shared by every matrix; ``slot`` sends each (E, nv, nv) block entry to
-    its nonzero, or to the extra slot nnz if it touches a boundary node."""
+    """(indptr, indices, slot, transpose) of the interior CSR pattern, built
+    once and kept on the mesh.  The index arrays are scipy's own, read-only,
+    and shared by every matrix; ``slot`` sends each (E, nv, nv) block entry
+    to its nonzero, or to the extra slot nnz if it touches a boundary node.
+    The pattern is structurally symmetric, so ``transpose`` (int32) sends
+    nonzero k at (i, j) to the nonzero at (j, i): J.T has the data
+    J.data[transpose] on the same pattern."""
     # scipy is imported where a matrix is first built, not with the package:
     # pq check, estimates and report never build one and skip its load time
     import scipy.sparse as sp
@@ -373,9 +376,14 @@ def _matrix_pattern(mesh: Mesh) -> tuple:
         template = sp.csr_matrix(
             (np.zeros(keys.size), keys % ni,
              np.searchsorted(keys, np.arange(ni + 1) * ni)), shape=(ni, ni))
-        for a in (template.indptr, template.indices, slot):
+        # the nonzeros are in (row, column) order, so a stable sort by
+        # column lists them in the (row, column) order of the transpose
+        transpose = np.argsort(template.indices,
+                               kind="stable").astype(np.int32)
+        pattern = (template.indptr, template.indices, slot, transpose)
+        for a in pattern:
             a.flags.writeable = False
-        mesh.pattern = (template.indptr, template.indices, slot)
+        mesh.pattern = pattern
     return mesh.pattern
 
 
@@ -383,7 +391,7 @@ def scatter_matrix(mesh: Mesh, block: np.ndarray) -> sp.csr_matrix:
     """Interior matrix summed from element blocks (E, nv, nv) into the
     mesh's fixed CSR pattern."""
     import scipy.sparse as sp
-    indptr, indices, slot = _matrix_pattern(mesh)
+    indptr, indices, slot, _ = _matrix_pattern(mesh)
     data = np.bincount(slot, weights=block.ravel(),
                        minlength=indices.size + 1)[:-1]
     return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentExactData
-from .fem import SIMPLICES, DiscreteField, build_mesh, zero_field
+from .fem import SIMPLICES, DiscreteField, build_mesh, zero_field, _b_at_quad
 from .operators import OperatorSpec, _sq
-from .solvers import NewtonConfig, newton_solve, p2_presolve
+from .solvers import NewtonConfig, _LinearSolves, newton_solve, p2_presolve
 
 #: Step for the numeric divergence, as a fraction of the box width.
 H_DIV_FRAC = 1e-4
@@ -238,7 +238,9 @@ def convergence_study(op: OperatorSpec, case, grid_sizes,
     """Solve on a refining family of grids and report errors and orders.
 
     ``case`` is a ManufacturedCase or a built-in case name.  Observed order
-    is log2 of successive error ratios (grids are expected to halve h).
+    is log2 of successive error ratios (grids are expected to halve h).  On
+    each mesh the pre-solve and Newton share one ``_LinearSolves`` and one
+    evaluation of the rhs.
     """
     sizes = [int(v) for v in grid_sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -250,11 +252,11 @@ def convergence_study(op: OperatorSpec, case, grid_sizes,
     rows = []
     for nside in sizes:
         mesh = build_mesh(op.dim, op.domain, nside)
-        if start == "zero":
-            U0 = zero_field(mesh)
-        else:
-            U0 = p2_presolve(mesh, case.b_field)
-        U, _ = newton_solve(mesh, op, case.b_field, U0, cfg)
+        solves = _LinearSolves(mesh)
+        bq = _b_at_quad(mesh, case.b_field)
+        U0 = (zero_field(mesh) if start == "zero"
+              else p2_presolve(mesh, bq, solves=solves))
+        U, _ = newton_solve(mesh, op, bq, U0, cfg, solves=solves)
         l2, w12 = _refined_errors(mesh, U, case)
         rows.append(StudyRow(n=nside, h=float(np.max(mesh.h)),
                              l2_error=l2, w12_error=w12))

@@ -23,14 +23,15 @@ from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   h2_seminorm_interior, linf_gradient_interior,
                   linf_norm_interior, load_contributions, lp_gradient_norm,
                   prolongations, scatter_matrix, scatter_vector, w12_distance,
-                  zero_field, _b_at_quad)
+                  zero_field, _b_at_quad, _matrix_pattern)
 from .operators import (OperatorSpec, _sq, check_regularization_exponents,
                         regularize)
 
 log = logging.getLogger("pq.solve")
 
-# CG stops at a relative residual of CG_RTOL or falls back to a direct LU
-# after CG_MAXITER iterations; with the V-cycle it takes about 13 at any size.
+# CG stops at a relative residual of CG_RTOL (a Newton step at its forcing
+# term, see _forcing_term) or falls back to a direct LU after CG_MAXITER
+# iterations; with the V-cycle it takes about 13 to CG_RTOL at any size.
 CG_RTOL = 1e-12
 CG_MAXITER = 30
 # The V-cycle's damped Jacobi smoother: its weight, and its sweeps before and
@@ -90,6 +91,9 @@ class SolveStats:
     initial_residual: float = np.nan
     backtracks: int = 0
     converged: bool = False
+    # residual 2-norms of the initial iterate and of each accepted one; a
+    # diagnostic, not part of the serialized stats
+    residuals: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {"method": self.method, "iterations": self.iterations,
@@ -138,6 +142,16 @@ class _VCycle:
         return x
 
 
+def _asymmetry(mesh: Mesh, J: sp.csr_matrix) -> float:
+    """max |J - J^T| by one gather through the transpose permutation of the
+    mesh's CSR pattern; inf for a matrix that is not on that pattern."""
+    indptr, indices, _, transpose = _matrix_pattern(mesh)
+    if not (np.array_equal(J.indptr, indptr)
+            and np.array_equal(J.indices, indices)):
+        return np.inf
+    return float(np.abs(J.data - np.take(J.data, transpose)).max())
+
+
 class _LinearSolves:
     """Solves J x = rhs on one mesh, with their counts.  A symmetric J is
     solved by CG preconditioned with a V-cycle over the mesh's levels
@@ -147,6 +161,11 @@ class _LinearSolves:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.multigrid = self.cg_iterations = self.direct = 0
+        # The pattern's build makes the largest temporaries of a solve.  Made
+        # here, before a caller allocates the arrays that live through its
+        # solves (the rhs at the quadrature points), they are freed to a heap
+        # that nothing pins, and the process peak RSS stays lower.
+        _matrix_pattern(mesh)
 
     @property
     def levels(self) -> str:
@@ -157,16 +176,19 @@ class _LinearSolves:
         return "\u2192".join(str(s[0]) if len(set(s)) == 1
                              else "x".join(map(str, s)) for s in shapes)
 
-    def solve(self, J: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, J: sp.csr_matrix, rhs: np.ndarray,
+              rtol: float = CG_RTOL) -> np.ndarray:
+        """J^{-1} rhs; CG stops at the relative residual ``rtol``."""
         import scipy.sparse.linalg as spla  # loaded at first use, as in fem
         transfers = prolongations(self.mesh)
-        if transfers and abs(J - J.T).max() <= 1e-12 * abs(J).max():
+        if transfers and (_asymmetry(self.mesh, J)
+                          <= 1e-12 * np.abs(J.data).max(initial=0.0)):
             its = []  # one entry per CG iteration
             with np.errstate(all="ignore"):
                 try:
                     M = spla.LinearOperator(J.shape, _VCycle(J, transfers),
                                             dtype=float)
-                    sol, info = spla.cg(J, rhs, rtol=CG_RTOL, atol=0.0, M=M,
+                    sol, info = spla.cg(J, rhs, rtol=rtol, atol=0.0, M=M,
                                         maxiter=CG_MAXITER,
                                         callback=its.append)
                 except SingularJacobian:  # at the coarsest level
@@ -174,7 +196,8 @@ class _LinearSolves:
             self.cg_iterations += len(its)
             if info == 0 and np.all(np.isfinite(sol)):
                 self.multigrid += 1
-                log.debug("linear solve: mg-cg %d its", len(its))
+                log.debug("linear solve: mg-cg %d its to rtol %.1e",
+                          len(its), rtol)
                 return sol
         sol = _factor(J).solve(rhs)
         self.direct += 1
@@ -199,14 +222,16 @@ def _damped_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
     """Damped iteration on the interior unknowns, shared by Newton and
     Kacanov.
 
-    ``step_of(U, R)`` returns the interior update d at the iterate U with
-    residual R.  The first of U - s d for s = 1, f, f^2, ... (f the
-    backtrack factor, at most ``max_backtracks`` reductions) that strictly
-    lowers the residual 2-norm is accepted.  Stops when the residual
-    reaches max(abs_tol, rel_tol * r0) or, with ``increment_stop``, when the
-    W^{1,2} increment of a step drops below abs_tol.  Returns
-    (DiscreteField, SolveStats); raises NonConvergence with the best iterate
-    attached.
+    ``step_of(U, R, residuals, tol)`` returns the interior update d at the
+    iterate U with residual R, given ``stats.residuals`` (the residual
+    2-norms of the initial iterate and of each accepted one, ending with
+    |R|) and the stopping tolerance.  The first of U - s d for s = 1, f,
+    f^2, ... (f the backtrack factor, at most ``max_backtracks``
+    reductions) that strictly lowers the residual 2-norm is accepted.
+    Stops when the residual reaches tol = max(abs_tol, rel_tol * r0) or,
+    with ``increment_stop``, when the W^{1,2} increment of a step drops
+    below abs_tol.  Returns (DiscreteField, SolveStats); raises
+    NonConvergence with the best iterate attached.
     """
     assert_dirichlet(U0)
     U = U0.copy()
@@ -214,10 +239,11 @@ def _damped_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
     R = assemble_residual(mesh, op, b_field, U)
     rnorm = float(np.linalg.norm(R))
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
-    stats = SolveStats(method, 0, rnorm, initial_residual=rnorm)
+    stats = SolveStats(method, 0, rnorm, initial_residual=rnorm,
+                       residuals=[rnorm])
     stats.converged = rnorm <= tol
     while not stats.converged and stats.iterations < cfg.max_iters:
-        d = step_of(U, R)
+        d = step_of(U, R, stats.residuals, tol)
         step = 1.0
         for _ in range(cfg.max_backtracks + 1):
             trial = U.values.copy()
@@ -239,6 +265,7 @@ def _damped_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
         U, R, rnorm = Ut, Rt, rt
         stats.iterations += 1
         stats.residual_norm = rnorm
+        stats.residuals.append(rnorm)
         stats.converged = rnorm <= tol or small_increment
         log.debug("%s it=%d residual=%.3e step=%.2e", method,
                   stats.iterations, rnorm, step)
@@ -250,6 +277,19 @@ def _damped_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
     return U, stats
 
 
+def _forcing_term(residuals: list, tol: float) -> float:
+    """Relative CG tolerance of a Newton step from the residual 2-norms so
+    far: 0.9 (|R_k| / |R_k-1|)^2, the rate quadratic convergence can use
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996), choice 2), but
+    never below 0.01 tol / |R_k|: no step solves past a linear residual of
+    a hundredth of the stopping tolerance.  Clipped to [CG_RTOL, 0.1]; an
+    eta below 1 keeps every step a descent direction."""
+    eta = 0.01 * tol / residuals[-1]
+    if len(residuals) > 1:
+        eta = max(0.9 * (residuals[-1] / residuals[-2]) ** 2, eta)
+    return min(max(eta, CG_RTOL), 0.1)
+
+
 # numpy's overflow warnings are off in solves: explicit checks catch each
 # non-finite value and raise QuadratureFailure, SingularJacobian or the like
 @np.errstate(over="ignore", invalid="ignore")
@@ -257,14 +297,19 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
                  cfg: NewtonConfig | None = None, *,
                  solves: _LinearSolves | None = None):
     """Damped Newton iteration: :func:`_damped_solve` with the step
-    J(U)^{-1} R.  Linear systems go through ``solves`` (a fresh
+    J(U)^{-1} R, solved inexactly to the relative residual
+    :func:`_forcing_term`.  Linear systems go through ``solves`` (a fresh
     _LinearSolves by default).  Raises NonConvergence (with the best
     iterate attached) or SingularJacobian.
     """
     solves = solves or _LinearSolves(mesh)
-    return _damped_solve(
-        mesh, op, b_field, U0, cfg or NewtonConfig(), "newton",
-        lambda U, R: solves.solve(assemble_jacobian(mesh, op, U), R))
+
+    def step_of(U, R, residuals, tol):
+        return solves.solve(assemble_jacobian(mesh, op, U), R,
+                            rtol=_forcing_term(residuals, tol))
+
+    return _damped_solve(mesh, op, b_field, U0, cfg or NewtonConfig(),
+                         "newton", step_of)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -289,7 +334,7 @@ def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
     # element stiffness blocks for w = 1; a weight scales them by mean_q(w)
     unit = _stiffness_blocks(mesh)
 
-    def step_of(U, R):
+    def step_of(U, R, *_):
         t = _sq(element_gradients(U))[:, None]
         uq = np.einsum("qv,ev->eq", mesh.quad_bary, U.values[mesh.elements])
         wq = np.broadcast_to(op.scalar_weight(mesh.quad_points, uq, t),
@@ -419,15 +464,15 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
     of a single convergent sequence in the limit passage.  On Newton
     failure a scalar-weight fixed-point fallback is attempted.  The
     pre-solve and all eps steps share one ``_LinearSolves``, which counts
-    the run's linear solves.  Solver errors propagate with the partial
-    trace.
+    the run's linear solves, and the rhs at the quadrature points, which is
+    evaluated once.  Solver errors propagate with the partial trace.
     """
     cfg = cfg or NewtonConfig()
     check_regularization_exponents(op.p, op.q, op.dim, schedule.eps0)
     if delta is None:
         delta = 0.25 * float(np.min(np.asarray(mesh.box.widths)))
-
     solves = _LinearSolves(mesh)
+    b_field = _b_at_quad(mesh, b_field)
     if u0 is None:
         U_prev = p2_presolve(mesh, b_field, solves=solves)
     elif isinstance(u0, str) and u0 == "zero":

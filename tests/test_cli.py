@@ -190,6 +190,13 @@ def _bad_trace(command, doc):
     return argv
 
 
+def _rhs_table_with_nan(opfile, tmp_path):
+    table = tmp_path / "rhs.json"
+    table.write_text(json.dumps({"type": "table",
+                                 "values": [-2.0] * 80 + [float("nan")]}))
+    return _continuation(opfile) + ["--rhs", f"file:{table}"]
+
+
 def _params_dim(dim):
     """pq check on a p-Laplacian whose box comes from params.dim alone."""
     return lambda opfile, tmp_path: [
@@ -271,6 +278,12 @@ MALFORMED = {
     "descriptor-dim-negative": _params_dim(-1),
     "descriptor-domain-empty": lambda opfile, tmp_path: [
         "check", "--operator", opfile({**PLAP3, "domain": {}})],
+    "rhs-constant-nan": lambda opfile, tmp_path: [
+        "solve", "--operator", opfile(PLAP3), "--rhs", "constant:nan",
+        "--mesh", "2d:9x9"],
+    "rhs-constant-inf": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--rhs", "constant:inf"],
+    "rhs-table-nan": _rhs_table_with_nan,
     "descriptor-domain-nan": lambda opfile, tmp_path: [
         "check", "--operator",
         opfile({**PLAP3, "domain": {"min": [0, 0], "max": [1, "nan"]}})],

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,3 +171,16 @@ def test_builtin_cases_on_non_square_box(name, box):
                    / (2.0 * h @ e) for e in np.eye(box.dim)], axis=-1)
     np.testing.assert_allclose(case.hessian_exact(x), fd, rtol=1e-6,
                                atol=1e-6)
+
+
+def test_convergence_study_evaluates_rhs_once_per_mesh():
+    op = make_family("p-laplacian", {"p": 3})
+    case = builtin_case("sine2d", op)
+    calls = []
+
+    def b(x):
+        calls.append(np.shape(x))
+        return case.b_field(x)
+
+    convergence_study(op, dataclasses.replace(case, b_field=b), [9, 17, 33])
+    assert calls == [(2 * (n - 1) ** 2, 3, 2) for n in (9, 17, 33)]

@@ -1,5 +1,6 @@
 import gc
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ import pqelliptic as pq
 from pqelliptic import (EpsilonSchedule, InvalidExponents, NewtonConfig,
                         NonConvergence, SingularJacobian, Unsupported,
                         build_mesh, make_family, unit_box, zero_field)
-from pqelliptic.fem import scatter_matrix
-from pqelliptic.solvers import _LinearSolves, _stiffness_blocks
-from conftest import constant_rhs, u_dependent_test_op
+from pqelliptic.fem import _matrix_pattern, scatter_matrix
+from pqelliptic.solvers import (CG_RTOL, _LinearSolves, _asymmetry,
+                                _stiffness_blocks)
+from conftest import (constant_rhs, dp_weight, dp_weight_grad,
+                      u_dependent_test_op)
 
 
 def test_newton_1d_poisson_nodal_exactness():
@@ -223,6 +226,99 @@ def test_multigrid_solves_leave_no_reference_cycles(double_phase_op):
     finally:
         gc.enable()
     assert solves.multigrid == 4
+
+
+def _jacobian_at(op, m, f):
+    U = pq.interpolate(m, f, zero_boundary=True)
+    return pq.assemble_jacobian(m, op, U)
+
+
+def _bump(x):
+    return np.prod(np.sin(np.pi * x), axis=-1)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gather_asymmetry_equals_sparse_transpose(dim):
+    m = build_mesh(dim, unit_box(dim), 17)
+    transpose = _matrix_pattern(m)[3]
+    assert transpose.dtype == np.int32
+    assert np.array_equal(transpose[transpose], np.arange(transpose.size))
+    double_phase = make_family("double-phase", {
+        "p": 2, "q": 2.2, "weight": dp_weight, "grad_weight": dp_weight_grad,
+        "domain": unit_box(dim)})
+    J = _jacobian_at(double_phase, m, _bump)
+    assert _asymmetry(m, J) == abs(J - J.T).max()
+    assert _asymmetry(m, J) <= 1e-12 * abs(J).max()
+    K = _jacobian_at(u_dependent_test_op(beta=1.0, dim=dim), m, _bump)
+    assert _asymmetry(m, K) == abs(K - K.T).max() > 1e-3
+    # off the mesh's pattern: the zero matrix has no nonzeros at all
+    assert _asymmetry(m, sp.csr_matrix(J.shape)) == np.inf
+
+
+def test_symmetric_jacobian_at_257_takes_multigrid(double_phase_op):
+    # at 257^2, row * n + column keys of the 255^2 interior unknowns pass
+    # the int32 range, (255^2)^2 > 2^31: a transpose permutation built from
+    # int32 keys sends every solve there to the direct LU
+    m = build_mesh(2, unit_box(2), 257)
+    J = _jacobian_at(pq.regularize(double_phase_op, 0.1, 0.2), m, _bump)
+    assert _asymmetry(m, J) <= 1e-12 * abs(J).max()
+    solves = _LinearSolves(m)
+    rhs = np.ones(m.interior.size)
+    sol = solves.solve(J, rhs, rtol=1e-6)
+    assert solves.multigrid == 1 and solves.direct == 0
+    assert np.linalg.norm(J @ sol - rhs) <= 1e-6 * np.linalg.norm(rhs)
+
+
+def _continuation_65(op, caplog):
+    """The 65^2 double-phase run and its total CG iterations."""
+    m = build_mesh(2, unit_box(2), 65)
+    with caplog.at_level(logging.DEBUG, logger="pq.solve"):
+        tr = pq.continuation_solve(m, op, constant_rhs(-2.0),
+                                   EpsilonSchedule(eps0=0.2))
+    line, = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("linear solves")]
+    return tr, int(re.search(r"(\d+) CG iterations", line).group(1))
+
+
+def test_newton_solves_to_the_forcing_term(double_phase_op, monkeypatch,
+                                           caplog):
+    forcing = []
+    real_forcing_term = pq.solvers._forcing_term
+
+    def forcing_term(residuals, tol):
+        forcing.append(real_forcing_term(residuals, tol))
+        return forcing[-1]
+
+    monkeypatch.setattr(pq.solvers, "_forcing_term", forcing_term)
+    tr, inexact = _continuation_65(double_phase_op, caplog)
+    debug = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("linear solve: mg-cg")]
+    # the pre-solve to CG_RTOL, then one solve per Newton iteration
+    assert len(debug) == 1 + len(forcing) == 12
+    assert debug[0].endswith(f" to rtol {CG_RTOL:.1e}")
+    for line, eta in zip(debug[1:], forcing):
+        assert line.endswith(f" to rtol {eta:.1e}")
+        assert CG_RTOL <= eta <= 0.1
+    assert [s.stats.iterations for s in tr.steps] == [3, 2, 2, 2, 2]
+    assert [s.stats.backtracks for s in tr.steps] == [0] * 5
+    cfg = NewtonConfig()
+    for s in tr.steps:
+        tol = max(cfg.abs_tol, cfg.rel_tol * s.stats.initial_residual)
+        assert s.stats.residual_norm <= tol
+        history = s.stats.residuals
+        assert len(history) == s.stats.iterations + 1
+        assert history[0] == s.stats.initial_residual
+        assert history[-1] == s.stats.residual_norm
+        assert all(b < a for a, b in zip(history, history[1:]))
+        assert "residuals" not in s.stats.to_dict()
+
+    caplog.clear()
+    monkeypatch.setattr(pq.solvers, "_forcing_term",
+                        lambda residuals, tol: CG_RTOL)
+    exact_tr, exact = _continuation_65(double_phase_op, caplog)
+    assert inexact < exact
+    assert [s.stats.iterations for s in exact_tr.steps] == [3, 2, 2, 2, 2]
+    assert pq.w12_distance(tr.final_field, exact_tr.final_field) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
