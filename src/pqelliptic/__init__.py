@@ -7,7 +7,7 @@ instrumentation of the a priori estimates the scheme relies on."""
 from .errors import (ConfigError, DerivativeUnavailable, DimensionMismatch,
                      InconsistentExactData, InvalidExponents, MeshError,
                      NonConvergence, NonnegativityViolation, PQError,
-                     QuadratureFailure, SingularJacobian, Unsupported)
+                     QuadratureFailure, SingularJacobian)
 from .estimates import (EstimateReport, alpha_is_extrapolated,
                         build_estimate_report, check_uniform_lp,
                         compute_alpha, compute_pstar, global_lp_rhs,
@@ -28,7 +28,7 @@ from .operators import (Box, OperatorSpec, RegularizedOperator, eval_dflux_du,
 from .report import AssumptionReport, CheckEntry
 from .solvers import (ContinuationStep, ContinuationTrace, EpsilonSchedule,
                       NewtonConfig, SolveStats, continuation_solve,
-                      fixed_point_solve, newton_solve, p2_presolve)
+                      newton_solve, p2_presolve)
 from .verify import (CoercivityConstants, SampleConfig,
                      check_coercivity_lower, check_derivative_consistency,
                      check_ellipticity, check_growth_u, check_growth_xi,

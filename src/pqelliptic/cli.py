@@ -21,15 +21,16 @@ import tempfile
 
 import numpy as np
 
-from .errors import (ConfigError, InvalidExponents, MeshError,
-                     NonConvergence, NonnegativityViolation, PQError,
-                     QuadratureFailure, SingularJacobian, Unsupported)
+from .errors import (ConfigError, InconsistentExactData, InvalidExponents,
+                     MeshError, NonConvergence, NonnegativityViolation,
+                     PQError, QuadratureFailure, SingularJacobian)
 from .estimates import build_estimate_report, lp_ratio
-from .fem import build_mesh, zero_field
+from .fem import build_mesh, zero_field, _b_at_quad
 from .mms import builtin_case, convergence_study
 from .operators import operator_from_descriptor, validate_assumptions
 from .solvers import (ContinuationTrace, EpsilonSchedule, NewtonConfig,
-                      continuation_solve, newton_solve, p2_presolve)
+                      _LinearSolves, continuation_solve, newton_solve,
+                      p2_presolve)
 from .verify import SampleConfig, run_structure_checks
 
 EXIT_OK = 0
@@ -218,8 +219,11 @@ def cmd_solve(args) -> int:
     mesh = parse_mesh_spec(args.mesh, op.domain)
     b = parse_rhs(args.rhs, op, mesh)
     cfg = newton_config(args.newton_tol)
-    U0 = p2_presolve(mesh, b) if args.start == "presolve" else zero_field(mesh)
-    U, stats = newton_solve(mesh, op, b, U0, cfg)
+    solves = _LinearSolves(mesh)
+    b = _b_at_quad(mesh, b)
+    U0 = (p2_presolve(mesh, b, solves=solves) if args.start == "presolve"
+          else zero_field(mesh))
+    U, stats = newton_solve(mesh, op, b, U0, cfg, solves=solves)
     if args.out:
         write_json(args.out, _solution_payload(mesh, U, stats))
     print(f"solve: {stats.iterations} iterations, residual "
@@ -330,7 +334,7 @@ def cmd_mms(args) -> int:
     cfg = newton_config(args.newton_tol)
     try:
         result = convergence_study(op, args.case, grids, cfg)
-    except ValueError as exc:
+    except (ValueError, InconsistentExactData, MeshError) as exc:
         raise ConfigError(str(exc)) from exc
     rows = result.to_dicts()
     if args.out:
@@ -470,8 +474,8 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidExponents, NonnegativityViolation) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergence, SingularJacobian, QuadratureFailure, MeshError,
-            Unsupported) as exc:
+    except (NonConvergence, SingularJacobian, QuadratureFailure,
+            MeshError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -29,10 +29,6 @@ class QuadratureFailure(PQError):
     """A non-finite value appeared at a quadrature point."""
 
 
-class Unsupported(PQError):
-    """Operation not applicable to this operator (e.g. non scalar-weight flux)."""
-
-
 class InconsistentExactData(PQError):
     """Manufactured exact data failed its internal consistency spot-check."""
 

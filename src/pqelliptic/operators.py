@@ -142,7 +142,6 @@ class OperatorSpec:
     dflux_dx: Callable
     family_tag: str
     domain: Box
-    scalar_weight: Optional[Callable] = None
     descriptor: Optional[dict] = None
 
 
@@ -386,7 +385,7 @@ def _family_p_laplacian(params, degenerate):
     M = float(params.get("M", max(p - 1.0, 1.0)))
     tag = "p-laplacian-degenerate" if degenerate else "p-laplacian"
     return OperatorSpec(dim, p, p, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        tag, domain, scalar_weight=lambda x, u, t: w(x, u, t))
+                        tag, domain)
 
 
 def _family_log(params, degenerate):
@@ -426,7 +425,7 @@ def _family_log(params, degenerate):
     M = float(params.get("M", M_default))
     tag = "log-degenerate" if degenerate else "log"
     return OperatorSpec(dim, p, q, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        tag, domain, scalar_weight=lambda x, u, t: w(x, u, t))
+                        tag, domain)
 
 
 def _family_variable_exponent(params, degenerate):
@@ -482,7 +481,7 @@ def _family_variable_exponent(params, degenerate):
     tag = ("variable-exponent-degenerate" if degenerate
            else "variable-exponent")
     return OperatorSpec(dim, pmin, pmax, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        tag, domain, scalar_weight=lambda x, u, t: w(x, u, t))
+                        tag, domain)
 
 
 def _family_anisotropic(params):
@@ -557,8 +556,7 @@ def _family_double_phase(params):
     m = float(params.get("m", 1.0))
     M = float(params.get("M", (p - 1.0) + wmax * (q - 1.0)))
     return OperatorSpec(dim, p, q, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        "double-phase", domain,
-                        scalar_weight=lambda x, u, t: w(x, u, t))
+                        "double-phase", domain)
 
 
 _FAMILY_BUILDERS = {
@@ -609,7 +607,7 @@ def _batchify(fn, out_trailing):
 
 def make_custom(flux, *, dim, p, q, m, M, growth_alpha=0.0, beta=0.0,
                 domain: Box | None = None, dflux_dxi=None, dflux_du=None,
-                dflux_dx=None, scalar_weight=None, fd_fallback=True,
+                dflux_dx=None, fd_fallback=True,
                 vectorized=True, family_tag="custom") -> OperatorSpec:
     """Wrap user code in an OperatorSpec.
 
@@ -637,8 +635,7 @@ def make_custom(flux, *, dim, p, q, m, M, growth_alpha=0.0, beta=0.0,
         dflux_dx = fd_x if fd_fallback else _unavailable("dflux_dx")
     return OperatorSpec(dim, float(p), float(q), float(m), float(M),
                         float(growth_alpha), float(beta), flux, dflux_dxi,
-                        dflux_du, dflux_dx, family_tag, domain,
-                        scalar_weight=scalar_weight)
+                        dflux_du, dflux_dx, family_tag, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -681,19 +678,11 @@ def regularize(op: OperatorSpec, eps: float, eps0: float | None = None
                               eps * (qe - 2.0) * (1.0 + t) ** (se - 1.0), xi,
                               base=base_dxi(x, u, xi))
 
-    scalar_weight = None
-    if op.scalar_weight is not None:
-        base_w = op.scalar_weight
-
-        def scalar_weight(x, u, t):
-            return base_w(x, u, t) + eps * (1.0 + t) ** se
-
     return RegularizedOperator(
         dim=op.dim, p=op.p, q=qe, m=op.m, M=op.M + eps * (qe - 1.0),
         growth_alpha=op.growth_alpha, beta=op.beta, flux=flux,
         dflux_dxi=dflux_dxi, dflux_du=op.dflux_du, dflux_dx=op.dflux_dx,
-        family_tag=op.family_tag + "+eps", domain=op.domain,
-        scalar_weight=scalar_weight, descriptor=None,
+        family_tag=op.family_tag + "+eps", domain=op.domain, descriptor=None,
         base=op, eps=eps, eps0=eps0)
 
 

@@ -1,5 +1,5 @@
-"""Damped Newton, Kacanov fixed-point fallback and the eps-continuation
-driver that realizes the regularized approximation scheme numerically.
+"""Damped Newton and the eps-continuation driver that realizes the
+regularized approximation scheme numerically.
 
 The continuation solves, for a decreasing schedule eps_k, the problem with
 flux a + eps_k (1+|Du|^2)^((q+eps_k-2)/2) Du, warm-starting each solve from
@@ -16,15 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InvalidExponents, NonConvergence, SingularJacobian,
-                     Unsupported)
+from .errors import InvalidExponents, NonConvergence, SingularJacobian
 from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
-                  assert_dirichlet, element_gradients, field_from_interior,
+                  assert_dirichlet, field_from_interior,
                   h2_seminorm_interior, linf_gradient_interior,
                   linf_norm_interior, load_contributions, lp_gradient_norm,
                   prolongations, scatter_matrix, scatter_vector, w12_distance,
                   zero_field, _b_at_quad, _matrix_pattern)
-from .operators import (OperatorSpec, _sq, check_regularization_exponents,
+from .operators import (OperatorSpec, check_regularization_exponents,
                         regularize)
 
 log = logging.getLogger("pq.solve")
@@ -216,67 +215,6 @@ def _stiffness_blocks(mesh: Mesh) -> np.ndarray:
         for k in mesh.classes])
 
 
-def _damped_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
-                  cfg: NewtonConfig, method: str, step_of, *,
-                  increment_stop: bool = False):
-    """Damped iteration on the interior unknowns, shared by Newton and
-    Kacanov.
-
-    ``step_of(U, R, residuals, tol)`` returns the interior update d at the
-    iterate U with residual R, given ``stats.residuals`` (the residual
-    2-norms of the initial iterate and of each accepted one, ending with
-    |R|) and the stopping tolerance.  The first of U - s d for s = 1, f,
-    f^2, ... (f the backtrack factor, at most ``max_backtracks``
-    reductions) that strictly lowers the residual 2-norm is accepted.
-    Stops when the residual reaches tol = max(abs_tol, rel_tol * r0) or,
-    with ``increment_stop``, when the W^{1,2} increment of a step drops
-    below abs_tol.  Returns (DiscreteField, SolveStats); raises
-    NonConvergence with the best iterate attached.
-    """
-    assert_dirichlet(U0)
-    U = U0.copy()
-    b_field = _b_at_quad(mesh, b_field)  # once per solve
-    R = assemble_residual(mesh, op, b_field, U)
-    rnorm = float(np.linalg.norm(R))
-    tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
-    stats = SolveStats(method, 0, rnorm, initial_residual=rnorm,
-                       residuals=[rnorm])
-    stats.converged = rnorm <= tol
-    while not stats.converged and stats.iterations < cfg.max_iters:
-        d = step_of(U, R, stats.residuals, tol)
-        step = 1.0
-        for _ in range(cfg.max_backtracks + 1):
-            trial = U.values.copy()
-            trial[mesh.interior] -= step * d
-            Ut = DiscreteField(mesh, trial)
-            Rt = assemble_residual(mesh, op, b_field, Ut)
-            rt = float(np.linalg.norm(Rt))
-            if rt < rnorm:
-                break
-            step *= cfg.backtrack_factor
-            stats.backtracks += 1
-        else:
-            stats.iterations += 1
-            raise NonConvergence(
-                f"{method} backtracking stalled at residual {rnorm:.3e}",
-                best=U, stats=stats)
-        small_increment = (increment_stop
-                           and w12_distance(Ut, U) <= cfg.abs_tol)
-        U, R, rnorm = Ut, Rt, rt
-        stats.iterations += 1
-        stats.residual_norm = rnorm
-        stats.residuals.append(rnorm)
-        stats.converged = rnorm <= tol or small_increment
-        log.debug("%s it=%d residual=%.3e step=%.2e", method,
-                  stats.iterations, rnorm, step)
-    if not stats.converged:
-        raise NonConvergence(
-            f"{method} did not converge in {cfg.max_iters} iterations "
-            f"(residual {rnorm:.3e}, tolerance {tol:.3e})",
-            best=U, stats=stats)
-    return U, stats
-
-
 def _forcing_term(residuals: list, tol: float) -> float:
     """Relative CG tolerance of a Newton step from the residual 2-norms so
     far: 0.9 (|R_k| / |R_k-1|)^2, the rate quadratic convergence can use
@@ -296,54 +234,60 @@ def _forcing_term(residuals: list, tol: float) -> float:
 def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
                  cfg: NewtonConfig | None = None, *,
                  solves: _LinearSolves | None = None):
-    """Damped Newton iteration: :func:`_damped_solve` with the step
-    J(U)^{-1} R, solved inexactly to the relative residual
-    :func:`_forcing_term`.  Linear systems go through ``solves`` (a fresh
-    _LinearSolves by default).  Raises NonConvergence (with the best
-    iterate attached) or SingularJacobian.
+    """Damped Newton iteration on the interior unknowns.
+
+    The step d = J(U)^{-1} R is solved inexactly, to the relative residual
+    :func:`_forcing_term`, through ``solves`` (a fresh _LinearSolves by
+    default).  The first of U - s d for s = 1, f, f^2, ... (f the backtrack
+    factor, at most ``max_backtracks`` reductions) that strictly lowers the
+    residual 2-norm is accepted.  Stops when the residual reaches
+    tol = max(abs_tol, rel_tol * r0).  Returns (DiscreteField, SolveStats);
+    raises NonConvergence (with the best iterate attached) or
+    SingularJacobian.
     """
+    cfg = cfg or NewtonConfig()
     solves = solves or _LinearSolves(mesh)
-
-    def step_of(U, R, residuals, tol):
-        return solves.solve(assemble_jacobian(mesh, op, U), R,
-                            rtol=_forcing_term(residuals, tol))
-
-    return _damped_solve(mesh, op, b_field, U0, cfg or NewtonConfig(),
-                         "newton", step_of)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def fixed_point_solve(mesh: Mesh, op: OperatorSpec, b_field,
-                      U0: DiscreteField, cfg: NewtonConfig | None = None, *,
-                      solves: _LinearSolves | None = None):
-    """Lagged-coefficient (Kacanov) iteration for scalar-weight fluxes.
-
-    Freezes w = scalar_weight(x, u_prev, |Du_prev|^2), solves the linear
-    problem int w Du . Dv = -int b v, and relaxes toward the linear solve
-    through :func:`_damped_solve` (the plain lagged iteration 2-cycles for
-    p > 2; relaxation keeps the same fixed points).  Also stops when the
-    W^{1,2} increment drops below abs_tol.  Linear systems go through
-    ``solves`` as in :func:`newton_solve`.
-    """
-    if op.scalar_weight is None:
-        raise Unsupported(
-            f"{op.family_tag}: flux is not of scalar-weight form")
-    solves = solves or _LinearSolves(mesh)
-    b_field = _b_at_quad(mesh, b_field)  # the driver passes (E, nq) through
-    F = scatter_vector(mesh, load_contributions(mesh, b_field))
-    # element stiffness blocks for w = 1; a weight scales them by mean_q(w)
-    unit = _stiffness_blocks(mesh)
-
-    def step_of(U, R, *_):
-        t = _sq(element_gradients(U))[:, None]
-        uq = np.einsum("qv,ev->eq", mesh.quad_bary, U.values[mesh.elements])
-        wq = np.broadcast_to(op.scalar_weight(mesh.quad_points, uq, t),
-                             uq.shape)
-        K = scatter_matrix(mesh, (wq @ mesh.quad_frac)[:, None, None] * unit)
-        return U.values[mesh.interior] - solves.solve(K, -F)
-
-    return _damped_solve(mesh, op, b_field, U0, cfg or NewtonConfig(),
-                         "fixed-point", step_of, increment_stop=True)
+    assert_dirichlet(U0)
+    U = U0.copy()
+    b_field = _b_at_quad(mesh, b_field)  # once per solve
+    R = assemble_residual(mesh, op, b_field, U)
+    rnorm = float(np.linalg.norm(R))
+    tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
+    stats = SolveStats("newton", 0, rnorm, initial_residual=rnorm,
+                       residuals=[rnorm])
+    stats.converged = rnorm <= tol
+    while not stats.converged and stats.iterations < cfg.max_iters:
+        d = solves.solve(assemble_jacobian(mesh, op, U), R,
+                         rtol=_forcing_term(stats.residuals, tol))
+        step = 1.0
+        for _ in range(cfg.max_backtracks + 1):
+            trial = U.values.copy()
+            trial[mesh.interior] -= step * d
+            Ut = DiscreteField(mesh, trial)
+            Rt = assemble_residual(mesh, op, b_field, Ut)
+            rt = float(np.linalg.norm(Rt))
+            if rt < rnorm:
+                break
+            step *= cfg.backtrack_factor
+            stats.backtracks += 1
+        else:
+            stats.iterations += 1
+            raise NonConvergence(
+                f"newton backtracking stalled at residual {rnorm:.3e}",
+                best=U, stats=stats)
+        U, R, rnorm = Ut, Rt, rt
+        stats.iterations += 1
+        stats.residual_norm = rnorm
+        stats.residuals.append(rnorm)
+        stats.converged = rnorm <= tol
+        log.debug("newton it=%d residual=%.3e step=%.2e", stats.iterations,
+                  rnorm, step)
+    if not stats.converged:
+        raise NonConvergence(
+            f"newton did not converge in {cfg.max_iters} iterations "
+            f"(residual {rnorm:.3e}, tolerance {tol:.3e})",
+            best=U, stats=stats)
+    return U, stats
 
 
 def p2_presolve(mesh: Mesh, b_field, *,
@@ -461,11 +405,11 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
 
     The first solve starts from the p = 2 pre-solve (or ``u0``); later
     solves warm-start from the previous solution, mirroring the extraction
-    of a single convergent sequence in the limit passage.  On Newton
-    failure a scalar-weight fixed-point fallback is attempted.  The
-    pre-solve and all eps steps share one ``_LinearSolves``, which counts
-    the run's linear solves, and the rhs at the quadrature points, which is
-    evaluated once.  Solver errors propagate with the partial trace.
+    of a single convergent sequence in the limit passage.  The pre-solve
+    and all eps steps share one ``_LinearSolves``, which counts the run's
+    linear solves, and the rhs at the quadrature points, which is evaluated
+    once.  A Newton failure raises NonConvergence naming the eps, with the
+    partial trace attached.
     """
     cfg = cfg or NewtonConfig()
     check_regularization_exponents(op.p, op.q, op.dim, schedule.eps0)
@@ -487,19 +431,11 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
     for eps in schedule.epsilons():
         rop = regularize(op, float(eps), schedule.eps0)
         try:
-            try:
-                U, stats = newton_solve(mesh, rop, b_field, U_prev, cfg,
-                                        solves=solves)
-            except NonConvergence as exc:
-                log.info("newton failed at eps=%.4g (%s); trying fixed point",
-                         eps, exc)
-                start = exc.best if exc.best is not None else U_prev
-                U, stats = fixed_point_solve(mesh, rop, b_field, start, cfg,
-                                             solves=solves)
-        except (NonConvergence, SingularJacobian) as exc:
-            if isinstance(exc, NonConvergence):
-                exc.trace = trace
-            raise
+            U, stats = newton_solve(mesh, rop, b_field, U_prev, cfg,
+                                    solves=solves)
+        except NonConvergence as exc:
+            raise NonConvergence(f"{exc} at eps={eps:.4g}", best=exc.best,
+                                 stats=exc.stats, trace=trace) from exc
         norms = _tracked_norms(U, op.p, delta)
         if not all(np.isfinite(v) for v in norms.values()):
             raise NonConvergence(f"non-finite tracked norm at eps={eps:.4g}",

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pqelliptic.cli
+import pqelliptic.solvers
+from pqelliptic import NonConvergence
 from pqelliptic.cli import main
 from conftest import DP_DESCRIPTOR
 
@@ -80,6 +83,43 @@ def test_solve_writes_solution(opfile, tmp_path):
     sol = json.loads(out.read_text())
     assert len(sol["values"]) == 81
     assert sol["stats"]["converged"]
+
+
+def test_solve_evaluates_callable_rhs_once(opfile, tmp_path, monkeypatch):
+    calls = []
+    real_parse_rhs = pqelliptic.cli.parse_rhs
+
+    def parse_rhs(spec, op, mesh):
+        b = real_parse_rhs(spec, op, mesh)
+
+        def counted(x):
+            calls.append(1)
+            return b(x)
+        return counted
+
+    monkeypatch.setattr(pqelliptic.cli, "parse_rhs", parse_rhs)
+    for start in ("presolve", "zero"):
+        calls.clear()
+        rc = main(["solve", "--operator", opfile(PLAP3), "--rhs",
+                   "manufactured:sine2d", "--mesh", "2d:17x17", "--start",
+                   start, "--out", str(tmp_path / f"{start}.json")])
+        assert rc == 0 and len(calls) == 1
+
+
+def test_newton_failure_exits_2_naming_eps(opfile, tmp_path, capsys,
+                                          monkeypatch):
+    def failing_newton(mesh, op, b_field, U0, cfg=None, *, solves=None):
+        raise NonConvergence("newton did not converge", best=U0)
+
+    monkeypatch.setattr(pqelliptic.solvers, "newton_solve", failing_newton)
+    out = tmp_path / "trace.json"
+    capsys.readouterr()
+    rc = main(_continuation(opfile) + ["--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("numerical failure: ") and "\n" not in err
+    assert "eps=0.2" in err
+    assert not out.exists() and not (tmp_path / "trace.csv").exists()
 
 
 def test_solve_bad_mesh_spec_exits_3(opfile, tmp_path):
@@ -284,6 +324,15 @@ MALFORMED = {
     "rhs-constant-inf": lambda opfile, tmp_path: _continuation(
         opfile) + ["--rhs", "constant:inf"],
     "rhs-table-nan": _rhs_table_with_nan,
+    "mms-case-unknown": lambda opfile, tmp_path: [
+        "mms", "--operator", opfile(PLAP3), "--case", "nope",
+        "--grids", "3,5,9"],
+    "mms-case-of-other-dimension": lambda opfile, tmp_path: [
+        "mms", "--operator", opfile(P1D), "--case", "sine2d",
+        "--grids", "3,5,9"],
+    "mms-grid-2": lambda opfile, tmp_path: [
+        "mms", "--operator", opfile(PLAP3), "--case", "sine2d",
+        "--grids", "2,5,9"],
     "descriptor-domain-nan": lambda opfile, tmp_path: [
         "check", "--operator",
         opfile({**PLAP3, "domain": {"min": [0, 0], "max": [1, "nan"]}})],
@@ -421,9 +470,22 @@ _JUNK = st.one_of(
 _SOMETIMES = st.sampled_from([False, False, True])
 
 
+def _junk_or(draw, well_formed, junk):
+    """``well_formed``, or sometimes a draw from ``junk``."""
+    return draw(junk) if draw(_SOMETIMES) else well_formed
+
+
+def _grids(sizes):
+    return ",".join(map(str, sizes))
+
+
 @st.composite
-def _continuation_argv(draw):
-    """Mostly well-formed continuation arguments, each part sometimes junk."""
+def _argv(draw):
+    """(command, descriptor, flags): mostly well-formed arguments of
+    continuation (half the draws, as it chains estimates and report), solve,
+    mms or check, each part sometimes junk."""
+    command = draw(st.sampled_from(["continuation"] * 3
+                                   + ["solve", "mms", "check"]))
     desc = dict(draw(st.sampled_from(_OPERATORS)))
     dim = len(desc["domain"]["min"])
     if draw(_SOMETIMES):
@@ -431,30 +493,46 @@ def _continuation_argv(draw):
                                     "params", "extra"]))
         desc[key] = draw(_JUNK)
     sizes = draw(st.lists(st.integers(3, 9), min_size=dim, max_size=dim))
-    mesh = f"{dim}d:" + "x".join(map(str, sizes))
-    if draw(_SOMETIMES):
-        mesh = draw(st.one_of(st.text(max_size=5), st.builds(
+    mesh = _junk_or(draw, f"{dim}d:" + "x".join(map(str, sizes)), st.one_of(
+        st.text(max_size=5), st.builds(
             lambda kind, sizes: f"{kind}:" + "x".join(map(str, sizes)),
             st.sampled_from(["1d", "2d", "3d", ""]),
             st.lists(st.integers(-1, 9), min_size=1, max_size=3))))
-    schedule = "eps0={},ratio={},steps={}".format(
+    schedule = _junk_or(draw, "eps0={},ratio={},steps={}".format(
         draw(st.sampled_from([0.2, 0.05])), draw(st.sampled_from([0.5, 0.25])),
-        draw(st.integers(1, 3)))
-    if draw(_SOMETIMES):
-        schedule = draw(st.one_of(st.text(max_size=5), st.builds(
+        draw(st.integers(1, 3))), st.one_of(st.text(max_size=5), st.builds(
             "eps0={},ratio={},steps={}".format, _JUNK, _JUNK, _JUNK)))
-    rhs = draw(st.sampled_from(["constant:-2", "constant:0", "constant:3",
-                                "manufactured:sine2d"]))
-    if draw(_SOMETIMES):
-        rhs = draw(st.one_of(st.text(max_size=5), st.builds(
+    rhs = _junk_or(draw, draw(st.sampled_from([
+        "constant:-2", "constant:0", "constant:3", "manufactured:sine2d"])),
+        st.one_of(st.text(max_size=5), st.builds(
             "{}:{}".format, st.sampled_from(["constant", "manufactured",
                                              "file"]), _JUNK)))
-    return desc, [f"--mesh={mesh}", f"--schedule={schedule}", f"--rhs={rhs}"]
+    if command == "continuation":
+        flags = [f"--mesh={mesh}", f"--schedule={schedule}", f"--rhs={rhs}"]
+    elif command == "solve":
+        start = draw(st.sampled_from(["presolve", "zero"]))
+        flags = [f"--mesh={mesh}", f"--rhs={rhs}", f"--start={start}"]
+    elif command == "mms":
+        case = _junk_or(draw, draw(st.sampled_from(
+            ["sine2d", "bump2d", "quad1d"])), st.one_of(st.text(max_size=5),
+                                                      _JUNK.map(str)))
+        grids = _junk_or(draw, _grids(draw(st.sampled_from(
+            [(3, 5, 9), (5, 9, 17), (3, 5, 9, 17)]))), st.one_of(
+            st.text(max_size=5), st.lists(st.integers(-1, 17), min_size=1,
+                                          max_size=4).map(_grids)))
+        flags = [f"--case={case}", f"--grids={grids}"]
+    else:
+        flags = [f"--samples={draw(st.integers(1, 200))}"]
+        if draw(_SOMETIMES):
+            flag = draw(st.sampled_from(["--samples", "--seed", "--L",
+                                         "--gamma", "--s0"]))
+            flags.append(f"{flag}={draw(_JUNK)}")
+    return command, desc, flags
 
 
 def _run(argv, out):
-    """main's exit code; it prints no traceback, and a non-zero exit leaves
-    no --out file."""
+    """main's exit code; it prints no traceback, and an exit of 2 or 3
+    leaves no --out file (a failed verdict, 1, writes its full report)."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         try:
@@ -463,7 +541,7 @@ def _run(argv, out):
             rc = exc.code
     assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
-    if rc != 0:
+    if rc >= 2:
         assert not os.path.exists(out), argv
     return rc
 
@@ -471,16 +549,19 @@ def _run(argv, out):
 # on a failure, Hypothesis imports libcst, which warns about mypy_extensions
 @pytest.mark.filterwarnings(
     "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(case=_continuation_argv())
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=_argv())
 def test_exit_code_contract_property(case):
-    desc, flags = case
+    command, desc, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         op = os.path.join(tmp, "op.json")
         with open(op, "w") as fh:
             json.dump(desc, fh)
         trace = os.path.join(tmp, "trace.json")
-        if _run(["continuation", f"--operator={op}", *flags], trace) != 0:
+        rc = _run([command, f"--operator={op}", *flags], trace)
+        if command != "continuation":
+            return
+        if rc != 0:
             assert not os.path.exists(os.path.join(tmp, "trace.csv"))
             return
         _run(["estimates", f"--trace={trace}"],

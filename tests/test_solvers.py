@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 
 import pqelliptic as pq
 from pqelliptic import (EpsilonSchedule, InvalidExponents, NewtonConfig,
-                        NonConvergence, SingularJacobian, Unsupported,
+                        NonConvergence, SingularJacobian,
                         build_mesh, make_family, unit_box, zero_field)
 from pqelliptic.fem import _matrix_pattern, scatter_matrix
 from pqelliptic.solvers import (CG_RTOL, _LinearSolves, _asymmetry,
@@ -27,6 +27,29 @@ def test_newton_1d_poisson_nodal_exactness():
     assert stats.iterations == 1  # linear problem
     x = m.nodes[:, 0]
     assert np.abs(U.values - x * (1.0 - x)).max() < 1e-12
+
+
+def test_fixed_point_p2_first_iterate_is_solution():
+    # p = 2 is linear, so the first Newton iterate is already the fixed
+    # point: its step, solved to the forcing term's floor of 0.01 tol / |R|,
+    # lands within rounding of the exact linear solve
+    op = make_family("p-laplacian", {"p": 2})
+    m = build_mesh(2, unit_box(2), 17)
+    b = constant_rhs(-2.0)
+    U, stats = pq.newton_solve(m, op, b, zero_field(m))
+    assert stats.iterations == 1 and stats.converged
+    assert pq.w12_distance(U, pq.p2_presolve(m, b)) < 1e-12
+
+
+def test_fixed_point_accepts_last_iterate_within_tolerance():
+    # the one allowed iterate solves the p = 2 problem to rounding, and
+    # that last iterate is accepted rather than reported as NonConvergence
+    op = make_family("p-laplacian", {"p": 2})
+    m = build_mesh(2, unit_box(2), 17)
+    U, stats = pq.newton_solve(m, op, constant_rhs(-2.0), zero_field(m),
+                               NewtonConfig(max_iters=1))
+    assert stats.converged and stats.iterations == 1
+    assert stats.residual_norm <= 1e-10
 
 
 def test_newton_zero_rhs_exits_immediately():
@@ -102,9 +125,6 @@ def test_rhs_evaluated_once_per_solve():
     U0 = pq.p2_presolve(m, b)
     calls.clear()
     _, stats = pq.newton_solve(m, op, b, U0)
-    assert stats.iterations > 1 and len(calls) == 1
-    calls.clear()
-    _, stats = pq.fixed_point_solve(m, op, b, U0)
     assert stats.iterations > 1 and len(calls) == 1
 
 
@@ -322,45 +342,6 @@ def test_newton_solves_to_the_forcing_term(double_phase_op, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
-# fixed point
-
-def test_fixed_point_p2_first_iterate_is_solution():
-    op = make_family("p-laplacian", {"p": 2})
-    m = build_mesh(2, unit_box(2), 17)
-    U, stats = pq.fixed_point_solve(m, op, constant_rhs(-2.0), zero_field(m))
-    assert stats.iterations == 1 and stats.converged
-    Un, _ = pq.newton_solve(m, op, constant_rhs(-2.0), zero_field(m))
-    assert pq.w12_distance(U, Un) < 1e-12
-
-
-def test_fixed_point_agrees_with_newton_p4():
-    op = make_family("p-laplacian", {"p": 4})
-    case = pq.builtin_case("sine2d", op)
-    m = build_mesh(2, unit_box(2), 33)
-    U0 = pq.p2_presolve(m, case.b_field)
-    Un, _ = pq.newton_solve(m, op, case.b_field, U0)
-    Uf, _ = pq.fixed_point_solve(m, op, case.b_field, U0)
-    assert pq.w12_distance(Un, Uf) <= 1e-8
-
-
-def test_fixed_point_accepts_last_iterate_within_tolerance():
-    # the one allowed iterate solves the p = 2 problem to rounding
-    op = make_family("p-laplacian", {"p": 2})
-    m = build_mesh(2, unit_box(2), 17)
-    U, stats = pq.fixed_point_solve(m, op, constant_rhs(-2.0), zero_field(m),
-                                    NewtonConfig(max_iters=1))
-    assert stats.converged and stats.iterations == 1
-    assert stats.residual_norm <= 1e-10
-
-
-def test_fixed_point_unsupported_for_anisotropic():
-    op = make_family("anisotropic", {"exponents": [2, 2.5]})
-    m = build_mesh(2, unit_box(2), 9)
-    with pytest.raises(Unsupported):
-        pq.fixed_point_solve(m, op, constant_rhs(-1.0), zero_field(m))
-
-
-# ---------------------------------------------------------------------------
 # schedules and continuation
 
 def test_schedule_validation_and_sequence():
@@ -459,33 +440,45 @@ def test_continuation_trace_contents(double_phase_op):
     assert tr2.epsilons == tr.epsilons
 
 
-def test_continuation_falls_back_to_fixed_point(double_phase_op,
-                                                monkeypatch):
+def test_continuation_shares_one_linear_solves(double_phase_op,
+                                              monkeypatch):
     m = build_mesh(2, unit_box(2), 17)
-    schedule = EpsilonSchedule(eps0=0.2)
-    reference = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
-                                      schedule)
-    seen = []  # the _LinearSolves passed to each solver call
-    real_fixed_point = pq.solvers.fixed_point_solve
+    seen = []  # the _LinearSolves passed to the pre-solve and each eps step
+    real_presolve, real_newton = pq.solvers.p2_presolve, pq.solvers.newton_solve
 
-    def failing_newton(mesh, op, b_field, U0, cfg=None, *, solves=None):
+    def presolve(*args, solves=None, **kwargs):
         seen.append(solves)
-        raise NonConvergence("forced failure", best=U0)
+        return real_presolve(*args, solves=solves, **kwargs)
 
-    def fixed_point(*args, solves=None, **kwargs):
+    def newton(*args, solves=None, **kwargs):
         seen.append(solves)
-        return real_fixed_point(*args, solves=solves, **kwargs)
+        return real_newton(*args, solves=solves, **kwargs)
 
-    monkeypatch.setattr(pq.solvers, "newton_solve", failing_newton)
-    monkeypatch.setattr(pq.solvers, "fixed_point_solve", fixed_point)
+    monkeypatch.setattr(pq.solvers, "p2_presolve", presolve)
+    monkeypatch.setattr(pq.solvers, "newton_solve", newton)
     tr = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
-                               schedule)
-    assert [s.stats.method for s in tr.steps] == ["fixed-point"] * 5
-    assert all(s.stats.converged for s in tr.steps)
-    for step, ref in zip(tr.steps, reference.steps):
-        assert pq.w12_distance(step.field, ref.field) <= 1e-8
-    assert len(seen) == 10 and all(s is seen[0] for s in seen)
+                               EpsilonSchedule(eps0=0.2))
+    assert len(tr.steps) == 5
+    assert len(seen) == 6 and all(s is seen[0] for s in seen)
     assert isinstance(seen[0], _LinearSolves)
+
+
+# The hardest cases known for Newton: degenerate fluxes under a large load,
+# eps down to 2e-6, from the pre-solve and from zero.
+@pytest.mark.parametrize("start", [None, "zero"], ids=["presolve", "zero"])
+@pytest.mark.parametrize("family,params", [
+    ("p-laplacian-degenerate", {"p": 4}),
+    ("log-degenerate", {"p": 3, "q": 3.3})], ids=["p4", "log"])
+def test_continuation_newton_alone_on_degenerate_cases(family, params, start):
+    op = make_family(family, params)
+    m = build_mesh(2, unit_box(2), 33)
+    tr = pq.continuation_solve(m, op, constant_rhs(-5000.0),
+                               EpsilonSchedule(eps0=0.2, ratio=0.1, steps=6),
+                               u0=start)
+    assert len(tr.steps) == 6
+    assert tr.steps[-1].eps == pytest.approx(2e-6)
+    assert all(s.stats.converged for s in tr.steps)
+    assert [s.stats.method for s in tr.steps] == ["newton"] * 6
 
 
 def test_continuation_propagates_failure_with_partial_trace(double_phase_op):
@@ -495,4 +488,7 @@ def test_continuation_propagates_failure_with_partial_trace(double_phase_op):
         pq.continuation_solve(m, double_phase_op, constant_rhs(-200.0),
                               EpsilonSchedule(eps0=0.2, steps=3), cfg,
                               u0="zero")
-    assert err.value.trace is not None
+    assert err.value.trace is not None and err.value.trace.steps == []
+    assert str(err.value).endswith(" at eps=0.2")
+    assert err.value.best is not None
+    assert err.value.stats.method == "newton"
