@@ -29,8 +29,8 @@ from .fem import build_mesh, zero_field, _b_at_quad
 from .mms import builtin_case, convergence_study
 from .operators import operator_from_descriptor, validate_assumptions
 from .solvers import (ContinuationTrace, EpsilonSchedule, NewtonConfig,
-                      _LinearSolves, continuation_solve, newton_solve,
-                      p2_presolve)
+                      _LinearSolves, continuation_solve, interior_margin,
+                      newton_solve, p2_presolve)
 from .verify import SampleConfig, run_structure_checks
 
 EXIT_OK = 0
@@ -261,7 +261,12 @@ def cmd_continuation(args) -> int:
     schedule = parse_schedule(args.schedule)
     cfg = newton_config(args.newton_tol)
     width = float(np.min(np.asarray(mesh.box.widths)))
-    delta = args.delta * width if args.delta else None
+    try:  # the tracked norms need it, so it is checked before any solve
+        delta = interior_margin(mesh, args.delta * width if args.delta
+                                else None)
+    except MeshError as exc:
+        raise ConfigError(f"mesh {args.mesh!r} too coarse for the interior "
+                          f"margin: {exc}") from exc
     meta = {"operator": op.descriptor, "rhs": args.rhs}
     trace = continuation_solve(mesh, op, b, schedule, cfg, delta=delta,
                                meta=meta)
@@ -306,8 +311,11 @@ def cmd_estimates(args) -> int:
         raise ConfigError("estimates need a trace of at least two eps steps")
     op = operator_from_descriptor(opdesc)
     b = parse_rhs(rhs, op, trace.mesh)
-    report = build_estimate_report(trace, op, b, rho_frac=args.rho,
-                                   R_frac=args.R, lp_bound=args.lp_bound)
+    try:  # the mesh is valid, so a MeshError means a ball selects nothing
+        report = build_estimate_report(trace, op, b, rho_frac=args.rho,
+                                       R_frac=args.R, lp_bound=args.lp_bound)
+    except MeshError as exc:
+        raise ConfigError(f"--rho {args.rho}, --R {args.R}: {exc}") from exc
     rows = [{"eps": r["eps"], "lp_grad": r["lp_grad"],
              "bracket": r["bracket"], "ratio": r["ratio"],
              "c_gradient": r["c_gradient"], "c_hessian": r["c_hessian"],

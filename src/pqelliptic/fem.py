@@ -17,9 +17,11 @@ weak form
 
     R_j = int a(x, u_h, Du_h) . grad(phi_j) dx + int b phi_j dx
 
-with the quadrature rule.  The interior CSR sparsity pattern is built once
-per mesh, at its first matrix assembly, and kept on the mesh; every matrix
-is then one ``np.bincount`` into that pattern.
+with the quadrature rule.  The interior CSR sparsity pattern is read from
+the mesh table, without a sort: which neighbours a node couples to depends
+only on its parity class.  It is built once per mesh, at its first matrix
+assembly, and kept on the mesh; every matrix is then one ``np.bincount``
+into that pattern.
 
 The meshes nest: every other node of a mesh with an odd node count on each
 axis is the mesh of (n + 1) / 2 nodes per axis, and each of its simplices
@@ -210,7 +212,7 @@ def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
 
     coords = nodes[elements]                     # (E, dim+1, dim)
     centroids = coords.mean(axis=1)
-    quad_points = np.einsum("qv,evd->eqd", split.quad_bary, coords)
+    quad_points = split.quad_bary @ coords       # (E, nq, dim)
 
     return Mesh(dim=dim, box=box, shape=shape, nodes=nodes,
                 elements=elements, boundary_mask=full_to_interior < 0, h=h,
@@ -360,27 +362,55 @@ def _matrix_pattern(mesh: Mesh) -> tuple:
     to its nonzero, or to the extra slot nnz if it touches a boundary node.
     The pattern is structurally symmetric, so ``transpose`` (int32) sends
     nonzero k at (i, j) to the nonzero at (j, i): J.T has the data
-    J.data[transpose] on the same pattern."""
+    J.data[transpose] on the same pattern.
+
+    Nothing is sorted: the pattern is read from the mesh table.  An interior
+    node couples to the node at offset s in {-1, 0, 1}^dim when the two
+    share a simplex, which depends only on the node's parity class.  Listed
+    by ascending offset, in C order, a row's couplings are its columns in
+    ascending order, and the offset -s is the reversed index of s."""
     # scipy is imported where a matrix is first built, not with the package:
     # pq check, estimates and report never build one and skip its load time
     import scipy.sparse as sp
     if mesh.pattern is None:
-        row = mesh.full_to_interior[mesh.elements][:, :, None]
-        col = row.transpose(0, 2, 1)
-        ni = mesh.interior.size
-        keep = ((row >= 0) & (col >= 0)).ravel()
-        keys, kept_slot = np.unique((row * ni + col).ravel()[keep],
-                                    return_inverse=True)
-        slot = np.full(keep.size, keys.size)
-        slot[keep] = kept_slot
-        template = sp.csr_matrix(
-            (np.zeros(keys.size), keys % ni,
-             np.searchsorted(keys, np.arange(ni + 1) * ni)), shape=(ni, ni))
-        # the nonzeros are in (row, column) order, so a stable sort by
-        # column lists them in the (row, column) order of the transpose
-        transpose = np.argsort(template.indices,
-                               kind="stable").astype(np.int32)
-        pattern = (template.indptr, template.indices, slot, transpose)
+        dim, nv = mesh.dim, mesh.dim + 1
+        corners = SIMPLICES[dim].corners                   # (C, S, nv, dim)
+        # class offsets from vertex v to vertex w, as an index into 3^dim
+        step = corners[..., None, :, :] - corners[..., :, None, :] + 1
+        offset = np.ravel_multi_index(np.moveaxis(step, -1, 0), (3,) * dim)
+        # parity class of each vertex: its cell's parity plus its corner
+        cell = np.indices((2,) * dim).reshape(dim, -1).T[:, None, None, :]
+        parity = np.ravel_multi_index(
+            np.moveaxis((cell + corners) % 2, -1, 0), (2,) * dim)
+        couples = np.zeros((2 ** dim, 3 ** dim), bool)
+        couples[np.broadcast_to(parity[..., None], offset.shape),
+                offset] = True
+
+        # (interior nodes x 3^dim): the neighbour's interior index and the mask
+        ni, width = mesh.interior.size, 3 ** dim
+        grid = np.indices(mesh.shape).reshape(dim, -1)[:, mesh.interior]
+        node_parity = np.ravel_multi_index(grid % 2, (2,) * dim)
+        strides = np.cumprod((1,) + mesh.shape[:0:-1])[::-1]
+        offsets = (np.indices((3,) * dim).reshape(dim, -1).T - 1) @ strides
+        col = mesh.full_to_interior[mesh.interior[:, None] + offsets]
+        mask = couples[node_parity] & (col >= 0)
+        nnz = np.count_nonzero(mask)
+        # the nonzero at each (row, offset), nnz where there is none; an
+        # extra last row of nnz answers the row index -1 of a boundary node
+        nonzero = np.full((ni + 1, width), nnz, np.int32)
+        nonzero[:-1][mask] = np.arange(nnz, dtype=np.int32)
+        indptr = np.zeros(ni + 1, np.int64)
+        np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+        template = sp.csr_matrix((np.zeros(nnz), col[mask], indptr),
+                                 shape=(ni, ni))
+        # (i, s) -> (i + s, -s)
+        transpose = nonzero[:, ::-1][col, np.arange(width)][mask]
+
+        row = mesh.full_to_interior[mesh.elements]
+        slot = np.empty(mesh.elements.shape + (nv,), np.int32)
+        for k, off in zip(mesh.classes, offset.reshape(-1, nv, nv)):
+            slot[k.elements] = nonzero[row[k.elements, :, None], off]
+        pattern = (template.indptr, template.indices, slot.ravel(), transpose)
         for a in pattern:
             a.flags.writeable = False
         mesh.pattern = pattern
@@ -484,6 +514,13 @@ def interior_element_mask(mesh: Mesh, delta: float) -> np.ndarray:
     return mask
 
 
+def interior_node_mask(mesh: Mesh, delta: float) -> np.ndarray:
+    mask = mesh.boundary_distance_nodes() >= delta
+    if not mask.any():
+        raise MeshError("delta leaves no interior nodes")
+    return mask
+
+
 def ball_element_mask(mesh: Mesh, center, radius: float) -> np.ndarray:
     d = np.sqrt(_sq(mesh.centroids - np.asarray(center)))
     mask = d <= radius
@@ -527,10 +564,7 @@ def linf_gradient_interior(U: DiscreteField, delta: float) -> float:
 
 
 def linf_norm_interior(U: DiscreteField, delta: float) -> float:
-    mask = U.mesh.boundary_distance_nodes() >= delta
-    if not mask.any():
-        raise MeshError("delta leaves no interior nodes")
-    return float(np.abs(U.values[mask]).max())
+    return float(np.abs(U.values[interior_node_mask(U.mesh, delta)]).max())
 
 
 def h2_seminorm(U: DiscreteField, node_mask=None) -> float:
@@ -567,8 +601,7 @@ def h2_seminorm(U: DiscreteField, node_mask=None) -> float:
 
 
 def h2_seminorm_interior(U: DiscreteField, delta: float) -> float:
-    mask = U.mesh.boundary_distance_nodes() >= delta
-    return h2_seminorm(U, node_mask=mask)
+    return h2_seminorm(U, node_mask=interior_node_mask(U.mesh, delta))
 
 
 def w12_norm(U: DiscreteField) -> float:

@@ -13,15 +13,19 @@ divergence with step h_div per axis.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InconsistentExactData
-from .fem import SIMPLICES, DiscreteField, build_mesh, zero_field, _b_at_quad
+from .fem import (SIMPLICES, DiscreteField, build_mesh, field_from_interior,
+                  prolongations, _b_at_quad)
 from .operators import OperatorSpec, _sq
 from .solvers import NewtonConfig, _LinearSolves, newton_solve, p2_presolve
+
+log = logging.getLogger("pq.mms")
 
 #: Step for the numeric divergence, as a fraction of the box width.
 H_DIV_FRAC = 1e-4
@@ -213,10 +217,14 @@ def _refined_errors(mesh, U: DiscreteField, case: ManufacturedCase):
     refinement of the quadrature rule (standard hygiene against
     superconvergence artifacts)."""
     split = SIMPLICES[mesh.dim]
-    # the mesh rule mapped into each child of one red refinement
+    # the mesh rule mapped into each child of one red refinement; a point
+    # two children share (in 2D, 3 of the 12) is evaluated once, with the
+    # sum of their weights
     bary = np.einsum("qk,ckv->cqv", split.quad_bary,
                      split.children).reshape(-1, mesh.dim + 1)
-    frac = np.tile(split.quad_frac, len(split.children)) / len(split.children)
+    bary, which = np.unique(bary, axis=0, return_inverse=True)
+    frac = np.bincount(which.ravel(), np.tile(
+        split.quad_frac, len(split.children))) / len(split.children)
     uh_vert = U.values[mesh.elements]           # (E, nv)
     grad = np.einsum("evd,ev->ed", mesh.grads, uh_vert)
     points = np.tensordot(bary, mesh.nodes[mesh.elements], axes=(1, 1))
@@ -233,14 +241,16 @@ def _refined_errors(mesh, U: DiscreteField, case: ManufacturedCase):
 
 
 def convergence_study(op: OperatorSpec, case, grid_sizes,
-                      cfg: NewtonConfig | None = None,
-                      start: str = "presolve") -> StudyResult:
+                      cfg: NewtonConfig | None = None) -> StudyResult:
     """Solve on a refining family of grids and report errors and orders.
 
     ``case`` is a ManufacturedCase or a built-in case name.  Observed order
     is log2 of successive error ratios (grids are expected to halve h).  On
-    each mesh the pre-solve and Newton share one ``_LinearSolves`` and one
-    evaluation of the rhs.
+    each mesh the start and Newton share one ``_LinearSolves`` and one
+    evaluation of the rhs.  Newton starts from the previous grid's solution,
+    interpolated exactly, when the mesh's first multigrid level is that grid
+    (nested iteration); the first grid, and a grid that does not nest on the
+    previous one, start from the p = 2 pre-solve.
     """
     sizes = [int(v) for v in grid_sizes]
     if len(sizes) < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -249,14 +259,22 @@ def convergence_study(op: OperatorSpec, case, grid_sizes,
         case = builtin_case(case, op)
     cfg = cfg or NewtonConfig()
 
-    rows = []
+    rows, U = [], None
     for nside in sizes:
         mesh = build_mesh(op.dim, op.domain, nside)
         solves = _LinearSolves(mesh)
         bq = _b_at_quad(mesh, case.b_field)
-        U0 = (zero_field(mesh) if start == "zero"
-              else p2_presolve(mesh, bq, solves=solves))
-        U, _ = newton_solve(mesh, op, bq, U0, cfg, solves=solves)
+        first = prolongations(mesh)[:1]
+        if U is not None and first and first[0].shape == U.mesh.shape:
+            U0 = field_from_interior(
+                mesh, first[0].P @ U.values[U.mesh.interior])
+            start = f"nested from {rows[-1].n}"
+        else:
+            U0, start = p2_presolve(mesh, bq, solves=solves), "presolve"
+        U, stats = newton_solve(mesh, op, bq, U0, cfg, solves=solves)
+        log.info("n=%d: start %s, %d Newton iterations, %d backtracks; "
+                 "linear solves: %s", nside, start, stats.iterations,
+                 stats.backtracks, solves)
         l2, w12 = _refined_errors(mesh, U, case)
         rows.append(StudyRow(n=nside, h=float(np.max(mesh.h)),
                              l2_error=l2, w12_error=w12))

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import InvalidExponents, NonConvergence, SingularJacobian
 from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   assert_dirichlet, field_from_interior,
-                  h2_seminorm_interior, linf_gradient_interior,
+                  h2_seminorm_interior, interior_element_mask,
+                  interior_node_mask, linf_gradient_interior,
                   linf_norm_interior, load_contributions, lp_gradient_norm,
                   prolongations, scatter_matrix, scatter_vector, w12_distance,
                   zero_field, _b_at_quad, _matrix_pattern)
@@ -160,20 +161,16 @@ class _LinearSolves:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.multigrid = self.cg_iterations = self.direct = 0
-        # The pattern's build makes the largest temporaries of a solve.  Made
-        # here, before a caller allocates the arrays that live through its
-        # solves (the rhs at the quadrature points), they are freed to a heap
-        # that nothing pins, and the process peak RSS stays lower.
-        _matrix_pattern(mesh)
 
-    @property
-    def levels(self) -> str:
-        """The finest and the coarsest level in nodes per axis, as in
-        257\u21929, or the only level."""
+    def __str__(self) -> str:
+        """The counts, with the finest and the coarsest level in nodes per
+        axis, as in 257\u21929, or the only level."""
         shapes = [self.mesh.shape] + [t.shape
                                       for t in prolongations(self.mesh)[-1:]]
-        return "\u2192".join(str(s[0]) if len(set(s)) == 1
-                             else "x".join(map(str, s)) for s in shapes)
+        levels = "\u2192".join(str(s[0]) if len(set(s)) == 1
+                               else "x".join(map(str, s)) for s in shapes)
+        return (f"{self.multigrid} multigrid-CG (levels {levels}), "
+                f"{self.cg_iterations} CG iterations, {self.direct} direct LU")
 
     def solve(self, J: sp.csr_matrix, rhs: np.ndarray,
               rtol: float = CG_RTOL) -> np.ndarray:
@@ -385,6 +382,17 @@ class ContinuationTrace:
         return trace
 
 
+def interior_margin(mesh: Mesh, delta: float | None = None) -> float:
+    """The interior margin of the tracked norms, by default a quarter of the
+    smallest box width.  MeshError unless some element centroid and some
+    node lie that far from the boundary."""
+    if delta is None:
+        delta = 0.25 * float(np.min(np.asarray(mesh.box.widths)))
+    interior_element_mask(mesh, delta)
+    interior_node_mask(mesh, delta)
+    return delta
+
+
 def _tracked_norms(U: DiscreteField, p: float, delta: float) -> dict:
     return {
         "lp_gradient": lp_gradient_norm(U, p),
@@ -413,8 +421,7 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
     """
     cfg = cfg or NewtonConfig()
     check_regularization_exponents(op.p, op.q, op.dim, schedule.eps0)
-    if delta is None:
-        delta = 0.25 * float(np.min(np.asarray(mesh.box.widths)))
+    delta = interior_margin(mesh, delta)
     solves = _LinearSolves(mesh)
     b_field = _b_at_quad(mesh, b_field)
     if u0 is None:
@@ -450,10 +457,7 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
                  norms["lp_gradient"])
         prev_solution = U
         U_prev = U
-    log.info("linear solves over %d eps steps: %d multigrid-CG (levels %s), "
-             "%d CG iterations, %d direct LU", len(trace.steps),
-             solves.multigrid, solves.levels, solves.cg_iterations,
-             solves.direct)
+    log.info("linear solves over %d eps steps: %s", len(trace.steps), solves)
 
     trace.final_field = trace.steps[-1].field
     if len(trace.steps) >= 2:

@@ -333,6 +333,10 @@ MALFORMED = {
     "mms-grid-2": lambda opfile, tmp_path: [
         "mms", "--operator", opfile(PLAP3), "--case", "sine2d",
         "--grids", "2,5,9"],
+    "continuation-mesh-too-coarse-for-delta": lambda opfile, tmp_path:
+        _continuation(opfile) + ["--mesh", "2d:3x3"],
+    "estimates-balls-without-elements": _estimates(
+        2, "--rho", "0.01", "--R", "0.02"),
     "descriptor-domain-nan": lambda opfile, tmp_path: [
         "check", "--operator",
         opfile({**PLAP3, "domain": {"min": [0, 0], "max": [1, "nan"]}})],

@@ -180,6 +180,40 @@ def test_jacobian_matches_directional_fd(tag, params):
     assert solves.direct == 2 and solves.multigrid == 0
 
 
+def _sorted_pattern(mesh):
+    """The CSR pattern as it was first built: np.unique over the (row,
+    column) keys of every element block, and the transpose by a stable
+    argsort of the columns."""
+    import scipy.sparse as sp
+    row = mesh.full_to_interior[mesh.elements][:, :, None]
+    col = row.transpose(0, 2, 1)
+    ni = mesh.interior.size
+    keep = ((row >= 0) & (col >= 0)).ravel()
+    keys, kept_slot = np.unique((row * ni + col).ravel()[keep],
+                                return_inverse=True)
+    slot = np.full(keep.size, keys.size)
+    slot[keep] = kept_slot
+    template = sp.csr_matrix(
+        (np.zeros(keys.size), keys % ni,
+         np.searchsorted(keys, np.arange(ni + 1) * ni)), shape=(ni, ni))
+    transpose = np.argsort(template.indices, kind="stable").astype(np.int32)
+    return template.indptr, template.indices, slot, transpose
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (17,), (257,), (3, 3), (5, 5),
+                                   (17, 33), (33, 17), (4, 7), (257, 257)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_matrix_pattern_matches_sorted_reference(shape):
+    m = build_mesh(len(shape), unit_box(len(shape)), shape)
+    indptr, indices, slot, transpose = fem._matrix_pattern(m)
+    ref = _sorted_pattern(m)
+    for got, want in zip((indptr, indices, transpose), ref[:2] + ref[3:]):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert slot.dtype == np.int32
+    np.testing.assert_array_equal(slot, ref[2])
+
+
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 7)])
 def test_fixed_pattern_matches_coo_reference(dim, n):
     op = _u_dependent_op(dim)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -145,6 +146,29 @@ def test_refined_errors_vanish_for_linear_exact_solution(dim):
     assert l2 < 1e-13 and w12 < 1e-13
 
 
+@pytest.mark.parametrize("name,dim", [("quad1d", 1), ("sine2d", 2)])
+def test_refined_errors_match_the_rule_with_coincident_points(name, dim):
+    # reference: every point of the mesh rule in every child, shared or not
+    op = make_family("p-laplacian", {"p": 3, "domain": unit_box(dim)})
+    case = builtin_case(name, op)
+    mesh = build_mesh(dim, unit_box(dim), 9)
+    U = pq.interpolate(mesh, lambda x: 1.1 * case.u_exact(x),
+                       zero_boundary=True)
+    split = pq.fem.SIMPLICES[dim]
+    bary = np.einsum("qk,ckv->cqv", split.quad_bary,
+                     split.children).reshape(-1, dim + 1)
+    frac = np.tile(split.quad_frac, len(split.children)) / len(split.children)
+    uh_vert, grad = U.values[mesh.elements], pq.element_gradients(U)
+    l2 = grad2 = 0.0
+    for b, w in zip(bary, frac):
+        x = b @ mesh.nodes[mesh.elements]
+        l2 += np.sum(w * mesh.areas * (uh_vert @ b - case.u_exact(x)) ** 2)
+        grad2 += np.sum(w * mesh.areas
+                        * np.sum((grad - case.du_exact(x)) ** 2, axis=-1))
+    assert _refined_errors(mesh, U, case) == pytest.approx(
+        (np.sqrt(l2), np.sqrt(l2 + grad2)), rel=1e-13)
+
+
 def test_bump2d_rhs_hand_value():
     # p = 2: b = laplace(u*) = -2 [y(1-y) + x(1-x)], -0.9 at (0.3, 0.6)
     op = make_family("p-laplacian", {"p": 2})
@@ -184,3 +208,79 @@ def test_convergence_study_evaluates_rhs_once_per_mesh():
 
     convergence_study(op, dataclasses.replace(case, b_field=b), [9, 17, 33])
     assert calls == [(2 * (n - 1) ** 2, 3, 2) for n in (9, 17, 33)]
+
+
+# ---------------------------------------------------------------------------
+# nested iteration
+
+UNIT_SQUARE = {"min": [0, 0], "max": [1, 1]}
+
+#: The five families of the structural zoo, each on the unit square.
+ZOO = {
+    "double-phase": {"family": "double-phase", "p": 2, "q": 2.2, "params": {
+        "weight": {"type": "affine", "coeffs": [1.0, 0.0], "offset": 0.0}}},
+    "log": {"family": "log", "p": 2, "q": 2.2},
+    "variable-exponent": {"family": "variable-exponent", "params": {
+        "pfun": {"type": "affine", "offset": 2.0, "coeffs": [0.2, 0.0]},
+        "pmin": 2.0, "pmax": 2.2}},
+    "anisotropic": {"family": "anisotropic",
+                    "params": {"exponents": [2, 2.5]}},
+    "p-laplacian-degenerate": {"family": "p-laplacian-degenerate", "p": 4},
+}
+
+
+def _spy(monkeypatch, name):
+    """Record the results of ``mms.<name>`` while calling through."""
+    real, results = getattr(pq.mms, name), []
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(pq.mms, name, spy)
+    return results
+
+
+@pytest.mark.parametrize("grids,presolves", [([9, 17, 33, 65], 1),
+                                             ([9, 17, 30], 2)])
+def test_only_grids_that_do_not_nest_presolve(monkeypatch, grids, presolves):
+    # 9 is the first grid; 17 and 33 nest on the grid before them, 30 does
+    # not (an even node count has no coarser level)
+    calls = _spy(monkeypatch, "p2_presolve")
+    convergence_study(make_family("p-laplacian", {"p": 3}), "sine2d", grids)
+    assert len(calls) == presolves
+
+
+@pytest.mark.parametrize("family", sorted(ZOO))
+def test_nested_start_errors_match_presolve_start(monkeypatch, family):
+    op = pq.operator_from_descriptor({**ZOO[family], "domain": UNIT_SQUARE})
+    nested = convergence_study(op, "sine2d", [9, 17, 33])
+    # with no multigrid level on any mesh, every grid starts from the
+    # pre-solve, as the first one does
+    calls = _spy(monkeypatch, "p2_presolve")
+    monkeypatch.setattr(pq.mms, "prolongations", lambda mesh: [])
+    presolved = convergence_study(op, "sine2d", [9, 17, 33])
+    assert len(calls) == 3
+    for a, b in zip(nested.rows, presolved.rows):
+        assert a.l2_error == pytest.approx(b.l2_error, rel=1e-6)
+        assert a.w12_error == pytest.approx(b.w12_error, rel=1e-6)
+
+
+def test_degenerate_p4_nested_start_takes_no_backtracks(monkeypatch):
+    solves = _spy(monkeypatch, "newton_solve")
+    op = make_family("p-laplacian-degenerate", {"p": 4})
+    convergence_study(op, "sine2d", [17, 33, 65])
+    assert [stats.backtracks for _, stats in solves] == [0, 0, 0]
+
+
+def test_study_logs_one_line_per_grid(caplog):
+    op = make_family("p-laplacian", {"p": 3})
+    with caplog.at_level(logging.INFO, logger="pq.mms"):
+        convergence_study(op, "sine2d", [9, 17, 33])
+    lines = [r.getMessage() for r in caplog.records if r.name == "pq.mms"]
+    assert [line.split(",")[0] for line in lines] == [
+        "n=9: start presolve", "n=17: start nested from 9",
+        "n=33: start nested from 17"]
+    assert "linear solves: 0 multigrid-CG (levels 9)" in lines[0]
+    assert "multigrid-CG (levels 33→9)" in lines[2]
+    assert all(line.endswith(" direct LU") for line in lines)

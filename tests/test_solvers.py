@@ -492,3 +492,19 @@ def test_continuation_propagates_failure_with_partial_trace(double_phase_op):
     assert str(err.value).endswith(" at eps=0.2")
     assert err.value.best is not None
     assert err.value.stats.method == "newton"
+
+
+@pytest.mark.parametrize("shape,delta,message", [
+    ((3, 3), None, "no interior elements"),   # the default, 0.25
+    ((4, 4), 0.34, "no interior nodes")])     # nodes at 1/3 and 2/3
+def test_continuation_checks_the_margin_before_any_solve(
+        double_phase_op, monkeypatch, shape, delta, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved on a mesh too coarse for the margin")
+
+    monkeypatch.setattr(pq.solvers, "p2_presolve", no_solve)
+    monkeypatch.setattr(pq.solvers, "newton_solve", no_solve)
+    m = build_mesh(2, unit_box(2), shape)
+    with pytest.raises(pq.MeshError, match=message):
+        pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
+                              EpsilonSchedule(eps0=0.2, steps=2), delta=delta)
