@@ -75,6 +75,8 @@ class Mesh:
     full_to_interior: np.ndarray = field(default=None, repr=False)
     pattern: tuple = field(default=None, repr=False)  # see _matrix_pattern
     transfers: list = field(default=None, repr=False)  # see prolongations
+    # (where, delta) -> read-only mask, see _interior_mask
+    interior_masks: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -505,20 +507,30 @@ def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 # masks
 
+def _interior_mask(mesh: Mesh, where: str, delta: float) -> np.ndarray:
+    """Read-only mask of the ``where`` ("elements" or "nodes") at least
+    delta from the boundary, computed once per mesh and delta: a
+    continuation run reads it at every eps step."""
+    key = (where, delta)
+    if key not in mesh.interior_masks:
+        dist = (mesh.boundary_distance_centroids() if where == "elements"
+                else mesh.boundary_distance_nodes())
+        mask = dist >= delta
+        if not mask.any():
+            raise MeshError(f"delta leaves no interior {where}")
+        mask.flags.writeable = False
+        mesh.interior_masks[key] = mask
+    return mesh.interior_masks[key]
+
+
 def interior_element_mask(mesh: Mesh, delta: float) -> np.ndarray:
     if not 0.0 < delta < 0.5 * float(np.min(mesh.box.widths)):
         raise MeshError("delta must lie in (0, half the box width)")
-    mask = mesh.boundary_distance_centroids() >= delta
-    if not mask.any():
-        raise MeshError("delta leaves no interior elements")
-    return mask
+    return _interior_mask(mesh, "elements", delta)
 
 
 def interior_node_mask(mesh: Mesh, delta: float) -> np.ndarray:
-    mask = mesh.boundary_distance_nodes() >= delta
-    if not mask.any():
-        raise MeshError("delta leaves no interior nodes")
-    return mask
+    return _interior_mask(mesh, "nodes", delta)
 
 
 def ball_element_mask(mesh: Mesh, center, radius: float) -> np.ndarray:

@@ -39,6 +39,20 @@ class ManufacturedCase:
     b_field: object          # x -> real
     provenance: str          # "analytic" | "numeric-divergence"
     hessian_exact: object = None
+    jet: object = None       # x, order -> (u*, Du*[, D^2 u*])
+
+    def __post_init__(self):
+        if self.jet is None:
+            self.jet = _jet(self.u_exact, self.du_exact, self.hessian_exact)
+
+
+def _jet(u_exact, du_exact, hessian_exact=None):
+    """x, order -> u* and its derivatives up to ``order``, one callable
+    each; a case that can share work between them passes its own jet."""
+    def jet(x, order=2):
+        fns = (u_exact, du_exact, hessian_exact)[:order + 1]
+        return tuple(f(x) for f in fns)
+    return jet
 
 
 def _fd_gradient(u_exact, x, h):
@@ -66,13 +80,17 @@ def _numeric_divergence(op, u_exact, du_exact, x, h):
 
 def make_manufactured(op: OperatorSpec, u_exact, du_exact,
                       hessian_exact=None, name: str = "custom",
-                      h_div_frac: float = H_DIV_FRAC) -> ManufacturedCase:
+                      h_div_frac: float = H_DIV_FRAC, *,
+                      jet=None) -> ManufacturedCase:
     """Derive b from u* so that u* solves the operator's Dirichlet problem.
 
     ``du_exact`` is spot-checked against finite differences of ``u_exact``
     (InconsistentExactData on mismatch), and the produced b is spot-checked
-    at 16 probe points against a finer-step numeric divergence.
+    at 16 probe points against a finer-step numeric divergence.  ``jet``
+    (x, order -> u* and its derivatives up to ``order``) gives the three
+    from one evaluation; by default it calls the three callables.
     """
+    jet = jet or _jet(u_exact, du_exact, hessian_exact)
     box = op.domain
     widths = np.asarray(box.widths, float)
     probes = box.shrink(0.2).lattice(per_axis=max(2, round(16 ** (1 / box.dim))))
@@ -90,9 +108,7 @@ def make_manufactured(op: OperatorSpec, u_exact, du_exact,
     if hessian_exact is not None:
         def b_field(x):
             x = np.asarray(x, float)
-            u = np.asarray(u_exact(x), float)
-            du = np.asarray(du_exact(x), float)
-            H = np.asarray(hessian_exact(x), float)
+            u, du, H = (np.asarray(a, float) for a in jet(x))
             J = op.dflux_dxi(x, u, du)
             au = op.dflux_du(x, u, du)
             div = np.einsum("...ij,...ji->...", J, H)
@@ -119,21 +135,23 @@ def make_manufactured(op: OperatorSpec, u_exact, du_exact,
 
     return ManufacturedCase(name=name, u_exact=u_exact, du_exact=du_exact,
                             b_field=b_field, provenance=provenance,
-                            hessian_exact=hessian_exact)
+                            hessian_exact=hessian_exact, jet=jet)
 
 
 # ---------------------------------------------------------------------------
 # built-in cases (defined on the operator's box through affine rescaling)
 
-#: Profiles f(s) on [0, 1] with f(0) = f(1) = 0, as (f, f', f'').
-PROFILES = {
-    "sine": (lambda s: np.sin(math.pi * s),
-             lambda s: math.pi * np.cos(math.pi * s),
-             lambda s: -math.pi ** 2 * np.sin(math.pi * s)),
-    "bump": (lambda s: s * (1.0 - s),
-             lambda s: 1.0 - 2.0 * s,
-             lambda s: np.full(np.shape(s), -2.0)),
-}
+def _sine(s):
+    S = np.sin(math.pi * s)
+    return S, math.pi * np.cos(math.pi * s), -math.pi ** 2 * S
+
+
+def _bump(s):
+    return s * (1.0 - s), 1.0 - 2.0 * s, np.full(np.shape(s), -2.0)
+
+
+#: Profiles f(s) on [0, 1] with f(0) = f(1) = 0: s -> (f, f', f'').
+PROFILES = {"sine": _sine, "bump": _bump}
 
 #: Built-in case name -> (profile, dimension).
 BUILTIN_CASES = {"quad1d": ("bump", 1), "sine2d": ("sine", 2),
@@ -148,41 +166,40 @@ def builtin_case(name: str, op: OperatorSpec) -> ManufacturedCase:
     profile, dim = BUILTIN_CASES[name]
     if op.dim != dim:
         raise InconsistentExactData(f"{name} needs a {dim}D operator")
-    f, df, ddf = PROFILES[profile]
+    profile = PROFILES[profile]
     lo = np.asarray(op.domain.lo)
     w = np.asarray(op.domain.widths, float)
-
-    def scaled(x):
-        """The box coordinates s_k = (x_k - lo_k) / w_k, column by column."""
-        x = np.asarray(x, float)
-        return [(x[..., k] - lo[k]) / w[k] for k in range(dim)]
 
     def others(F, *axes):
         """Product of F over the axes not listed: f vanishes on the
         boundary, so it is multiplied in, never divided out."""
         return math.prod(F[k] for k in range(dim) if k not in axes)
 
-    def u(x):
-        return others([f(sk) for sk in scaled(x)])
+    def jet(x, order=2):
+        """u* and its derivatives up to ``order`` from one evaluation of
+        the profile per axis, in the box coordinates s = (x - lo) / w."""
+        x = np.asarray(x, float)
+        F, D1, D2 = zip(*(profile((x[..., k] - lo[k]) / w[k])
+                          for k in range(dim)))
+        out = [others(F)]
+        if order >= 1:
+            D1 = [d / wk for d, wk in zip(D1, w)]
+            out.append(np.stack([D1[i] * others(F, i) for i in range(dim)],
+                                axis=-1))
+        if order >= 2:
+            H = np.empty(F[0].shape + (dim, dim))
+            for i in range(dim):
+                H[..., i, i] = D2[i] / w[i] ** 2 * others(F, i)
+                for j in range(i + 1, dim):
+                    H[..., i, j] = H[..., j, i] = (D1[i] * D1[j]
+                                                   * others(F, i, j))
+            out.append(H)
+        return tuple(out)
 
-    def du(x):
-        s = scaled(x)
-        F = [f(sk) for sk in s]
-        return np.stack([df(s[i]) / w[i] * others(F, i) for i in range(dim)],
-                        axis=-1)
-
-    def hess(x):
-        s = scaled(x)
-        F = [f(sk) for sk in s]
-        D1 = [df(sk) / wk for sk, wk in zip(s, w)]
-        H = np.empty(s[0].shape + (dim, dim))
-        for i in range(dim):
-            H[..., i, i] = ddf(s[i]) / w[i] ** 2 * others(F, i)
-            for j in range(i + 1, dim):
-                H[..., i, j] = H[..., j, i] = D1[i] * D1[j] * others(F, i, j)
-        return H
-
-    return make_manufactured(op, u, du, hessian_exact=hess, name=name)
+    return make_manufactured(op, lambda x: jet(x, 0)[0],
+                             lambda x: jet(x, 1)[1],
+                             hessian_exact=lambda x: jet(x)[2], name=name,
+                             jet=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +249,9 @@ def _refined_errors(mesh, U: DiscreteField, case: ManufacturedCase):
     w12g = np.zeros(mesh.n_elements)
     for xq, uh, wq in zip(points, bary @ uh_vert.T, frac):
         weight = wq * mesh.areas
-        l2 += weight * (uh - case.u_exact(xq)) ** 2
-        w12g += weight * _sq(grad - np.asarray(case.du_exact(xq), float))
+        u, du = case.jet(xq, 1)
+        l2 += weight * (uh - u) ** 2
+        w12g += weight * _sq(grad - np.asarray(du, float))
 
     l2_err = float(np.sqrt(l2.sum()))
     w12_err = float(np.sqrt(l2.sum() + w12g.sum()))

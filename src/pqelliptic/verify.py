@@ -68,12 +68,20 @@ class Samples:
     def __len__(self):
         return self.u.shape[0]
 
+    def __getitem__(self, rows):
+        """The samples at ``rows``; a slice gives views, not copies."""
+        return Samples(x=self.x[rows], u=self.u[rows], xi=self.xi[rows],
+                       eta=None if self.eta is None else self.eta[rows],
+                       lam=None if self.lam is None else self.lam[rows])
 
-def _unit_vectors(rng, n, dim):
-    v = rng.standard_normal((n, dim))
-    norms = np.sqrt(_sq(v))[:, None]
+
+def _unit_vectors(rng, out):
+    """Fill ``out`` (n, dim) with random unit directions, in place."""
+    rng.standard_normal(out=out)
+    norms = np.sqrt(_sq(out))[:, None]
     norms[norms < 1e-12] = 1.0
-    return v / norms
+    out /= norms
+    return out
 
 
 def _structured_block(dim, xi_radius, large_radius):
@@ -112,6 +120,9 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
     drawn last, so ``directions=False`` leaves them None and x, u and xi
     unchanged.  The arrays are read-only, so checks that share one cloud
     cannot change it.
+
+    Each array is allocated once, structured rows first; the random rows
+    are drawn into it and scaled in place.
     """
     dim = op.dim
     box = box or op.domain
@@ -120,29 +131,40 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
     rng = np.random.default_rng(cfg.seed)
 
     n = cfg.count
+    xs, es, ls = (_structured_block(dim, radius, cfg.large_xi_radius)
+                  if structured else np.empty((3, 0, dim)))
+    k = xs.shape[0]
+    x = np.empty((k + n, dim))
+    u = np.empty(k + n)
+    xi = np.empty((k + n, dim))
+    x[:k], u[:k], xi[:k] = box.center, 0.0, xs
+
     lo = np.asarray(box.lo)
-    wid = np.asarray(box.hi) - lo
-    x = lo + rng.random((n, dim)) * wid
-    u = rng.uniform(-u_cap, u_cap, size=n)
-    mag = np.abs(rng.standard_normal(n)) * radius
-    if xi_low_frac > 0.0:
-        mag = xi_low_frac * radius + rng.random(n) * (1.0 - xi_low_frac) * radius
-    xi = _unit_vectors(rng, n, dim) * mag[:, None]
+    rng.random(out=x[k:])
+    x[k:] *= np.asarray(box.hi) - lo
+    x[k:] += lo
+    u[k:] = rng.uniform(-u_cap, u_cap, size=n)  # uniform() takes no out=
+    mag = rng.standard_normal(n)
+    if xi_low_frac > 0.0:  # the normal draw above only advances the stream
+        rng.random(out=mag)
+        mag *= 1.0 - xi_low_frac
+        mag *= radius
+        mag += xi_low_frac * radius
+    else:
+        np.abs(mag, out=mag)
+        mag *= radius
+    _unit_vectors(rng, xi[k:])
+    xi[k:] *= mag[:, None]
     eta = lam = None
     if directions:
-        mag_eta = np.abs(rng.standard_normal(n)) * radius
-        eta = _unit_vectors(rng, n, dim) * mag_eta[:, None]
-        lam = _unit_vectors(rng, n, dim)
-
-    if structured:
-        xs, es, ls = _structured_block(dim, radius, cfg.large_xi_radius)
-        k = xs.shape[0]
-        x = np.vstack([np.broadcast_to(box.center, (k, dim)), x])
-        u = np.concatenate([np.zeros(k), u])
-        xi = np.vstack([xs, xi])
-        if directions:
-            eta = np.vstack([es, eta])
-            lam = np.vstack([ls, lam])
+        eta = np.empty((k + n, dim))
+        lam = np.empty((k + n, dim))
+        eta[:k], lam[:k] = es, ls
+        np.abs(rng.standard_normal(out=mag), out=mag)
+        mag *= radius
+        _unit_vectors(rng, eta[k:])
+        eta[k:] *= mag[:, None]
+        _unit_vectors(rng, lam[k:])
     for a in (x, u, xi, eta, lam):
         if a is not None:
             a.flags.writeable = False
@@ -152,17 +174,28 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
 # ---------------------------------------------------------------------------
 # chunked evaluation
 
-def _chunked_margins(margin_fn, samples: Samples):
-    """Evaluate margins CHUNK samples at a time; returns the full vector."""
-    parts = []
-    for i0 in range(0, len(samples), CHUNK):
-        i1 = i0 + CHUNK
-        sub = Samples(
-            x=samples.x[i0:i1], u=samples.u[i0:i1], xi=samples.xi[i0:i1],
-            eta=None if samples.eta is None else samples.eta[i0:i1],
-            lam=None if samples.lam is None else samples.lam[i0:i1])
-        parts.append(np.asarray(margin_fn(sub), float))
-    return np.concatenate(parts)
+def _chunks(n):
+    """Slices of CHUNK samples covering range(n)."""
+    return [slice(i0, min(i0 + CHUNK, n)) for i0 in range(0, n, CHUNK)]
+
+
+def _chunked_margins(margin_fn, samples: Samples, keep=None):
+    """Evaluate margins CHUNK samples at a time; returns the full vector.
+
+    ``keep(chunk)``, when given, selects the samples the bound applies to:
+    margin_fn sees only those, and the others get a margin of +inf, so the
+    worst margin and its index are those of the kept samples.
+    """
+    out = np.empty(len(samples))
+    for rows in _chunks(len(samples)):
+        sub = samples[rows]
+        kept = None if keep is None else keep(sub)
+        if kept is None or kept.all():
+            out[rows] = margin_fn(sub)
+        else:
+            out[rows] = np.inf
+            out[rows][kept] = margin_fn(sub[kept])
+    return out
 
 
 def _worst(margins):
@@ -347,13 +380,13 @@ def check_growth_u(op: OperatorSpec, cfg: SampleConfig, *,
     open-question outcome, not a failure.
     """
     S = draw_samples(op, cfg) if samples is None else samples
-    notes = ""
+    keep, notes = None, ""
     if op.beta < 1.0:
-        keep = np.abs(S.u) >= U_FLOOR
-        S = Samples(x=S.x[keep], u=S.u[keep], xi=S.xi[keep])
+        def keep(s):
+            return np.abs(s.u) >= U_FLOOR
         notes = f"beta<1: restricted to |u| >= {U_FLOOR:g}"
     margins = _chunked_margins(
-        lambda s: growth_u_margin(op, s.x, s.u, s.xi), S)
+        lambda s: growth_u_margin(op, s.x, s.u, s.xi), S, keep)
     worst, idx = _worst(margins)
     return nonstrict_entry("growth-u", worst, cfg.tolerance, _witness(S, idx),
                            notes=notes)
@@ -395,32 +428,52 @@ def check_monotonicity(op: OperatorSpec, cfg: SampleConfig, *,
                        samples: Samples | None = None) -> CheckEntry:
     """(a(x,u,xi)-a(x,u,eta), xi-eta) >= m (1+|mid|^2)^((p-2)/2) |xi-eta|^2."""
     S = draw_samples(op, cfg) if samples is None else samples
-    keep = np.any(S.xi != S.eta, axis=-1)
-    S = Samples(x=S.x[keep], u=S.u[keep], xi=S.xi[keep], eta=S.eta[keep])
     margins = _chunked_margins(
-        lambda s: monotonicity_margin(op, s.x, s.u, s.xi, s.eta), S)
+        lambda s: monotonicity_margin(op, s.x, s.u, s.xi, s.eta), S,
+        keep=lambda s: np.any(s.xi != s.eta, axis=-1))
     worst, idx = _worst(margins)
     return nonstrict_entry("monotonicity", worst, cfg.tolerance,
                            _witness(S, idx, eta=True))
 
 
-def _coercivity_feasible(op, S, c1, theta, tol):
-    """Feasibility of (a,xi) >= c1|xi|^p - c2|u|^theta - b1 on the samples.
+def _coercivity_terms(op, clouds):
+    """The terms of the coercivity bound that do not depend on c1, for the
+    samples of ``clouds`` in order: rows (a, xi), |xi|^p, b1(x) and |u| of
+    a (4, N) array, evaluated CHUNK samples at a time."""
+    terms = np.empty((4, sum(map(len, clouds))))
+    i0 = 0
+    for S in clouds:
+        for rows in _chunks(len(S)):
+            s = S[rows]
+            at = slice(i0, i0 + len(s))
+            terms[0, at] = _dot(op.flux(s.x, s.u, s.xi), s.xi)
+            terms[1, at] = np.sqrt(_sq(s.xi)) ** op.p
+            terms[2, at] = b1_values(op, s.x)
+            terms[3, at] = np.abs(s.u)
+            i0 = at.stop
+    return terms
+
+
+def _coercivity_feasible(terms, c1, theta, tol):
+    """Feasibility of (a,xi) >= c1|xi|^p - c2|u|^theta - b1 on the samples
+    of ``terms`` (see _coercivity_terms).
 
     Returns (feasible, needed c2): samples with |u| below the floor must
     satisfy the bound with c2 = 0 outright.
     """
-    dot = _dot(op.flux(S.x, S.u, S.xi), S.xi)
-    norm = np.sqrt(_sq(S.xi))
-    residual = c1 * norm ** op.p - dot - b1_values(op, S.x)
-    small_u = np.abs(S.u) < U_FLOOR
-    if np.any(residual[small_u] > tol):
-        return False, np.inf
-    pos = residual > tol
-    big = pos & ~small_u
-    if not np.any(big):
+    dot, xi_p, b1, abs_u = terms
+    c2 = []
+    for rows in _chunks(len(dot)):
+        residual = c1 * xi_p[rows] - dot[rows] - b1[rows]
+        small_u = abs_u[rows] < U_FLOOR
+        if np.any(residual[small_u] > tol):
+            return False, np.inf
+        big = (residual > tol) & ~small_u
+        if np.any(big):
+            c2.append(np.max(residual[big] / abs_u[rows][big] ** theta))
+    if not c2:
         return True, 0.0
-    c2 = np.max(residual[big] / np.abs(S.u[big]) ** theta)
+    c2 = np.max(c2)
     return bool(np.isfinite(c2)), float(c2)
 
 
@@ -430,24 +483,24 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig,
     """Fit constants for (a,xi) >= c1 |xi|^p - c2 |u|^theta - b1(x).
 
     c1 is found by bisection on (0, m] (40 iterations) with c2 fitted as the
-    worst residual ratio; a dedicated large-|xi| batch is appended.  Returns
-    (CoercivityConstants, CheckEntry); the entry fails if no c1 >= c1_floor
-    admits finite constants.
+    worst residual ratio; a dedicated large-|xi| batch joins the cloud.  The
+    terms that do not depend on c1 are evaluated once per sample, so the
+    bisection evaluates no flux.  Returns (CoercivityConstants, CheckEntry);
+    the entry fails if no c1 >= c1_floor admits finite constants.
     """
     theta = theta_exponent(op.p, op.q, op.beta)
     S = draw_samples(op, cfg) if samples is None else samples
     big_cfg = replace(cfg, seed=cfg.seed + 1, count=max(cfg.count // 4, 16))
     B = draw_samples(op, big_cfg, xi_radius=cfg.large_xi_radius,
                      structured=False, directions=False)
-    S = Samples(x=np.vstack([S.x, B.x]), u=np.concatenate([S.u, B.u]),
-                xi=np.vstack([S.xi, B.xi]))
+    terms = _coercivity_terms(op, (S, B))
 
-    feasible_m, c2_m = _coercivity_feasible(op, S, op.m, theta, cfg.tolerance)
+    feasible_m, c2_m = _coercivity_feasible(terms, op.m, theta, cfg.tolerance)
     if feasible_m:
         c1, c2 = op.m, c2_m
     else:
         lo, hi = c1_floor, op.m
-        ok_lo, c2_lo = _coercivity_feasible(op, S, lo, theta, cfg.tolerance)
+        ok_lo, c2_lo = _coercivity_feasible(terms, lo, theta, cfg.tolerance)
         if not ok_lo:
             consts = CoercivityConstants(0.0, np.inf, theta,
                                          lambda x: b1_values(op, x))
@@ -458,19 +511,26 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig,
             return consts, entry
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            ok, c2_mid = _coercivity_feasible(op, S, mid, theta, cfg.tolerance)
+            ok, c2_mid = _coercivity_feasible(terms, mid, theta,
+                                              cfg.tolerance)
             if ok:
                 lo, c2_lo = mid, c2_mid
             else:
                 hi = mid
         c1, c2 = lo, c2_lo
 
-    margins = coercivity_margin(op, S.x, S.u, S.xi, c1, c2, theta)
+    # coercivity_margin's operation order, on the stored terms
+    dot, xi_p, b1, abs_u = terms
+    margins = np.empty(len(dot))
+    for rows in _chunks(len(dot)):
+        margins[rows] = (dot[rows] - c1 * xi_p[rows]
+                         + c2 * abs_u[rows] ** theta + b1[rows])
     worst, idx = _worst(margins)
+    witness = _witness(S, idx) if idx < len(S) else _witness(B, idx - len(S))
     consts = CoercivityConstants(float(c1), float(c2), float(theta),
                                  lambda x: b1_values(op, x))
     entry = nonstrict_entry(
-        "coercivity-lower", worst, cfg.tolerance, _witness(S, idx),
+        "coercivity-lower", worst, cfg.tolerance, witness,
         fitted={"c1": float(c1), "c2": float(c2), "theta": float(theta)})
     return consts, entry
 
@@ -481,12 +541,19 @@ def _stable_fit(ratio_fn, op, cfg, condition_id, constant_name,
     doubling the sample count (within factor 2).
 
     The entry margin is min(sample slack, 2*c - c_doubled): a fit that
-    doubles less than 2x keeps the margin nonnegative.
+    doubles less than 2x keeps the margin nonnegative.  ``samples`` is the
+    base cloud, or a list holding it, which the fit empties: a cloud held
+    nowhere else is then freed before the doubled cloud is drawn.
     """
+    if isinstance(samples, list):
+        samples = samples.pop()
     S = draw_samples(op, cfg) if samples is None else samples
+    del samples
     ratios = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi), S)
     idx = int(np.argmax(ratios))
     c = max(float(ratios[idx]), 0.0)
+    witness = _witness(S, idx)
+    del S, ratios
 
     cfg2 = replace(cfg, count=2 * cfg.count)
     S2 = draw_samples(op, cfg2, directions=False)
@@ -496,15 +563,17 @@ def _stable_fit(ratio_fn, op, cfg, condition_id, constant_name,
     stability = 2.0 * c - c2 if c2 > cfg.tolerance else 0.0
     worst = min(0.0, stability)
     return nonstrict_entry(
-        condition_id, worst, cfg.tolerance, _witness(S, idx),
+        condition_id, worst, cfg.tolerance, witness,
         fitted={constant_name: c, constant_name + "_doubled": c2},
         notes="margin includes 2x-stability under sample doubling")
 
 
 def check_lemma_lower_bound(op: OperatorSpec, cfg: SampleConfig, *,
-                            samples: Samples | None = None) -> CheckEntry:
+                            samples: Samples | list | None = None
+                            ) -> CheckEntry:
     """(a,xi) >= -c (|xi|^q + |u|^q + |a(x,0,0)|^(q/(q-1)) + 1) for a
-    finite, sample-stable c."""
+    finite, sample-stable c.  ``samples`` may be a list holding the base
+    cloud: the check takes the cloud out of it (see _stable_fit)."""
     if not 0.0 <= op.beta <= op.p - 1.0:
         raise InvalidExponents("lemma lower bound needs 0 <= beta <= p-1")
     return _stable_fit(lemma_lower_ratio, op, cfg, "lemma-lower-bound", "c",
@@ -560,24 +629,28 @@ def run_structure_checks(op: OperatorSpec, cfg: SampleConfig,
                          declared_ML: float | None = None) -> AssumptionReport:
     """All structural checks on one operator, in a fixed order.
 
-    The base cloud is drawn once and shared by the checks that use it;
-    per-check wall times are logged on ``pq.check`` at info level.
+    The base cloud is drawn once and shared by the checks that use it; the
+    lemma check, last, frees it before drawing its doubled cloud, so at
+    most two clouds are alive at a time.  Per-check wall times are logged
+    on ``pq.check`` at info level.
     """
     L = cfg.u_radius if L is None else L
     rep = AssumptionReport(meta={"family": op.family_tag, "p": op.p,
                                  "q": op.q, "m": op.m, "M": op.M,
                                  "seed": cfg.seed, "count": cfg.count})
-    S = draw_samples(op, cfg)
-    log.info("shared sample cloud: %d points", len(S))
+    base = [draw_samples(op, cfg)]
+    log.info("shared sample cloud: %d points", len(base[0]))
     for check in (
             lambda: check_derivative_consistency(op, cfg),
-            lambda: check_ellipticity(op, cfg, samples=S),
-            lambda: check_growth_xi(op, cfg, samples=S),
-            lambda: check_growth_u(op, cfg, samples=S),
+            lambda: check_ellipticity(op, cfg, samples=base[0]),
+            lambda: check_growth_xi(op, cfg, samples=base[0]),
+            lambda: check_growth_u(op, cfg, samples=base[0]),
             lambda: check_local_conditions(op, L, subdomain, cfg, declared_ML),
-            lambda: check_monotonicity(op, cfg, samples=S),
-            lambda: check_coercivity_lower(op, cfg, samples=S)[1],
-            lambda: check_lemma_lower_bound(op, cfg, samples=S)):
+            lambda: check_monotonicity(op, cfg, samples=base[0]),
+            lambda: check_coercivity_lower(op, cfg, samples=base[0])[1],
+            # takes the cloud out of ``base``, freeing it before the
+            # doubled cloud is drawn
+            lambda: check_lemma_lower_bound(op, cfg, samples=base)):
         t0 = perf_counter()
         entry = check()
         log.info("%s: %.3f s", entry.condition_id, perf_counter() - t0)

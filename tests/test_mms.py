@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,71 @@ def test_builtin_cases_on_non_square_box(name, box):
                    / (2.0 * h @ e) for e in np.eye(box.dim)], axis=-1)
     np.testing.assert_allclose(case.hessian_exact(x), fd, rtol=1e-6,
                                atol=1e-6)
+
+
+def _separate_closures(name, op):
+    """u*, Du* and D^2 u* of a built-in case as three closures, each
+    evaluating the profile itself."""
+    f, df, ddf = {
+        "sine": (lambda s: np.sin(np.pi * s),
+                 lambda s: np.pi * np.cos(np.pi * s),
+                 lambda s: -np.pi ** 2 * np.sin(np.pi * s)),
+        "bump": (lambda s: s * (1.0 - s), lambda s: 1.0 - 2.0 * s,
+                 lambda s: np.full(np.shape(s), -2.0)),
+    }[pq.mms.BUILTIN_CASES[name][0]]
+    lo, w, dim = np.asarray(op.domain.lo), np.asarray(op.domain.widths), op.dim
+
+    def prod(F, *skip):
+        return math.prod(F[k] for k in range(dim) if k not in skip)
+
+    def u(x):
+        return prod([f((x[..., k] - lo[k]) / w[k]) for k in range(dim)])
+
+    def du(x):
+        s = [(x[..., k] - lo[k]) / w[k] for k in range(dim)]
+        F = [f(sk) for sk in s]
+        return np.stack([df(s[i]) / w[i] * prod(F, i) for i in range(dim)],
+                        axis=-1)
+
+    def hess(x):
+        s = [(x[..., k] - lo[k]) / w[k] for k in range(dim)]
+        F = [f(sk) for sk in s]
+        D1 = [df(sk) / wk for sk, wk in zip(s, w)]
+        H = np.empty(s[0].shape + (dim, dim))
+        for i in range(dim):
+            H[..., i, i] = ddf(s[i]) / w[i] ** 2 * prod(F, i)
+            for j in range(i + 1, dim):
+                H[..., i, j] = H[..., j, i] = D1[i] * D1[j] * prod(F, i, j)
+        return H
+
+    return u, du, hess
+
+
+@pytest.mark.parametrize("name,box", [
+    ("quad1d", pq.Box((-1.0,), (2.0,))),
+    ("sine2d", pq.Box((-1.0, 0.5), (2.0, 1.0))),
+    ("bump2d", unit_box(2)),
+])
+def test_builtin_jet_equals_separate_profile_evaluations(name, box,
+                                                         monkeypatch):
+    op = make_family("p-laplacian", {"p": 3, "domain": box})
+    case = builtin_case(name, op)
+    x = box.shrink(0.05).lattice(7)
+    ref = _separate_closures(name, op)
+    for got, want in zip(case.jet(x), ref):
+        assert got.shape == want(x).shape
+        assert got.tobytes() == want(x).tobytes()
+    # one profile evaluation per axis, for the rhs and for the errors
+    profile, dim = pq.mms.BUILTIN_CASES[name]
+    calls = []
+    real = pq.mms.PROFILES[profile]
+    monkeypatch.setitem(pq.mms.PROFILES, profile,
+                        lambda s: calls.append(1) or real(s))
+    case = builtin_case(name, op)
+    calls.clear()
+    case.b_field(x)
+    case.jet(x, 1)
+    assert len(calls) == 2 * dim
 
 
 def test_convergence_study_evaluates_rhs_once_per_mesh():

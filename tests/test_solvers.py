@@ -440,6 +440,25 @@ def test_continuation_trace_contents(double_phase_op):
     assert tr2.epsilons == tr.epsilons
 
 
+def test_continuation_computes_interior_masks_once(double_phase_op,
+                                                   monkeypatch):
+    # pq continuation checks the margin, then every eps step reads the
+    # masks of three tracked norms: the distances are computed once
+    calls = []
+    for name in ("boundary_distance_centroids", "boundary_distance_nodes"):
+        real = getattr(pq.fem.Mesh, name)
+        monkeypatch.setattr(pq.fem.Mesh, name,
+                            lambda self, _r=real, _n=name:
+                            calls.append(_n) or _r(self))
+    m = build_mesh(2, unit_box(2), 17)
+    pq.solvers.interior_margin(m)
+    tr = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
+                               EpsilonSchedule(eps0=0.2, ratio=0.5, steps=3))
+    assert len(tr.steps) == 3
+    assert sorted(calls) == ["boundary_distance_centroids",
+                             "boundary_distance_nodes"]
+
+
 def test_continuation_shares_one_linear_solves(double_phase_op,
                                               monkeypatch):
     m = build_mesh(2, unit_box(2), 17)

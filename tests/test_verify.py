@@ -292,13 +292,14 @@ def test_unit_vectors_bitwise_equal_to_linalg_norm(dim):
     v[7] = 0.0  # takes the norms < 1e-12 guard
 
     class Fixed:
-        def standard_normal(self, shape):
-            assert shape == v.shape
-            return v.copy()
+        def standard_normal(self, *, out):
+            assert out.shape == v.shape
+            out[...] = v
+            return out
 
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     norms[norms < 1e-12] = 1.0
-    got = _unit_vectors(Fixed(), *v.shape)
+    got = _unit_vectors(Fixed(), np.empty_like(v))
     assert np.array_equal(got, v / norms)
     assert np.array_equal(got[7], np.zeros(dim))
 
@@ -471,7 +472,8 @@ def test_margin_kernels_bitwise_equal_to_numpy_reductions(name):
     residual = 0.5 * norm ** p - dot - b1
     big = (residual > 1e-10) & (np.abs(u) >= v.U_FLOOR)
     c2 = np.max(residual[big] / np.abs(u[big]) ** theta) if big.any() else 0.0
-    assert v._coercivity_feasible(op, S, 0.5, theta, 1e-10) == (
+    terms = v._coercivity_terms(op, [S])
+    assert v._coercivity_feasible(terms, 0.5, theta, 1e-10) == (
         True, float(c2))
     denom = norm ** q + np.abs(u) ** q + a0 ** (q / (q - 1.0)) + 1.0
     assert _same_bits(v.lemma_lower_ratio(op, x, u, xi), -dot / denom)
@@ -507,3 +509,200 @@ def test_derivative_consistency_equals_numpy_reductions(name):
     entry = pq.check_derivative_consistency(op, cfg)
     assert _same_bits(entry.worst_margin, ref.min())
     assert entry.witness["xi"] == xi[int(np.argmin(ref))].tolist()
+
+
+# ---------------------------------------------------------------------------
+# one cloud at a time: references that copy, as the checks once did
+
+def _vstack_draw(op, cfg, *, box=None, u_cap=None, xi_radius=None,
+                 structured=True, xi_low_frac=0.0, directions=True):
+    """draw_samples built from whole draws joined with np.vstack."""
+    from pqelliptic.verify import _structured_block
+
+    dim = op.dim
+    box = box or op.domain
+    radius = cfg.xi_radius if xi_radius is None else xi_radius
+    u_cap = cfg.u_radius if u_cap is None else u_cap
+    rng = np.random.default_rng(cfg.seed)
+
+    def unit(n):
+        v = rng.standard_normal((n, dim))
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
+        norms[norms < 1e-12] = 1.0
+        return v / norms
+
+    n = cfg.count
+    lo = np.asarray(box.lo)
+    x = lo + rng.random((n, dim)) * (np.asarray(box.hi) - lo)
+    u = rng.uniform(-u_cap, u_cap, size=n)
+    mag = np.abs(rng.standard_normal(n)) * radius
+    if xi_low_frac > 0.0:
+        mag = (xi_low_frac * radius
+               + rng.random(n) * (1.0 - xi_low_frac) * radius)
+    xi = unit(n) * mag[:, None]
+    eta = lam = None
+    if directions:
+        mag_eta = np.abs(rng.standard_normal(n)) * radius
+        eta = unit(n) * mag_eta[:, None]
+        lam = unit(n)
+    if structured:
+        xs, es, ls = _structured_block(dim, radius, cfg.large_xi_radius)
+        k = xs.shape[0]
+        x = np.vstack([np.broadcast_to(box.center, (k, dim)), x])
+        u = np.concatenate([np.zeros(k), u])
+        xi = np.vstack([xs, xi])
+        if directions:
+            eta = np.vstack([es, eta])
+            lam = np.vstack([ls, lam])
+    return x, u, xi, eta, lam
+
+
+def _copy_chunked(margin_fn, arrays):
+    """Margins of copied arrays, 4096 rows at a time, joined."""
+    n = len(arrays[0])
+    return np.concatenate([margin_fn(*(a[i:i + 4096] for a in arrays))
+                           for i in range(0, n, 4096)])
+
+
+def _reference_entry(cid, margins, arrays, cfg, **kwargs):
+    from pqelliptic.report import nonstrict_entry
+
+    idx = int(np.argmin(margins))
+    x, u, xi = (a[idx] for a in arrays[:3])
+    witness = {"x": x.tolist(), "u": float(u), "xi": xi.tolist()}
+    if len(arrays) > 3:
+        witness["eta"] = arrays[3][idx].tolist()
+    return nonstrict_entry(cid, float(margins[idx]), cfg.tolerance, witness,
+                           **kwargs)
+
+
+def _reference_coercivity(op, cfg, S):
+    """check_coercivity_lower on the stacked copy of the base cloud and
+    the large-|xi| batch, with the flux evaluated at every feasibility
+    test."""
+    from dataclasses import replace
+
+    from pqelliptic import verify as v
+
+    theta = theta_exponent(op.p, op.q, op.beta)
+    big = replace(cfg, seed=cfg.seed + 1, count=max(cfg.count // 4, 16))
+    B = draw_samples(op, big, xi_radius=cfg.large_xi_radius,
+                     structured=False, directions=False)
+    x, u, xi = (np.concatenate([getattr(S, a), getattr(B, a)])
+                for a in ("x", "u", "xi"))
+
+    def feasible(c1):
+        dot = np.sum(op.flux(x, u, xi) * xi, axis=-1)
+        residual = c1 * np.sqrt(np.sum(xi * xi, axis=-1)) ** op.p - dot
+        residual = residual - v.b1_values(op, x)
+        small_u = np.abs(u) < v.U_FLOOR
+        if np.any(residual[small_u] > cfg.tolerance):
+            return False, np.inf
+        pos = (residual > cfg.tolerance) & ~small_u
+        if not np.any(pos):
+            return True, 0.0
+        c2 = np.max(residual[pos] / np.abs(u[pos]) ** theta)
+        return bool(np.isfinite(c2)), float(c2)
+
+    ok, c2 = feasible(op.m)
+    c1 = op.m
+    if not ok:
+        lo, hi = 1e-6, op.m
+        ok, c2 = feasible(lo)
+        assert ok
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            ok, c2_mid = feasible(mid)
+            if ok:
+                lo, c2 = mid, c2_mid
+            else:
+                hi = mid
+        c1 = lo
+    margins = v.coercivity_margin(op, x, u, xi, c1, c2, theta)
+    return _reference_entry(
+        "coercivity-lower", margins, (x, u, xi), cfg,
+        fitted={"c1": float(c1), "c2": float(c2), "theta": float(theta)})
+
+
+def _zoo_operator(name):
+    if name == "u-dependent":  # beta = 1/2, and the bisection runs
+        return u_dependent_test_op(beta=0.5, kappa=0.5)
+    return pq.operator_from_descriptor(
+        {**ZOO[name], "domain": {"min": [0, 0], "max": [1, 1]}})
+
+
+@pytest.mark.parametrize("name", sorted(ZOO) + ["u-dependent"])
+def test_masked_and_chunked_checks_equal_copying_references(name):
+    from pqelliptic import verify as v
+
+    op = _zoo_operator(name)
+    cfg = SampleConfig(seed=3, count=9000)  # three chunks, the last short
+    S = draw_samples(op, cfg)
+
+    keep = np.any(S.xi != S.eta, axis=-1)
+    keep[[5, 4100, 8200]] = False  # as if xi == eta at chunk-spread rows
+    arrays = tuple(a[keep] for a in (S.x, S.u, S.xi, S.eta))
+    margins = _copy_chunked(
+        lambda x, u, xi, eta: v.monotonicity_margin(op, x, u, xi, eta),
+        arrays)
+    ref = _reference_entry("monotonicity", margins, arrays, cfg)
+    eta = S.eta.copy()
+    eta[[5, 4100, 8200]] = S.xi[[5, 4100, 8200]]
+    masked = v.Samples(x=S.x, u=S.u, xi=S.xi, eta=eta, lam=S.lam)
+    got = pq.check_monotonicity(op, cfg, samples=masked)
+    assert got.to_dict() == ref.to_dict()
+
+    keep = np.abs(S.u) >= v.U_FLOOR if op.beta < 1.0 else slice(None)
+    arrays = tuple(a[keep] for a in (S.x, S.u, S.xi))
+    margins = _copy_chunked(
+        lambda x, u, xi: v.growth_u_margin(op, x, u, xi), arrays)
+    ref = _reference_entry(
+        "growth-u", margins, arrays, cfg,
+        notes=f"beta<1: restricted to |u| >= {v.U_FLOOR:g}"
+        if op.beta < 1.0 else "")
+    assert pq.check_growth_u(op, cfg, samples=S).to_dict() == ref.to_dict()
+
+    got = pq.check_coercivity_lower(op, cfg, samples=S)[1]
+    assert got.to_dict() == _reference_coercivity(op, cfg, S).to_dict()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"directions": False}, {"structured": False},
+    {"structured": False, "directions": False},
+    {"structured": False, "xi_low_frac": 0.05, "directions": False},
+    {"xi_low_frac": 0.3},
+    {"box": pq.unit_box(2).shrink(0.25), "u_cap": 2.0, "xi_radius": 1e3},
+])
+@pytest.mark.parametrize("name", ["anisotropic", "double-phase"])
+def test_draw_samples_bitwise_equal_to_vstack_reference(name, kwargs):
+    op = _zoo_operator(name)
+    cfg = SampleConfig(seed=7, count=5000)
+    got = draw_samples(op, cfg, **kwargs)
+    ref = _vstack_draw(op, cfg, **kwargs)
+    for field, want in zip(("x", "u", "xi", "eta", "lam"), ref):
+        a = getattr(got, field)
+        if want is None:
+            assert a is None, field
+        else:
+            assert _same_bits(a, want), field
+            assert not a.flags.writeable
+
+
+def test_structure_checks_peak_memory_is_two_base_clouds():
+    # checks evaluate CHUNK rows at a time and never copy a cloud; the
+    # lemma's doubled cloud is drawn after the base cloud is freed
+    import tracemalloc
+
+    op = _zoo_operator("double-phase")
+    cfg = SampleConfig(seed=1, count=100_000)
+    S = draw_samples(op, cfg)
+    base = sum(a.nbytes for a in (S.x, S.u, S.xi, S.eta, S.lam))
+    del S
+    pq.run_structure_checks(op, SampleConfig(seed=1, count=500))  # warm-up
+    tracemalloc.start()
+    try:
+        pq.run_structure_checks(op, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * base, f"peak {peak / base:.2f} base clouds"
