@@ -17,12 +17,11 @@ from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   build_mesh, element_gradients, field_from_interior,
                   h2_seminorm, h2_seminorm_interior, interpolate,
                   linf_gradient_interior, linf_norm_interior,
-                  lp_gradient_norm, lp_norm, w12_distance, w12_norm,
-                  zero_field)
+                  lp_gradient_norm, w12_distance, zero_field)
 from .mms import (ManufacturedCase, builtin_case, convergence_study,
                   make_manufactured)
-from .operators import (Box, OperatorSpec, RegularizedOperator, eval_dflux_du,
-                        eval_dflux_dx, eval_dflux_dxi, eval_flux,
+from .operators import (Box, OperatorSpec, RegularizedOperator,
+                        eval_dflux_dxi, eval_flux,
                         make_custom, make_family, operator_from_descriptor,
                         regularize, unit_box, validate_assumptions)
 from .report import AssumptionReport, CheckEntry

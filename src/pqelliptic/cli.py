@@ -84,15 +84,18 @@ def write_csv(path: str, columns: list, rows: list) -> None:
 # ---------------------------------------------------------------------------
 # config parsing
 
-def load_operator(path: str):
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``.  A file that cannot be opened (OSError)
+    or is not UTF-8 JSON (ValueError) is a configuration error."""
     try:
-        with open(path) as fh:
-            desc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"operator file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed operator JSON: {exc}") from exc
-    return operator_from_descriptor(desc)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"bad {what} file {path!r}: {exc}") from exc
+
+
+def load_operator(path: str):
+    return operator_from_descriptor(_read_json(path, "operator"))
 
 
 def parse_mesh_spec(spec: str, box):
@@ -164,15 +167,15 @@ def parse_rhs(spec: str, op, mesh):
         except PQError as exc:
             raise ConfigError(str(exc)) from exc
     if kind == "file":
-        try:
-            with open(arg) as fh:
-                table = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"bad rhs table {arg!r}: {exc}") from exc
-        extra = set(table) - {"type", "values"}
-        if extra or table.get("type") != "table":
+        table = _read_json(arg, "rhs table")
+        if not (isinstance(table, dict) and set(table) == {"type", "values"}
+                and table["type"] == "table"):
             raise ConfigError("rhs file must be {'type': 'table', 'values': [...]}")
-        values = np.asarray(table["values"], float)
+        try:
+            values = np.asarray(table["values"], float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"rhs table {arg!r} values must be numbers: "
+                              f"{exc}") from exc
         if mesh is None or values.shape != (mesh.n_nodes,):
             raise ConfigError("rhs table length does not match the mesh")
         if not np.all(np.isfinite(values)):
@@ -285,11 +288,7 @@ ESTIMATE_COLUMNS = ["eps", "lp_grad", "bracket", "ratio", "c_gradient",
 
 
 def _read_trace(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"bad trace file {path!r}: {exc}") from exc
+    doc = _read_json(path, "trace")
     if not isinstance(doc, dict):
         raise ConfigError(f"bad trace file {path!r}: not a JSON object")
     return doc
@@ -358,9 +357,9 @@ def cmd_report(args) -> int:
     estimates_rows = []
     if args.estimates:
         try:
-            with open(args.estimates, newline="") as fh:
+            with open(args.estimates, newline="", encoding="utf-8") as fh:
                 estimates_rows = list(csv.DictReader(fh))
-        except OSError as exc:
+        except (OSError, ValueError, csv.Error) as exc:
             raise ConfigError(f"bad estimates file: {exc}") from exc
     steps = trace_doc.get("steps", [])
     try:

@@ -98,11 +98,6 @@ class UniformLpResult:
     bound: float
     lhs_over_bracket: list | None = None
 
-    def to_dict(self) -> dict:
-        return {"ratio": self.ratio, "verdict": self.verdict,
-                "bound": self.bound,
-                "lhs_over_bracket": self.lhs_over_bracket}
-
 
 def lp_ratio(norms) -> float:
     """max / min of tracked gradient norms: 1 if all vanish (u = 0), inf if
@@ -133,16 +128,19 @@ def check_uniform_lp(trace, bound: float = 1.5,
 # ---------------------------------------------------------------------------
 # interior estimates
 
-def _resolve_balls(mesh, rho, R, center):
-    if not 0.0 < rho < R:
-        raise InvalidExponents("need 0 < rho < R")
-    c = mesh.box.center if center is None else np.asarray(center, float)
-    return c
+def _resolve_balls(mesh, rho, R):
+    """Centre of the concentric balls B_rho in B_R, the box centre; the
+    balls must lie in the box, so 0 < rho < R < half its smallest width."""
+    half = 0.5 * float(np.min(np.asarray(mesh.box.widths)))
+    if not 0.0 < rho < R < half:
+        raise InvalidExponents(f"need 0 < rho < R < {half:g} (half the "
+                               f"smallest box width), got rho={rho:g}, "
+                               f"R={R:g}")
+    return mesh.box.center
 
 
 def interior_gradient_constant(U: DiscreteField, p: float, q: float, n: int,
-                               rho: float, R: float,
-                               center=None) -> float:
+                               rho: float, R: float) -> float:
     """Empirical constant of the interior gradient estimate.
 
     Solves ||Du||_{L^inf(B_rho)} = (c/(R-rho)^n int_{B_R} (1+|Du|^2)^(p/2))^(alpha/p)
@@ -150,7 +148,7 @@ def interior_gradient_constant(U: DiscreteField, p: float, q: float, n: int,
     union of elements whose centroid lies inside.
     """
     mesh = U.mesh
-    center = _resolve_balls(mesh, rho, R, center)
+    center = _resolve_balls(mesh, rho, R)
     inner = ball_element_mask(mesh, center, rho)
     outer = ball_element_mask(mesh, center, R)
     g = np.sqrt(_sq(element_gradients(U)))
@@ -161,8 +159,7 @@ def interior_gradient_constant(U: DiscreteField, p: float, q: float, n: int,
 
 
 def second_derivative_constant(U: DiscreteField, q: float, rho: float,
-                               R: float, eps: float = 0.0,
-                               center=None) -> float:
+                               R: float, eps: float = 0.0) -> float:
     """Empirical constant of the interior W^{2,2} estimate.
 
     c = (R-rho)^2 * (discrete W^{2,2} seminorm on B_rho)^2
@@ -170,7 +167,7 @@ def second_derivative_constant(U: DiscreteField, q: float, rho: float,
     value (0 for the limit field).
     """
     mesh = U.mesh
-    center = _resolve_balls(mesh, rho, R, center)
+    center = _resolve_balls(mesh, rho, R)
     node_mask = ball_node_mask(mesh, center, rho)
     sem = h2_seminorm(U, node_mask=node_mask)
     outer = ball_element_mask(mesh, center, R)
@@ -189,12 +186,6 @@ class EstimateReport:
     gradient_constant_ratio: float
     hessian_constant_ratio: float
 
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "params": self.params,
-                "uniformity": self.uniformity.to_dict(),
-                "gradient_constant_ratio": self.gradient_constant_ratio,
-                "hessian_constant_ratio": self.hessian_constant_ratio}
-
 
 def _spread(values) -> float:
     vals = np.asarray(values, float)
@@ -204,12 +195,12 @@ def _spread(values) -> float:
 
 
 def build_estimate_report(trace, op, b_field, rho_frac: float = 0.25,
-                          R_frac: float = 0.4, lp_bound: float = 1.5,
-                          center=None) -> EstimateReport:
+                          R_frac: float = 0.4,
+                          lp_bound: float = 1.5) -> EstimateReport:
     """Estimate instrumentation over a continuation trace.
 
     rho and R are fractions of the smallest box width (concentric balls
-    around the box center by default).
+    around the box centre).
     """
     mesh = trace.mesh
     width = float(np.min(np.asarray(mesh.box.widths)))
@@ -223,10 +214,9 @@ def build_estimate_report(trace, op, b_field, rho_frac: float = 0.25,
 
     rows = []
     for step, per in zip(trace.steps, uni.lhs_over_bracket):
-        c_grad = interior_gradient_constant(step.field, p, q, n, rho, R,
-                                            center=center)
+        c_grad = interior_gradient_constant(step.field, p, q, n, rho, R)
         c_hess = second_derivative_constant(step.field, q, rho, R,
-                                            eps=step.eps, center=center)
+                                            eps=step.eps)
         rows.append({"eps": step.eps, "lp_grad": step.lp_gradient,
                      "bracket": bracket, "ratio": per,
                      "c_gradient": c_grad, "c_hessian": c_hess,
@@ -234,7 +224,7 @@ def build_estimate_report(trace, op, b_field, rho_frac: float = 0.25,
 
     params = {"rho": rho, "R": R, "delta": trace.delta, "p": p, "q": q,
               "n": n, "alpha": alpha, "pstar": pstar, "bracket": bracket,
-              "theta": theta_exponent(p, q, 0.0),
+              "theta": theta_exponent(p, q, op.beta),
               "alpha_extrapolated": alpha_is_extrapolated(n, p, q)}
     return EstimateReport(
         rows=rows, params=params, uniformity=uni,

@@ -561,13 +561,6 @@ def lp_gradient_norm(U: DiscreteField, p: float,
     return float(np.sum(areas * g ** p) ** (1.0 / p))
 
 
-def lp_norm(U: DiscreteField, p: float) -> float:
-    """||u_h||_{L^p} by the element quadrature rule."""
-    m = U.mesh
-    uq = U.values[m.elements] @ m.quad_bary.T
-    return float((m.areas @ (np.abs(uq) ** p @ m.quad_frac)) ** (1.0 / p))
-
-
 def linf_gradient_interior(U: DiscreteField, delta: float) -> float:
     """max |Du_h| over elements whose centroid is >= delta from the boundary."""
     mask = interior_element_mask(U.mesh, delta)
@@ -616,12 +609,14 @@ def h2_seminorm_interior(U: DiscreteField, delta: float) -> float:
     return h2_seminorm(U, node_mask=interior_node_mask(U.mesh, delta))
 
 
-def w12_norm(U: DiscreteField) -> float:
-    return float(np.hypot(lp_norm(U, 2.0), lp_gradient_norm(U, 2.0)))
-
-
 def w12_distance(U: DiscreteField, V: DiscreteField) -> float:
-    return w12_norm(DiscreteField(U.mesh, U.values - V.values))
+    """||u_h - v_h||_{W^{1,2}}: the L^2 part by the element quadrature rule,
+    the gradient part exactly."""
+    D = DiscreteField(U.mesh, U.values - V.values)
+    m = D.mesh
+    dq = D.values[m.elements] @ m.quad_bary.T
+    l2 = float((m.areas @ (np.abs(dq) ** 2.0 @ m.quad_frac)) ** (1.0 / 2.0))
+    return float(np.hypot(l2, lp_gradient_norm(D, 2.0)))
 
 
 def gradient_weight_integral(U: DiscreteField, exponent: float,

@@ -79,8 +79,7 @@ def _numeric_divergence(op, u_exact, du_exact, x, h):
 
 
 def make_manufactured(op: OperatorSpec, u_exact, du_exact,
-                      hessian_exact=None, name: str = "custom",
-                      h_div_frac: float = H_DIV_FRAC, *,
+                      hessian_exact=None, name: str = "custom", *,
                       jet=None) -> ManufacturedCase:
     """Derive b from u* so that u* solves the operator's Dirichlet problem.
 
@@ -118,7 +117,7 @@ def make_manufactured(op: OperatorSpec, u_exact, du_exact,
             return div
         provenance = "analytic"
     else:
-        h_div = h_div_frac * widths
+        h_div = H_DIV_FRAC * widths
 
         def b_field(x):
             return _numeric_divergence(op, u_exact, du_exact,
@@ -126,7 +125,7 @@ def make_manufactured(op: OperatorSpec, u_exact, du_exact,
         provenance = "numeric-divergence"
 
     ref = _numeric_divergence(op, u_exact, du_exact, probes,
-                              h_div_frac * widths / 4.0)
+                              H_DIV_FRAC * widths / 4.0)
     got = np.asarray(b_field(probes), float)
     bscale = max(1.0, float(np.abs(ref).max()))
     if np.abs(got - ref).max() / bscale > 1e-4:

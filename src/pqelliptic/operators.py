@@ -83,12 +83,6 @@ class Box:
     def measure(self) -> float:
         return float(np.prod(self.widths))
 
-    def contains(self, x, pad: float = 0.0) -> np.ndarray:
-        x = np.asarray(x, float)
-        lo = np.asarray(self.lo) - pad
-        hi = np.asarray(self.hi) + pad
-        return np.all((x >= lo) & (x <= hi), axis=-1)
-
     def lattice(self, per_axis=PROBE_PER_AXIS) -> np.ndarray:
         """Closed tensor lattice, shape (prod(counts), dim), in C order of
         its axes; ``per_axis`` is one count for every axis or one per axis."""
@@ -226,18 +220,6 @@ def eval_dflux_dxi(op: OperatorSpec, x, u, xi):
     """Matrix of partials d a^i / d xi_j, shape (..., dim, dim)."""
     xi = _check_point(op, xi)
     return op.dflux_dxi(np.asarray(x, float), np.asarray(u, float), xi)
-
-
-def eval_dflux_du(op: OperatorSpec, x, u, xi):
-    xi = _check_point(op, xi)
-    return op.dflux_du(np.asarray(x, float), np.asarray(u, float), xi)
-
-
-def eval_dflux_dx(op: OperatorSpec, x, u, xi, s: int):
-    xi = _check_point(op, xi)
-    if not 0 <= s < op.dim:
-        raise DimensionMismatch(f"axis index {s} out of range for dim {op.dim}")
-    return op.dflux_dx(np.asarray(x, float), np.asarray(u, float), xi, s)
 
 
 # ---------------------------------------------------------------------------

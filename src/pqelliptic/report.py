@@ -61,17 +61,6 @@ class CheckEntry:
             "notes": self.notes,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckEntry":
-        return cls(
-            condition_id=d["condition_id"],
-            worst_margin=d["worst_margin"],
-            tolerance=d["tolerance"],
-            witness=d.get("witness"),
-            fitted_constants=d.get("fitted_constants") or {},
-            notes=d.get("notes", ""),
-        )
-
 
 @dataclass
 class AssumptionReport:
@@ -94,22 +83,12 @@ class AssumptionReport:
     def extend(self, other: "AssumptionReport") -> None:
         self.entries.extend(other.entries)
 
-    def failures(self) -> list:
-        return [e for e in self.entries if not e.passed]
-
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
             "meta": _to_jsonable(self.meta),
             "entries": [e.to_dict() for e in self.entries],
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AssumptionReport":
-        return cls(
-            entries=[CheckEntry.from_dict(e) for e in d.get("entries", [])],
-            meta=d.get("meta") or {},
-        )
 
 
 def nonstrict_entry(condition_id, margin, tolerance, witness=None,

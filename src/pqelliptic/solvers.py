@@ -46,11 +46,10 @@ class NewtonConfig:
     rel_tol: float = 1e-12
     max_iters: int = 100
     max_backtracks: int = 30
-    backtrack_factor: float = 0.5
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not min(self.max_iters, self.max_backtracks) >= 1:
             raise ValueError("iteration budgets must be >= 1")
 
@@ -235,9 +234,9 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
 
     The step d = J(U)^{-1} R is solved inexactly, to the relative residual
     :func:`_forcing_term`, through ``solves`` (a fresh _LinearSolves by
-    default).  The first of U - s d for s = 1, f, f^2, ... (f the backtrack
-    factor, at most ``max_backtracks`` reductions) that strictly lowers the
-    residual 2-norm is accepted.  Stops when the residual reaches
+    default).  The first of U - s d for s = 1, 1/2, 1/4, ... (at most
+    ``max_backtracks`` halvings) that strictly lowers the residual 2-norm is
+    accepted.  Stops when the residual reaches
     tol = max(abs_tol, rel_tol * r0).  Returns (DiscreteField, SolveStats);
     raises NonConvergence (with the best iterate attached) or
     SingularJacobian.
@@ -265,7 +264,7 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
             rt = float(np.linalg.norm(Rt))
             if rt < rnorm:
                 break
-            step *= cfg.backtrack_factor
+            step *= 0.5
             stats.backtracks += 1
         else:
             stats.iterations += 1
@@ -329,13 +328,27 @@ class ContinuationTrace:
     delta: float
     schedule: EpsilonSchedule
     mesh: Mesh
-    final_field: DiscreteField = None
-    extrapolated_field: DiscreteField = None
     meta: dict = field(default_factory=dict)
 
     @property
     def epsilons(self):
         return [s.eps for s in self.steps]
+
+    @property
+    def final_field(self) -> DiscreteField | None:
+        """The last step's solution; None for a trace without steps."""
+        return self.steps[-1].field if self.steps else None
+
+    @property
+    def extrapolated_field(self) -> DiscreteField | None:
+        """Linear extrapolation to eps = 0 through the last two steps; a
+        copy of the last solution for one step, None for none."""
+        if len(self.steps) < 2:
+            return self.steps[0].field.copy() if self.steps else None
+        prev, last = self.steps[-2:]
+        u_k, u_km1 = last.field.values, prev.field.values
+        return DiscreteField(self.mesh, u_k + (u_k - u_km1)
+                             * (last.eps / (prev.eps - last.eps)))
 
     def increments(self):
         return [s.cauchy_increment for s in self.steps
@@ -351,8 +364,6 @@ class ContinuationTrace:
                 {"eps": s.eps, "stats": s.stats.to_dict(),
                  **s.norms_dict(), "values": s.field.values.tolist()}
                 for s in self.steps],
-            "final_values": self.final_field.values.tolist(),
-            "extrapolated_values": self.extrapolated_field.values.tolist(),
         }
 
     @classmethod
@@ -373,13 +384,9 @@ class ContinuationTrace:
                 linf_gradient_interior=s["linf_gradient_interior"],
                 h2_interior=s["h2_interior"],
                 cauchy_increment=s.get("cauchy_increment_w12")))
-        trace = cls(steps=steps, p=d["p"], q=d["q"], delta=d["delta"],
-                    schedule=EpsilonSchedule.from_dict(d["schedule"]),
-                    mesh=mesh, meta=d.get("meta") or {})
-        trace.final_field = DiscreteField(mesh, np.asarray(d["final_values"]))
-        trace.extrapolated_field = DiscreteField(
-            mesh, np.asarray(d["extrapolated_values"]))
-        return trace
+        return cls(steps=steps, p=d["p"], q=d["q"], delta=d["delta"],
+                   schedule=EpsilonSchedule.from_dict(d["schedule"]),
+                   mesh=mesh, meta=d.get("meta") or {})
 
 
 def interior_margin(mesh: Mesh, delta: float | None = None) -> float:
@@ -458,15 +465,4 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
         prev_solution = U
         U_prev = U
     log.info("linear solves over %d eps steps: %s", len(trace.steps), solves)
-
-    trace.final_field = trace.steps[-1].field
-    if len(trace.steps) >= 2:
-        u_k = trace.steps[-1].field.values
-        u_km1 = trace.steps[-2].field.values
-        e_k = trace.steps[-1].eps
-        e_km1 = trace.steps[-2].eps
-        extrap = u_k + (u_k - u_km1) * (e_k / (e_km1 - e_k))
-        trace.extrapolated_field = DiscreteField(mesh, extrap)
-    else:
-        trace.extrapolated_field = trace.final_field.copy()
     return trace

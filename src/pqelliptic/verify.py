@@ -37,6 +37,9 @@ CHUNK = 4096
 #: only tightens the bound).
 U_FLOOR = 1e-6
 
+#: The coercivity fit fails when no c1 >= C1_FLOOR admits finite constants.
+C1_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -477,8 +480,7 @@ def _coercivity_feasible(terms, c1, theta, tol):
     return bool(np.isfinite(c2)), float(c2)
 
 
-def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig,
-                           c1_floor: float = 1e-6, *,
+def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig, *,
                            samples: Samples | None = None):
     """Fit constants for (a,xi) >= c1 |xi|^p - c2 |u|^theta - b1(x).
 
@@ -486,7 +488,7 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig,
     worst residual ratio; a dedicated large-|xi| batch joins the cloud.  The
     terms that do not depend on c1 are evaluated once per sample, so the
     bisection evaluates no flux.  Returns (CoercivityConstants, CheckEntry);
-    the entry fails if no c1 >= c1_floor admits finite constants.
+    the entry fails if no c1 >= C1_FLOOR admits finite constants.
     """
     theta = theta_exponent(op.p, op.q, op.beta)
     S = draw_samples(op, cfg) if samples is None else samples
@@ -499,7 +501,7 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig,
     if feasible_m:
         c1, c2 = op.m, c2_m
     else:
-        lo, hi = c1_floor, op.m
+        lo, hi = C1_FLOOR, op.m
         ok_lo, c2_lo = _coercivity_feasible(terms, lo, theta, cfg.tolerance)
         if not ok_lo:
             consts = CoercivityConstants(0.0, np.inf, theta,
@@ -507,7 +509,7 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig,
             entry = nonstrict_entry(
                 "coercivity-lower", -np.inf, cfg.tolerance, None,
                 fitted={"c1": 0.0, "c2": np.inf, "theta": theta},
-                notes=f"no feasible c1 >= {c1_floor:g}")
+                notes=f"no feasible c1 >= {C1_FLOOR:g}")
             return consts, entry
         for _ in range(40):
             mid = 0.5 * (lo + hi)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -244,6 +245,40 @@ def _params_dim(dim):
         opfile({"family": "p-laplacian", "p": 3, "params": {"dim": dim}})]
 
 
+def _rhs_table(values):
+    def argv(opfile, tmp_path):
+        table = tmp_path / "rhs.json"
+        table.write_text(json.dumps({"type": "table", "values": values}))
+        return _continuation(opfile) + ["--rhs", f"file:{table}"]
+    return argv
+
+
+#: JSON whose one string holds a Latin-1 byte, so the file is not UTF-8
+NOT_UTF8 = b'{"family": "p-laplacian", "p": 3, "notes": "\xe9"}'
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(NOT_UTF8)
+    return str(path)
+
+
+def _huge_field(tmp_path):
+    """A CSV whose one field exceeds the csv module's field size limit."""
+    path = tmp_path / "huge.csv"
+    path.write_text("eps\n" + "1" * (csv.field_size_limit() + 1) + "\n")
+    return str(path)
+
+
+def _report_with_estimates(make_estimates):
+    def argv(opfile, tmp_path):
+        trace = tmp_path / "trace.json"
+        assert main(_continuation(opfile) + ["--out", str(trace)]) == 0
+        return ["report", "--trace", str(trace), "--estimates",
+                make_estimates(tmp_path)]
+    return argv
+
+
 MALFORMED = {
     "out-in-missing-directory": lambda opfile, tmp_path: _continuation(opfile),
     "samples-0": lambda opfile, tmp_path: [
@@ -340,6 +375,31 @@ MALFORMED = {
     "descriptor-domain-nan": lambda opfile, tmp_path: [
         "check", "--operator",
         opfile({**PLAP3, "domain": {"min": [0, 0], "max": [1, "nan"]}})],
+    "continuation-newton-tol-inf": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--newton-tol", "inf"],
+    "solve-newton-tol-inf": lambda opfile, tmp_path: [
+        "solve", "--operator", opfile(PLAP3), "--rhs", "constant:-2",
+        "--mesh", "2d:9x9", "--newton-tol", "inf"],
+    "mms-newton-tol-inf": lambda opfile, tmp_path: [
+        "mms", "--operator", opfile(PLAP3), "--case", "sine2d",
+        "--grids", "9,17,33", "--newton-tol", "inf"],
+    "estimates-R-inf": _estimates(2, "--R", "inf"),
+    "estimates-R-1e308": _estimates(2, "--R", "1e308"),
+    "estimates-R-half-width": _estimates(2, "--R", "0.5"),
+    "operator-directory": lambda opfile, tmp_path: [
+        "check", "--operator", str(tmp_path)],
+    "operator-not-utf8": lambda opfile, tmp_path: [
+        "check", "--operator", _not_utf8(tmp_path)],
+    "rhs-file-not-utf8": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--rhs", f"file:{_not_utf8(tmp_path)}"],
+    "rhs-table-values-string": _rhs_table("abc"),
+    "rhs-table-values-mixed": _rhs_table([1, "a"]),
+    "rhs-table-without-values": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--rhs", f"file:{opfile({'type': 'table'}, 'rhs.json')}"],
+    "report-trace-not-utf8": lambda opfile, tmp_path: [
+        "report", "--trace", _not_utf8(tmp_path)],
+    "report-estimates-not-utf8": _report_with_estimates(_not_utf8),
+    "report-estimates-field-too-large": _report_with_estimates(_huge_field),
 }
 
 
@@ -354,6 +414,41 @@ def test_malformed_input_exits_3(opfile, tmp_path, capsys, case):
     assert err.startswith("configuration error") and "\n" not in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+TRACE_KEYS = {"p", "q", "delta", "schedule", "mesh", "meta", "steps"}
+
+
+def test_trace_json_holds_the_steps_and_nothing_derived(opfile, tmp_path):
+    trace = tmp_path / "trace.json"
+    assert main(_continuation(opfile, steps=3) + ["--out", str(trace)]) == 0
+    assert set(json.loads(trace.read_text())) == TRACE_KEYS
+
+
+def test_trace_with_derived_keys_gives_the_same_estimates_and_report(
+        opfile, tmp_path):
+    # a trace written with final_values and extrapolated_values still loads,
+    # and pq estimates and pq report give the same bytes from it
+    outputs = {}
+    trace = tmp_path / "trace.json"
+    assert main(_continuation(opfile, steps=3) + ["--out", str(trace)]) == 0
+    doc = json.loads(trace.read_text())
+    assert set(doc) == TRACE_KEYS
+    u_km1, u_k = (np.asarray(s["values"]) for s in doc["steps"][-2:])
+    e_km1, e_k = (s["eps"] for s in doc["steps"][-2:])
+    old = tmp_path / "old" / "trace.json"
+    old.parent.mkdir()
+    old.write_text(json.dumps({
+        **doc, "final_values": u_k.tolist(),
+        "extrapolated_values": (
+            u_k + (u_k - u_km1) * (e_k / (e_km1 - e_k))).tolist()}) + "\n")
+    for t in (trace, old):
+        est, rep = t.parent / "estimates.csv", t.parent / "report.json"
+        assert main(["estimates", "--trace", str(t), "--out", str(est)]) == 0
+        assert main(["report", "--trace", str(t), "--estimates", str(est),
+                     "--out", str(rep)]) == 0
+        outputs[t] = est.read_bytes(), rep.read_bytes()
+    assert outputs[trace] == outputs[old]
 
 
 def test_zero_solution_passes_estimates_and_report(opfile, tmp_path):

@@ -141,6 +141,21 @@ def test_interior_gradient_constant_empty_ball_errors():
         pq.interior_gradient_constant(U, 2.0, 2.0, 2, 1e-6, 0.4)
 
 
+def test_interior_balls_must_lie_in_the_box():
+    # B_rho in B_R in Omega, centred in the box: 0 < rho < R < half the
+    # smallest width (0.5 here); inf and 1e308 used to reach the power
+    m = build_mesh(2, pq.Box((0.0, 0.0), (2.0, 1.0)), 9)
+    U = interpolate(m, lambda x: x[..., 0] * x[..., 1])
+    assert np.isfinite(pq.interior_gradient_constant(U, 2.0, 2.2, 2, 0.2,
+                                                     0.45))
+    for rho, R in ((0.25, 0.5), (0.25, 0.55), (0.25, np.inf), (0.25, 1e308),
+                   (0.25, np.nan), (0.3, 0.3), (0.0, 0.4), (-0.1, 0.4)):
+        with pytest.raises(InvalidExponents, match="half the smallest"):
+            pq.interior_gradient_constant(U, 2.0, 2.2, 2, rho, R)
+        with pytest.raises(InvalidExponents, match="half the smallest"):
+            pq.second_derivative_constant(U, 2.2, rho, R)
+
+
 def test_second_derivative_constant_linear_is_zero():
     m = build_mesh(2, unit_box(2), 9)
     U = interpolate(m, lambda x: 3.0 * x[..., 0] - x[..., 1])

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import logging
 import re
@@ -364,6 +365,14 @@ def test_newton_config_rejects_nonpositive_and_nan_tolerances():
             NewtonConfig(rel_tol=tol)
 
 
+def test_newton_config_rejects_infinite_tolerances():
+    # an infinite tolerance would stop Newton before its first iteration
+    with pytest.raises(ValueError, match="finite"):
+        NewtonConfig(abs_tol=np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        NewtonConfig(rel_tol=np.inf)
+
+
 def test_continuation_guard_rejects_bad_eps0_before_solving():
     op = make_family("p-laplacian", {"p": 2})
     m = build_mesh(2, unit_box(2), 9)
@@ -438,6 +447,37 @@ def test_continuation_trace_contents(double_phase_op):
     tr2 = pq.ContinuationTrace.from_dict(d)
     assert np.array_equal(tr2.final_field.values, tr.final_field.values)
     assert tr2.epsilons == tr.epsilons
+
+
+def _reference_fields(steps):
+    """The final and extrapolated fields as continuation_solve stored them
+    before both were derived from the steps."""
+    u_k = steps[-1].field.values
+    if len(steps) == 1:
+        return u_k, u_k.copy()
+    u_km1 = steps[-2].field.values
+    e_k, e_km1 = steps[-1].eps, steps[-2].eps
+    return u_k, u_k + (u_k - u_km1) * (e_k / (e_km1 - e_k))
+
+
+def test_final_and_extrapolated_fields_are_derived_from_the_steps(
+        double_phase_op):
+    # any trace, also one cut from a longer run or read back from its
+    # dict, gives the fields of its own last steps, bit for bit
+    m = build_mesh(2, unit_box(2), 17)
+    tr = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
+                               EpsilonSchedule(eps0=0.2, ratio=0.5, steps=5))
+    for k in (1, 2, 5):
+        sub = dataclasses.replace(tr, steps=tr.steps[:k])
+        final, extrap = _reference_fields(sub.steps)
+        for t in (sub, pq.ContinuationTrace.from_dict(sub.to_dict())):
+            assert t.final_field.values.tobytes() == final.tobytes()
+            assert t.extrapolated_field.values.tobytes() == extrap.tobytes()
+        assert sub.final_field is sub.steps[-1].field
+        # never the step's own array, so writing to it leaves the step alone
+        assert sub.extrapolated_field is not sub.final_field
+    empty = dataclasses.replace(tr, steps=[])
+    assert empty.final_field is None and empty.extrapolated_field is None
 
 
 def test_continuation_computes_interior_masks_once(double_phase_op,
