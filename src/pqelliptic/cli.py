@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -44,12 +45,13 @@ FLOAT_FMT = "%.17g"
 # ---------------------------------------------------------------------------
 # atomic output helpers
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings ``chunks`` beside ``path``, then move them there."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pq-tmp-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,9 +59,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def write_json(path: str, payload: dict) -> None:
+def write_json(path: str, payload: dict, steps=None) -> None:
+    """``payload`` as compact JSON.  The dicts ``steps`` are encoded one at a
+    time as its last key: json.dumps({**payload, "steps": list(steps)})."""
     # compact: with ``indent`` json falls back to its pure-Python encoder
-    _atomic_write(path, json.dumps(payload) + "\n")
+    if steps is None:
+        return _atomic_write(path, [json.dumps(payload), "\n"])
+    head = json.dumps({**payload, "steps": []})[:-2]
+    items = (", " * (k > 0) + json.dumps(s) for k, s in enumerate(steps))
+    _atomic_write(path, itertools.chain([head], items, ["]}\n"]))
 
 
 def _fmt(value) -> str:
@@ -78,18 +86,18 @@ def write_csv(path: str, columns: list, rows: list) -> None:
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(row.get(c)) for c in columns])
-    _atomic_write(path, buf.getvalue())
+    _atomic_write(path, [buf.getvalue()])
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _read_json(path: str, what: str):
-    """The JSON document in ``path``.  A file that cannot be opened (OSError)
-    or is not UTF-8 JSON (ValueError) is a configuration error."""
+def _read_json(path: str, what: str, object_hook=None):
+    """The JSON document in ``path``, every object through ``object_hook``.
+    Unreadable (OSError) or non-UTF-8 JSON (ValueError) is a config error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad {what} file {path!r}: {exc}") from exc
 
@@ -274,7 +282,8 @@ def cmd_continuation(args) -> int:
     trace = continuation_solve(mesh, op, b, schedule, cfg, delta=delta,
                                meta=meta)
     if args.out:
-        write_json(args.out, trace.to_dict())
+        write_json(args.out, trace.head_dict(),
+                   (s.to_dict() for s in trace.steps))
         stem, _ = os.path.splitext(args.out)
         write_csv(stem + ".csv", TRACE_COLUMNS, trace_csv_rows(trace))
     last = trace.steps[-1]
@@ -287,8 +296,17 @@ ESTIMATE_COLUMNS = ["eps", "lp_grad", "bracket", "ratio", "c_gradient",
                     "c_hessian", "alpha", "pstar"]
 
 
-def _read_trace(path: str) -> dict:
-    doc = _read_json(path, "trace")
+def _read_trace(path: str, values=None) -> dict:
+    """The trace in ``path``, decoded one step at a time: a step's "values"
+    list becomes ``values(list)`` at once, or is dropped if that is None."""
+    def step(obj: dict) -> dict:
+        if "values" in obj:
+            v = obj.pop("values")
+            if values is not None:
+                obj["values"] = values(v)
+        return obj
+
+    doc = _read_json(path, "trace", step)
     if not isinstance(doc, dict):
         raise ConfigError(f"bad trace file {path!r}: not a JSON object")
     return doc
@@ -299,7 +317,8 @@ def cmd_estimates(args) -> int:
         raise ConfigError(
             f"--lp-bound must be a finite number > 0, got {args.lp_bound}")
     try:
-        trace = ContinuationTrace.from_dict(_read_trace(args.trace))
+        trace = ContinuationTrace.from_dict(_read_trace(args.trace,
+                                                        np.asarray))
         opdesc, rhs = trace.meta.get("operator"), trace.meta.get("rhs")
     except (AttributeError, KeyError, TypeError, ValueError,
             MeshError) as exc:
@@ -315,13 +334,8 @@ def cmd_estimates(args) -> int:
                                        R_frac=args.R, lp_bound=args.lp_bound)
     except MeshError as exc:
         raise ConfigError(f"--rho {args.rho}, --R {args.R}: {exc}") from exc
-    rows = [{"eps": r["eps"], "lp_grad": r["lp_grad"],
-             "bracket": r["bracket"], "ratio": r["ratio"],
-             "c_gradient": r["c_gradient"], "c_hessian": r["c_hessian"],
-             "alpha": r["alpha"], "pstar": r["pstar"]}
-            for r in report.rows]
     if args.out:
-        write_csv(args.out, ESTIMATE_COLUMNS, rows)
+        write_csv(args.out, ESTIMATE_COLUMNS, report.rows)
     uni = report.uniformity
     print(f"estimates: lp ratio {uni.ratio:.4g} "
           f"({'pass' if uni.verdict else 'FAIL'} at {uni.bound})",
@@ -361,23 +375,26 @@ def cmd_report(args) -> int:
                 estimates_rows = list(csv.DictReader(fh))
         except (OSError, ValueError, csv.Error) as exc:
             raise ConfigError(f"bad estimates file: {exc}") from exc
-    steps = trace_doc.get("steps", [])
-    try:
+    steps = trace_doc.get("steps")
+    try:  # steps: a non-empty list of objects, each with a finite lp_gradient
         lp = [s["lp_gradient"] for s in steps]
-        ratio = lp_ratio(lp) if lp else None
+        if not lp or not all(type(v) in (int, float) and math.isfinite(v)
+                             for v in lp):
+            raise ValueError("needs steps, each with a finite lp_gradient")
+        increments = [s.get("cauchy_increment_w12") for s in steps
+                      if s.get("cauchy_increment_w12") is not None]
+        decreasing = all(a > b for a, b in zip(increments, increments[1:]))
         operator = (trace_doc.get("meta") or {}).get("operator")
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise ConfigError(f"bad trace file {args.trace!r}: {exc}") from exc
-    increments = [s.get("cauchy_increment_w12") for s in steps
-                  if s.get("cauchy_increment_w12") is not None]
     summary = {
         "schedule": trace_doc.get("schedule"),
         "mesh": trace_doc.get("mesh"),
         "operator": operator,
-        "steps": [{k: s[k] for k in s if k != "values"} for s in steps],
-        "lp_gradient_ratio": ratio,
-        "increments_strictly_decreasing": all(
-            a > b for a, b in zip(increments, increments[1:])),
+        "steps": steps,
+        "lp_gradient_ratio": lp_ratio(lp),
+        "increments_strictly_decreasing": decreasing,
         "estimates": estimates_rows,
     }
     if args.out:

@@ -11,17 +11,18 @@ dimension; the table has rows for 1D (a testing device) and 2D.
 Every element is a translate of one of a few class simplices, one per
 parity class of its cell and simplex within the cell.  The elements are
 stored sorted by class, so a class is a slice of them with one gradient
-matrix G (nv, dim) and one measure, and each element kernel is one matrix
-product per class with a small constant matrix.  Assembly integrates the
-weak form
+matrix G (nv, dim) and one measure, kept once per class.  Each element
+kernel runs over chunks of at most JACOBIAN_CHUNK elements of one class, as
+one matrix product per chunk with a small constant matrix.  Assembly
+integrates the weak form
 
     R_j = int a(x, u_h, Du_h) . grad(phi_j) dx + int b phi_j dx
 
 with the quadrature rule.  The interior CSR sparsity pattern is read from
 the mesh table, without a sort: which neighbours a node couples to depends
 only on its parity class.  It is built once per mesh, at its first matrix
-assembly, and kept on the mesh; every matrix is then one ``np.bincount``
-into that pattern.
+assembly, and kept on the mesh; every matrix is then summed into it one
+chunk of element blocks at a time (:func:`scatter_matrix`).
 
 The meshes nest: every other node of a mesh with an odd node count on each
 axis is the mesh of (n + 1) / 2 nodes per axis, and each of its simplices
@@ -44,8 +45,8 @@ import numpy as np
 from .errors import MeshError, QuadratureFailure
 from .operators import Box, _sq
 
-#: Elements per chunk of the Jacobian kernel: its temporaries then scale with
-#: the chunk, not the mesh, and stay out of the peak memory of a large solve.
+#: Elements per chunk of every element kernel: temporaries then scale with the
+#: chunk, not the mesh, and stay out of the peak memory of a large solve.
 JACOBIAN_CHUNK = 16384
 
 
@@ -65,7 +66,6 @@ class Mesh:
     h: np.ndarray                # spacing per axis
     # precomputed assembly data
     areas: np.ndarray = field(default=None, repr=False)
-    grads: np.ndarray = field(default=None, repr=False)       # (E, dim+1, dim)
     classes: list = field(default=None, repr=False)  # ElementClass per class
     centroids: np.ndarray = field(default=None, repr=False)
     quad_bary: np.ndarray = field(default=None, repr=False)   # (nq, dim+1)
@@ -202,23 +202,26 @@ def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
     for c, corners in enumerate(split.corners):
         cell = cells[parity == c]
         for corner in corners:
-            vertices.append(cell[:, None, :] + corner)
+            vertices.append(np.ravel_multi_index(
+                tuple(np.moveaxis(cell[:, None, :] + corner, -1, 0)), shape))
             slices.append(slice(stop, stop + len(cell)))
             stop += len(cell)
-    elements = np.ravel_multi_index(
-        tuple(np.moveaxis(np.concatenate(vertices), -1, 0)), shape)
+    elements = np.concatenate(vertices)
     class_grads = class_grads.reshape(-1, dim + 1, dim)
     class_areas = class_areas.ravel()
     classes = [ElementClass(*k) for k in zip(slices, class_grads, class_areas)]
-    which = np.repeat(np.arange(len(slices)), [len(v) for v in vertices])
 
-    coords = nodes[elements]                     # (E, dim+1, dim)
-    centroids = coords.mean(axis=1)
-    quad_points = split.quad_bary @ coords       # (E, nq, dim)
+    # one axis at a time, with no (E, nv, dim) array of vertex coordinates
+    quad_points = np.empty((len(elements), len(split.quad_bary), dim))
+    centroids = np.empty((len(elements), dim))
+    for d in range(dim):
+        x = nodes[:, d][elements]                # (E, nv)
+        quad_points[..., d] = x @ split.quad_bary.T
+        centroids[:, d] = x.mean(axis=1)
 
     return Mesh(dim=dim, box=box, shape=shape, nodes=nodes,
                 elements=elements, boundary_mask=full_to_interior < 0, h=h,
-                areas=class_areas[which], grads=class_grads[which],
+                areas=np.repeat(class_areas, [len(v) for v in vertices]),
                 classes=classes, centroids=centroids,
                 quad_bary=split.quad_bary, quad_frac=split.quad_frac,
                 quad_points=quad_points,
@@ -333,13 +336,19 @@ def assert_dirichlet(U: DiscreteField) -> None:
         raise MeshError("field violates the homogeneous Dirichlet invariant")
 
 
+def _chunks(mesh: Mesh):
+    """(class, slice) of at most JACOBIAN_CHUNK elements, over all in order."""
+    for k in mesh.classes:
+        for lo in range(k.elements.start, k.elements.stop, JACOBIAN_CHUNK):
+            yield k, slice(lo, min(lo + JACOBIAN_CHUNK, k.elements.stop))
+
+
 def element_gradients(U: DiscreteField) -> np.ndarray:
     """Piecewise-constant gradient per element, shape (E, dim)."""
     m = U.mesh
     out = np.empty((m.n_elements, m.dim))
-    for k in m.classes:
-        np.matmul(U.values[m.elements[k.elements]], k.grads,
-                  out=out[k.elements])
+    for k, e in _chunks(m):
+        np.matmul(U.values[m.elements[e]], k.grads, out=out[e])
     return out
 
 
@@ -358,22 +367,19 @@ def _b_at_quad(mesh: Mesh, b_field) -> np.ndarray:
 
 
 def _matrix_pattern(mesh: Mesh) -> tuple:
-    """(indptr, indices, slot, transpose) of the interior CSR pattern, built
-    once and kept on the mesh.  The index arrays are scipy's own, read-only,
+    """(indptr, indices, slot, transpose) of the interior CSR pattern, all
+    int32, built once and kept on the mesh.  The index arrays are read-only
     and shared by every matrix; ``slot`` sends each (E, nv, nv) block entry
     to its nonzero, or to the extra slot nnz if it touches a boundary node.
-    The pattern is structurally symmetric, so ``transpose`` (int32) sends
-    nonzero k at (i, j) to the nonzero at (j, i): J.T has the data
-    J.data[transpose] on the same pattern.
+    The pattern is structurally symmetric, so ``transpose`` sends nonzero k
+    at (i, j) to the nonzero at (j, i): J.T has the data J.data[transpose]
+    on the same pattern.
 
     Nothing is sorted: the pattern is read from the mesh table.  An interior
     node couples to the node at offset s in {-1, 0, 1}^dim when the two
     share a simplex, which depends only on the node's parity class.  Listed
     by ascending offset, in C order, a row's couplings are its columns in
     ascending order, and the offset -s is the reversed index of s."""
-    # scipy is imported where a matrix is first built, not with the package:
-    # pq check, estimates and report never build one and skip its load time
-    import scipy.sparse as sp
     if mesh.pattern is None:
         dim, nv = mesh.dim, mesh.dim + 1
         corners = SIMPLICES[dim].corners                   # (C, S, nv, dim)
@@ -388,45 +394,54 @@ def _matrix_pattern(mesh: Mesh) -> tuple:
         couples[np.broadcast_to(parity[..., None], offset.shape),
                 offset] = True
 
-        # (interior nodes x 3^dim): the neighbour's interior index and the mask
-        ni, width = mesh.interior.size, 3 ** dim
-        grid = np.indices(mesh.shape).reshape(dim, -1)[:, mesh.interior]
-        node_parity = np.ravel_multi_index(grid % 2, (2,) * dim)
-        strides = np.cumprod((1,) + mesh.shape[:0:-1])[::-1]
-        offsets = (np.indices((3,) * dim).reshape(dim, -1).T - 1) @ strides
-        col = mesh.full_to_interior[mesh.interior[:, None] + offsets]
-        mask = couples[node_parity] & (col >= 0)
+        # (interior nodes x 3^dim), on the grid of interior nodes: the
+        # neighbour's interior index, and whether the node couples to it
+        inner = tuple(n - 2 for n in mesh.shape)
+        ni, width = math.prod(inner), 3 ** dim
+        grid = np.indices(inner, np.int32).reshape(dim, -1)
+        shift = np.indices((3,) * dim, np.int32).reshape(dim, -1) - 1
+        mask = couples[np.ravel_multi_index((grid + 1) % 2, (2,) * dim)]
+        for g, s, n in zip(grid[:, :, None], shift, inner):
+            mask &= (g + s >= 0) & (g + s < n)
+        strides = np.cumprod((1,) + inner[:0:-1], dtype=np.int32)[::-1]
+        col = np.arange(ni, dtype=np.int32)[:, None] + (strides @ shift)
         nnz = np.count_nonzero(mask)
         # the nonzero at each (row, offset), nnz where there is none; an
         # extra last row of nnz answers the row index -1 of a boundary node
         nonzero = np.full((ni + 1, width), nnz, np.int32)
         nonzero[:-1][mask] = np.arange(nnz, dtype=np.int32)
-        indptr = np.zeros(ni + 1, np.int64)
+        indptr = np.zeros(ni + 1, np.int32)
         np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-        template = sp.csr_matrix((np.zeros(nnz), col[mask], indptr),
-                                 shape=(ni, ni))
-        # (i, s) -> (i + s, -s)
+        indices = col[mask]
+        # (i, s) -> (i + s, -s); an offset without a nonzero reads row ni
+        col[~mask] = ni
         transpose = nonzero[:, ::-1][col, np.arange(width)][mask]
 
-        row = mesh.full_to_interior[mesh.elements]
         slot = np.empty(mesh.elements.shape + (nv,), np.int32)
         for k, off in zip(mesh.classes, offset.reshape(-1, nv, nv)):
-            slot[k.elements] = nonzero[row[k.elements, :, None], off]
-        pattern = (template.indptr, template.indices, slot.ravel(), transpose)
+            row = mesh.full_to_interior[mesh.elements[k.elements]]
+            slot[k.elements] = nonzero[row[:, :, None], off]
+        pattern = (indptr, indices, slot.ravel(), transpose)
         for a in pattern:
             a.flags.writeable = False
         mesh.pattern = pattern
     return mesh.pattern
 
 
-def scatter_matrix(mesh: Mesh, block: np.ndarray) -> sp.csr_matrix:
-    """Interior matrix summed from element blocks (E, nv, nv) into the
-    mesh's fixed CSR pattern."""
+def scatter_matrix(mesh: Mesh, blocks) -> sp.csr_matrix:
+    """Interior matrix summed into the mesh's fixed CSR pattern from
+    ``blocks``, pairs (slice of the elements, their blocks (n, nv * nv)) in
+    element order: each nonzero adds its terms in the order of the mesh."""
+    # scipy is imported where a matrix is first built, not with the package:
+    # pq check, estimates and report never build one and skip its load time
     import scipy.sparse as sp
     indptr, indices, slot, _ = _matrix_pattern(mesh)
-    data = np.bincount(slot, weights=block.ravel(),
-                       minlength=indices.size + 1)[:-1]
-    return sp.csr_matrix((data, indices, indptr), shape=(indptr.size - 1,) * 2)
+    slot = slot.reshape(mesh.n_elements, -1)
+    data = np.zeros(indices.size + 1)
+    for e, block in blocks:  # 1-D operands take np.add.at's fast path
+        np.add.at(data, slot[e].ravel(), block.ravel())
+    return sp.csr_matrix((data[:-1], indices, indptr),
+                         shape=(indptr.size - 1,) * 2)
 
 
 def scatter_vector(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
@@ -436,8 +451,8 @@ def scatter_vector(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
     return total[mesh.interior]
 
 
-# Element kernels run per class: the class's gradients G (nv, dim) and
-# measure are constants there, so each integral over its elements is one
+# Element kernels run per chunk of one class: the class's gradients G (nv, dim)
+# and measure are constants there, so each integral over its elements is one
 # matrix product of the quadrature-point values with a small constant matrix.
 
 def _at_quad(values: np.ndarray, n: int, nq: int) -> np.ndarray:
@@ -450,10 +465,10 @@ def load_contributions(mesh: Mesh, bq: np.ndarray) -> np.ndarray:
     """area * int b phi_v per element (E, nv), from b at the quadrature
     points (E, nq)."""
     out = np.empty(mesh.elements.shape)
-    for k in mesh.classes:
+    for k, e in _chunks(mesh):
         # K[q, v] = area frac_q phi_v(q)
-        np.matmul(bq[k.elements], k.area * mesh.quad_frac[:, None]
-                  * mesh.quad_bary, out=out[k.elements])
+        np.matmul(bq[e], k.area * mesh.quad_frac[:, None] * mesh.quad_bary,
+                  out=out[e])
     return out
 
 
@@ -462,8 +477,7 @@ def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
     vals = U.values
     contrib = load_contributions(mesh, _b_at_quad(mesh, b_field))
     nq, nv = mesh.quad_bary.shape
-    for k in mesh.classes:
-        e = k.elements
+    for k, e in _chunks(mesh):
         ve = vals[mesh.elements[e]]
         aq = op.flux(mesh.quad_points[e], ve @ mesh.quad_bary.T,
                      (ve @ k.grads)[:, None, :])
@@ -477,21 +491,19 @@ def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
 
 def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
     """J = dR/dU over interior nodes, from dflux_dxi and dflux_du, evaluated
-    per class over JACOBIAN_CHUNK elements at a time."""
-    vals = U.values
+    and scattered one chunk of elements at a time."""
     nq, nv = mesh.quad_bary.shape
-    block = np.empty((mesh.n_elements, nv * nv))
-    for k in mesh.classes:
-        # K_J[(q, i, j), (v, w)] = area frac_q G[v, i] G[w, j] and
-        # K_u[(q, i), (v, w)] = area frac_q G[v, i] phi_w(q)
-        frac, GT = k.area * mesh.quad_frac, k.grads.T
-        K_J = (frac[:, None, None, None, None] * GT[:, None, :, None]
-               * GT[None, :, None, :]).reshape(-1, nv * nv)
-        K_u = (frac[:, None, None, None] * GT[:, :, None]
-               * mesh.quad_bary[:, None, None, :]).reshape(-1, nv * nv)
-        for lo in range(k.elements.start, k.elements.stop, JACOBIAN_CHUNK):
-            e = slice(lo, min(lo + JACOBIAN_CHUNK, k.elements.stop))
-            ve, x = vals[mesh.elements[e]], mesh.quad_points[e]
+
+    def blocks():
+        for k, e in _chunks(mesh):
+            # K_J[(q, i, j), (v, w)] = area frac_q G[v, i] G[w, j] and
+            # K_u[(q, i), (v, w)] = area frac_q G[v, i] phi_w(q)
+            frac, GT = k.area * mesh.quad_frac, k.grads.T
+            K_J = (frac[:, None, None, None, None] * GT[:, None, :, None]
+                   * GT[None, :, None, :]).reshape(-1, nv * nv)
+            K_u = (frac[:, None, None, None] * GT[:, :, None]
+                   * mesh.quad_bary[:, None, None, :]).reshape(-1, nv * nv)
+            ve, x = U.values[mesh.elements[e]], mesh.quad_points[e]
             xi = (ve @ k.grads)[:, None, :]
             uq = ve @ mesh.quad_bary.T
             Jq = op.dflux_dxi(x, uq, xi)                      # (n,nq,d,d)
@@ -499,9 +511,10 @@ def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
             if not (np.all(np.isfinite(Jq)) and np.all(np.isfinite(au))):
                 raise QuadratureFailure(
                     "non-finite derivative at a quadrature point")
-            np.matmul(_at_quad(Jq, len(ve), nq), K_J, out=block[e])
-            block[e] += _at_quad(au, len(ve), nq) @ K_u
-    return scatter_matrix(mesh, block)
+            block = _at_quad(Jq, len(ve), nq) @ K_J
+            block += _at_quad(au, len(ve), nq) @ K_u
+            yield e, block
+    return scatter_matrix(mesh, blocks())
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +624,13 @@ def h2_seminorm_interior(U: DiscreteField, delta: float) -> float:
 
 def w12_distance(U: DiscreteField, V: DiscreteField) -> float:
     """||u_h - v_h||_{W^{1,2}}: the L^2 part by the element quadrature rule,
-    the gradient part exactly."""
+    filled chunk by chunk, the gradient part exactly."""
     D = DiscreteField(U.mesh, U.values - V.values)
-    m = D.mesh
-    dq = D.values[m.elements] @ m.quad_bary.T
-    l2 = float((m.areas @ (np.abs(dq) ** 2.0 @ m.quad_frac)) ** (1.0 / 2.0))
+    m, l2 = D.mesh, np.empty(D.mesh.n_elements)
+    for _, e in _chunks(m):
+        dq = D.values[m.elements[e]] @ m.quad_bary.T
+        l2[e] = np.abs(dq) ** 2.0 @ m.quad_frac
+    l2 = float((m.areas @ l2) ** (1.0 / 2.0))
     return float(np.hypot(l2, lp_gradient_norm(D, 2.0)))
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentExactData
-from .fem import (SIMPLICES, DiscreteField, build_mesh, field_from_interior,
-                  prolongations, _b_at_quad)
+from .fem import (SIMPLICES, DiscreteField, build_mesh, element_gradients,
+                  field_from_interior, prolongations, _b_at_quad)
 from .operators import OperatorSpec, _sq
 from .solvers import NewtonConfig, _LinearSolves, newton_solve, p2_presolve
 
@@ -242,7 +242,7 @@ def _refined_errors(mesh, U: DiscreteField, case: ManufacturedCase):
     frac = np.bincount(which.ravel(), np.tile(
         split.quad_frac, len(split.children))) / len(split.children)
     uh_vert = U.values[mesh.elements]           # (E, nv)
-    grad = np.einsum("evd,ev->ed", mesh.grads, uh_vert)
+    grad = element_gradients(U)
     points = np.tensordot(bary, mesh.nodes[mesh.elements], axes=(1, 1))
     l2 = np.zeros(mesh.n_elements)
     w12g = np.zeros(mesh.n_elements)

@@ -23,7 +23,7 @@ from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   interior_node_mask, linf_gradient_interior,
                   linf_norm_interior, load_contributions, lp_gradient_norm,
                   prolongations, scatter_matrix, scatter_vector, w12_distance,
-                  zero_field, _b_at_quad, _matrix_pattern)
+                  zero_field, _b_at_quad, _chunks, _matrix_pattern)
 from .operators import (OperatorSpec, check_regularization_exponents,
                         regularize)
 
@@ -69,6 +69,9 @@ class EpsilonSchedule:
             raise InvalidExponents("ratio must lie in (0, 1)")
         if not self.steps >= 1:
             raise InvalidExponents("steps must be >= 1")
+        if not self.eps0 * self.ratio ** (self.steps - 1) > 0:
+            raise InvalidExponents(
+                "the last eps, eps0 * ratio^(steps - 1), underflows to 0")
 
     def epsilons(self) -> np.ndarray:
         return self.eps0 * self.ratio ** np.arange(self.steps)
@@ -202,15 +205,6 @@ class _LinearSolves:
         return sol
 
 
-def _stiffness_blocks(mesh: Mesh) -> np.ndarray:
-    """Element blocks area * G G^T (E, nv, nv) of the Laplacian."""
-    nv = mesh.dim + 1
-    return np.concatenate([
-        np.broadcast_to(k.area * k.grads @ k.grads.T,
-                        (k.elements.stop - k.elements.start, nv, nv))
-        for k in mesh.classes])
-
-
 def _forcing_term(residuals: list, tol: float) -> float:
     """Relative CG tolerance of a Newton step from the residual 2-norms so
     far: 0.9 (|R_k| / |R_k-1|)^2, the rate quadratic convergence can use
@@ -293,8 +287,11 @@ def p2_presolve(mesh: Mesh, b_field, *,
     through ``solves`` as in :func:`newton_solve`."""
     F = scatter_vector(mesh, load_contributions(mesh,
                                                 _b_at_quad(mesh, b_field)))
-    sol = (solves or _LinearSolves(mesh)).solve(
-        scatter_matrix(mesh, _stiffness_blocks(mesh)), -F)
+    # the Laplacian: every element of a class has the block area * G G^T
+    K = scatter_matrix(mesh, (
+        (e, np.tile((k.area * k.grads @ k.grads.T).ravel(),
+                    (e.stop - e.start, 1))) for k, e in _chunks(mesh)))
+    sol = (solves or _LinearSolves(mesh)).solve(K, -F)
     return field_from_interior(mesh, sol)
 
 
@@ -312,12 +309,14 @@ class ContinuationStep:
     h2_interior: float
     cauchy_increment: float | None = None
 
-    def norms_dict(self) -> dict:
-        return {"lp_gradient": self.lp_gradient,
+    def to_dict(self) -> dict:
+        return {"eps": self.eps, "stats": self.stats.to_dict(),
+                "lp_gradient": self.lp_gradient,
                 "linf_u_interior": self.linf_u_interior,
                 "linf_gradient_interior": self.linf_gradient_interior,
                 "h2_interior": self.h2_interior,
-                "cauchy_increment_w12": self.cauchy_increment}
+                "cauchy_increment_w12": self.cauchy_increment,
+                "values": self.field.values.tolist()}
 
 
 @dataclass
@@ -354,17 +353,15 @@ class ContinuationTrace:
         return [s.cauchy_increment for s in self.steps
                 if s.cauchy_increment is not None]
 
+    def head_dict(self) -> dict:
+        """to_dict() without its last key, "steps"."""
+        return {"p": self.p, "q": self.q, "delta": self.delta,
+                "schedule": self.schedule.to_dict(),
+                "mesh": self.mesh.to_dict(), "meta": self.meta}
+
     def to_dict(self) -> dict:
-        return {
-            "p": self.p, "q": self.q, "delta": self.delta,
-            "schedule": self.schedule.to_dict(),
-            "mesh": self.mesh.to_dict(),
-            "meta": self.meta,
-            "steps": [
-                {"eps": s.eps, "stats": s.stats.to_dict(),
-                 **s.norms_dict(), "values": s.field.values.tolist()}
-                for s in self.steps],
-        }
+        return {**self.head_dict(),
+                "steps": [s.to_dict() for s in self.steps]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ContinuationTrace":

@@ -313,6 +313,21 @@ MALFORMED = {
     "report-step-without-lp-gradient": _bad_trace(
         "report", {"steps": [{"eps": 0.2}]}),
     "report-trace-meta-list": _bad_trace("report", {"steps": [], "meta": [1]}),
+    "report-trace-without-steps": _bad_trace("report", {"p": 2}),
+    "report-trace-steps-empty": _bad_trace("report", {"steps": []}),
+    "report-trace-steps-not-objects": _bad_trace("report", {"steps": [1]}),
+    "report-step-lp-gradient-string": _bad_trace(
+        "report", {"steps": [{"lp_gradient": "1"}]}),
+    "report-step-lp-gradient-nan": _bad_trace(
+        "report", {"steps": [{"lp_gradient": float("nan")}]}),
+    "report-step-lp-gradient-huge-int": _bad_trace(
+        "report", {"steps": [{"lp_gradient": 10 ** 400}]}),
+    "report-increments-not-comparable": _bad_trace("report", {"steps": [
+        {"lp_gradient": 1, "cauchy_increment_w12": "a"},
+        {"lp_gradient": 1, "cauchy_increment_w12": 1}]}),
+    "continuation-schedule-underflows": lambda opfile, tmp_path:
+        _continuation(opfile) + ["--schedule",
+                                 "eps0=0.2,ratio=0.5,steps=2000"],
     "estimates-trace-mesh-2x2": _bad_trace("estimates", {"mesh": {
         "dim": 2, "box": {"min": [0, 0], "max": [1, 1]},
         "nodes_per_axis": [2, 2]}}),
@@ -423,6 +438,38 @@ def test_trace_json_holds_the_steps_and_nothing_derived(opfile, tmp_path):
     trace = tmp_path / "trace.json"
     assert main(_continuation(opfile, steps=3) + ["--out", str(trace)]) == 0
     assert set(json.loads(trace.read_text())) == TRACE_KEYS
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_streamed_trace_equals_one_shot_encoding(opfile, tmp_path,
+                                                 monkeypatch, steps):
+    traces = []
+    run = pqelliptic.cli.continuation_solve
+
+    def keep(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(pqelliptic.cli, "continuation_solve", keep)
+    out = tmp_path / "trace.json"
+    assert main(_continuation(opfile, steps) + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (json.dumps(traces[0].to_dict())
+                                + "\n").encode()
+
+
+def test_trace_decoded_step_by_step_equals_full_decode(opfile, tmp_path):
+    out = tmp_path / "trace.json"
+    assert main(_continuation(opfile, 3) + ["--out", str(out)]) == 0
+    full = pqelliptic.solvers.ContinuationTrace.from_dict(
+        json.loads(out.read_text()))
+    hooked = pqelliptic.solvers.ContinuationTrace.from_dict(
+        pqelliptic.cli._read_trace(str(out), np.asarray))
+    assert hooked.to_dict() == full.to_dict()
+    for a, b in zip(hooked.steps, full.steps):
+        assert a.field.values.tobytes() == b.field.values.tobytes()
+    dropped = pqelliptic.cli._read_trace(str(out))
+    assert [set(s) for s in dropped["steps"]] == [
+        set(s) - {"values"} for s in json.loads(out.read_text())["steps"]]
 
 
 def test_trace_with_derived_keys_gives_the_same_estimates_and_report(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,13 +225,14 @@ def test_fixed_pattern_matches_coo_reference(dim, n):
     vals[m.interior] = rng.standard_normal(m.interior.size)
     U = DiscreteField(m, vals)
     # reference: per-quadrature-point element blocks, COO scatter
+    grads = _element_grads(m)
     xi = pq.element_gradients(U)[:, None, :]
     uq = np.einsum("qv,ev->eq", m.quad_bary, vals[m.elements])
     Jq = op.dflux_dxi(m.quad_points, uq, xi)
     au = op.dflux_du(m.quad_points, uq, xi)
     block = m.areas[:, None, None] * (
-        np.einsum("q,evi,eqij,ewj->evw", m.quad_frac, m.grads, Jq, m.grads)
-        + np.einsum("q,eqd,evd,qw->evw", m.quad_frac, au, m.grads,
+        np.einsum("q,evi,eqij,ewj->evw", m.quad_frac, grads, Jq, grads)
+        + np.einsum("q,eqd,evd,qw->evw", m.quad_frac, au, grads,
                     m.quad_bary))
     nv = m.elements.shape[1]
     rows = np.repeat(m.elements, nv, axis=1).ravel()
@@ -250,18 +253,62 @@ def test_fixed_pattern_matches_coo_reference(dim, n):
     assert J1.has_sorted_indices and J1.has_canonical_format
 
 
+def _element_grads(m):
+    """Gradients of the barycentric coordinates per element (E, nv, dim),
+    copied from the mesh's class gradients."""
+    grads = np.empty(m.elements.shape + (m.dim,))
+    for k in m.classes:
+        grads[k.elements] = k.grads
+    return grads
+
+
 def _einsum_jacobian(m, op, U):
     """The Jacobian by per-element einsum formulas over all elements."""
     vals = U.values
-    xi = np.einsum("evd,ev->ed", m.grads, vals[m.elements])[:, None, :]
+    grads = _element_grads(m)
+    xi = np.einsum("evd,ev->ed", grads, vals[m.elements])[:, None, :]
     uq = vals[m.elements] @ m.quad_bary.T
     Jq = op.dflux_dxi(m.quad_points, uq, xi)
     au = op.dflux_du(m.quad_points, uq, xi)
     J_mean = np.einsum("q,eqij->eij", m.quad_frac, Jq)
     au = np.broadcast_to(au, (*uq.shape, m.dim)).transpose(0, 2, 1)
     au_phi = au @ (m.quad_frac[:, None] * m.quad_bary)
-    block = m.grads @ (J_mean @ m.grads.transpose(0, 2, 1) + au_phi)
-    return fem.scatter_matrix(m, m.areas[:, None, None] * block)
+    block = grads @ (J_mean @ grads.transpose(0, 2, 1) + au_phi)
+    block = (m.areas[:, None, None] * block).reshape(m.n_elements, -1)
+    return fem.scatter_matrix(m, [(slice(None), block)])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 30), (2, 9), (2, 17)])
+def test_chunked_scatter_equals_one_bincount_bitwise(monkeypatch, dim, n):
+    m = build_mesh(dim, unit_box(dim), n)
+    rng = np.random.default_rng(7)
+    block = rng.standard_normal((m.n_elements, (dim + 1) ** 2))
+    indptr, indices, slot, _ = fem._matrix_pattern(m)
+    ref = np.bincount(slot, weights=block.ravel(),
+                      minlength=indices.size + 1)[:-1]
+    for chunk in (m.n_elements, 7):
+        monkeypatch.setattr(fem, "JACOBIAN_CHUNK", chunk)
+        got = fem.scatter_matrix(m, ((e, block[e])
+                                     for _, e in fem._chunks(m)))
+        assert got.data.tobytes() == ref.tobytes()
+        assert np.array_equal(got.indices, indices)
+        assert np.array_equal(got.indptr, indptr)
+
+
+def test_jacobian_peak_memory_stays_chunk_sized(double_phase_op):
+    # the Jacobian's temporaries scale with JACOBIAN_CHUNK, not the mesh:
+    # a whole-mesh (E, 9) block alone would be ~2.6x the CSR data
+    op = pq.regularize(double_phase_op, 0.05, 0.2)
+    m = build_mesh(2, unit_box(2), 129)
+    U = interpolate(m, lambda x: np.prod(np.sin(np.pi * x), axis=-1))
+    assemble_jacobian(m, op, U)  # the pattern is built once per mesh
+    tracemalloc.start()
+    try:
+        J = assemble_jacobian(m, op, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * J.data.nbytes, peak / J.data.nbytes
 
 
 @pytest.mark.parametrize("case", ["1d", "2d", "double-phase-eps",

@@ -13,8 +13,7 @@ from pqelliptic import (EpsilonSchedule, InvalidExponents, NewtonConfig,
                         NonConvergence, SingularJacobian,
                         build_mesh, make_family, unit_box, zero_field)
 from pqelliptic.fem import _matrix_pattern, scatter_matrix
-from pqelliptic.solvers import (CG_RTOL, _LinearSolves, _asymmetry,
-                                _stiffness_blocks)
+from pqelliptic.solvers import CG_RTOL, _LinearSolves, _asymmetry
 from conftest import (constant_rhs, dp_weight, dp_weight_grad,
                       u_dependent_test_op)
 
@@ -130,7 +129,15 @@ def test_rhs_evaluated_once_per_solve():
 
 
 def _weighted_stiffness(m, weights):
-    return scatter_matrix(m, weights[:, None, None] * _stiffness_blocks(m))
+    """The P1 Laplacian with the element blocks area * G G^T scaled by
+    ``weights``, summed as one whole-mesh chunk."""
+    blocks = np.concatenate([
+        np.broadcast_to(k.area * k.grads @ k.grads.T,
+                        (k.elements.stop - k.elements.start, m.dim + 1,
+                         m.dim + 1))
+        for k in m.classes])
+    block = weights[:, None, None] * blocks
+    return scatter_matrix(m, [(slice(None), block.reshape(m.n_elements, -1))])
 
 
 @pytest.mark.parametrize("dim,n", [(1, 17), (2, 17), (2, 65)])
@@ -355,6 +362,15 @@ def test_schedule_validation_and_sequence():
             EpsilonSchedule(eps0=eps0)
     with pytest.raises(InvalidExponents):
         EpsilonSchedule(eps0=0.1, ratio=1.5)
+
+
+@pytest.mark.parametrize("steps", [1074, 2000, 10 ** 18])
+def test_schedule_whose_last_eps_underflows_is_rejected(steps):
+    # 0.2 * 0.5^1072 is the last positive double of the sequence; a later
+    # eps is 0, which regularize would refuse after every earlier solve
+    assert EpsilonSchedule(eps0=0.2, ratio=0.5, steps=1073).epsilons()[-1] > 0
+    with pytest.raises(InvalidExponents, match="underflows"):
+        EpsilonSchedule(eps0=0.2, ratio=0.5, steps=steps)
 
 
 def test_newton_config_rejects_nonpositive_and_nan_tolerances():
