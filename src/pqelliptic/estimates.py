@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidExponents
+from .errors import InvalidExponents, QuadratureFailure
 from .fem import (DiscreteField, ball_element_mask, ball_node_mask,
-                  element_gradients, gradient_weight_integral, h2_seminorm)
+                  element_gradients, gradient_weight_integral, h2_seminorm,
+                  _b_at_quad, _chunks)
 from .operators import _sq
 from .verify import theta_exponent
 
@@ -76,15 +77,14 @@ def global_lp_rhs(mesh, op, b_field, p: float, pstar: float) -> float:
     Norms are taken over the mesh by quadrature.  The unknown constant of
     the estimate is *not* included: callers compare ||Du||_p^p / bracket.
     """
-    from .fem import _b_at_quad
     pprime = p / (p - 1.0)
     psprime = pstar / (pstar - 1.0)
-    xq = mesh.quad_points
-    zero_u = np.zeros(xq.shape[:-1])
-    zero_xi = np.zeros_like(xq)
-    a0 = np.sqrt(_sq(op.flux(xq, zero_u, zero_xi)))
+    a0 = np.empty(mesh.quad_points.shape[:-1])
+    for _, e in _chunks(mesh):
+        xq = mesh.quad_points[e]
+        a0[e] = np.sqrt(_sq(op.flux(xq, np.zeros(xq.shape[:-1]),
+                                    np.zeros_like(xq))))
     bq = _b_at_quad(mesh, b_field)
-    from .errors import QuadratureFailure
     if not np.all(np.isfinite(a0)):
         raise QuadratureFailure("non-finite integrand in the data bracket")
     bracket = 1.0 + _lp_norm_of(mesh, a0, pprime) + _lp_norm_of(mesh, bq, psprime)

@@ -11,10 +11,11 @@ dimension; the table has rows for 1D (a testing device) and 2D.
 Every element is a translate of one of a few class simplices, one per
 parity class of its cell and simplex within the cell.  The elements are
 stored sorted by class, so a class is a slice of them with one gradient
-matrix G (nv, dim) and one measure, kept once per class.  Each element
-kernel runs over chunks of at most JACOBIAN_CHUNK elements of one class, as
-one matrix product per chunk with a small constant matrix.  Assembly
-integrates the weak form
+matrix G (nv, dim) and one measure, kept once per class.  Element kernels
+and evaluations at quadrature points (rhs, data bracket, MMS errors) run
+over chunks of at most JACOBIAN_CHUNK elements of one class, one matrix
+product per chunk, with no whole-mesh (E, nv) or (E, nq, ...) temporary.
+Assembly integrates the weak form
 
     R_j = int a(x, u_h, Du_h) . grad(phi_j) dx + int b phi_j dx
 
@@ -336,11 +337,13 @@ def assert_dirichlet(U: DiscreteField) -> None:
         raise MeshError("field violates the homogeneous Dirichlet invariant")
 
 
-def _chunks(mesh: Mesh):
-    """(class, slice) of at most JACOBIAN_CHUNK elements, over all in order."""
+def _chunks(mesh: Mesh, points: int = 1):
+    """(class, slice) over all elements in order, each of at most
+    JACOBIAN_CHUNK / ``points`` elements, the points a kernel evaluates."""
+    size = max(1, JACOBIAN_CHUNK // points)
     for k in mesh.classes:
-        for lo in range(k.elements.start, k.elements.stop, JACOBIAN_CHUNK):
-            yield k, slice(lo, min(lo + JACOBIAN_CHUNK, k.elements.stop))
+        for lo in range(k.elements.start, k.elements.stop, size):
+            yield k, slice(lo, min(lo + size, k.elements.stop))
 
 
 def element_gradients(U: DiscreteField) -> np.ndarray:
@@ -353,12 +356,18 @@ def element_gradients(U: DiscreteField) -> np.ndarray:
 
 
 def _b_at_quad(mesh: Mesh, b_field) -> np.ndarray:
-    """Right-hand side at quadrature points (E, nq) from a callable b(x), a
-    nodal array (through the P1 interpolant) or (E, nq) values as they are."""
-    bq = np.asarray(b_field(mesh.quad_points) if callable(b_field)
-                    else b_field, float)
-    if bq.shape == (mesh.n_nodes,):
-        bq = bq[mesh.elements] @ mesh.quad_bary.T
+    """Right-hand side at quadrature points (E, nq), chunk by chunk from a
+    callable b(x) or a nodal array (its P1 interpolant), or (E, nq) as is."""
+    bq = None if callable(b_field) else np.asarray(b_field, float)
+    if bq is None or bq.shape == (mesh.n_nodes,):
+        nodal, bq = bq, np.empty(mesh.quad_points.shape[:2])
+        for _, e in _chunks(mesh):
+            v = (b_field(mesh.quad_points[e]) if nodal is None
+                 else nodal[mesh.elements[e]] @ mesh.quad_bary.T)
+            try:
+                bq[e] = v
+            except ValueError:
+                raise MeshError("rhs does not match the mesh") from None
     elif bq.shape != mesh.quad_points.shape[:2]:
         raise MeshError("rhs table does not match the mesh")
     if not np.all(np.isfinite(bq)):
@@ -444,10 +453,12 @@ def scatter_matrix(mesh: Mesh, blocks) -> sp.csr_matrix:
                          shape=(indptr.size - 1,) * 2)
 
 
-def scatter_vector(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
-    """Interior vector summed from element contributions (E, nv)."""
-    total = np.bincount(mesh.elements.ravel(), weights=contrib.ravel(),
-                        minlength=mesh.n_nodes)
+def scatter_vector(mesh: Mesh, contribs) -> np.ndarray:
+    """Interior vector summed as in :func:`scatter_matrix` from ``contribs``,
+    pairs (slice of the elements, their contributions (n, nv))."""
+    total = np.zeros(mesh.n_nodes)
+    for e, c in contribs:  # 1-D operands take np.add.at's fast path
+        np.add.at(total, mesh.elements[e].ravel(), c.ravel())
     return total[mesh.interior]
 
 
@@ -461,32 +472,31 @@ def _at_quad(values: np.ndarray, n: int, nq: int) -> np.ndarray:
     return np.broadcast_to(values, (n, nq) + values.shape[2:]).reshape(n, -1)
 
 
-def load_contributions(mesh: Mesh, bq: np.ndarray) -> np.ndarray:
-    """area * int b phi_v per element (E, nv), from b at the quadrature
-    points (E, nq)."""
-    out = np.empty(mesh.elements.shape)
+def _loads(mesh: Mesh, b_field):
+    """(class, slice, area * int b phi_v (n, nv)) per chunk of elements."""
+    bq = _b_at_quad(mesh, b_field)
     for k, e in _chunks(mesh):
         # K[q, v] = area frac_q phi_v(q)
-        np.matmul(bq[e], k.area * mesh.quad_frac[:, None] * mesh.quad_bary,
-                  out=out[e])
-    return out
+        yield k, e, bq[e] @ (k.area * mesh.quad_frac[:, None] * mesh.quad_bary)
 
 
 def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
     """R_j = int a(x,u_h,Du_h).grad(phi_j) + int b phi_j, interior j only."""
-    vals = U.values
-    contrib = load_contributions(mesh, _b_at_quad(mesh, b_field))
     nq, nv = mesh.quad_bary.shape
-    for k, e in _chunks(mesh):
-        ve = vals[mesh.elements[e]]
-        aq = op.flux(mesh.quad_points[e], ve @ mesh.quad_bary.T,
-                     (ve @ k.grads)[:, None, :])
-        if not np.all(np.isfinite(aq)):
-            raise QuadratureFailure("non-finite flux at a quadrature point")
-        # K[(q, i), v] = area frac_q G[v, i]: sum_q area frac_q a_q . grad_v
-        K = k.area * mesh.quad_frac[:, None, None] * k.grads.T
-        contrib[e] += _at_quad(aq, len(ve), nq) @ K.reshape(-1, nv)
-    return scatter_vector(mesh, contrib)
+
+    def contribs():
+        for k, e, c in _loads(mesh, b_field):
+            ve = U.values[mesh.elements[e]]
+            aq = op.flux(mesh.quad_points[e], ve @ mesh.quad_bary.T,
+                         (ve @ k.grads)[:, None, :])
+            if not np.all(np.isfinite(aq)):
+                raise QuadratureFailure(
+                    "non-finite flux at a quadrature point")
+            # K[(q, i), v] = area frac_q G[v, i]: sum_q area frac_q a_q.grad_v
+            K = k.area * mesh.quad_frac[:, None, None] * k.grads.T
+            c += _at_quad(aq, len(ve), nq) @ K.reshape(-1, nv)
+            yield e, c
+    return scatter_vector(mesh, contribs())
 
 
 def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:

@@ -21,9 +21,9 @@ from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   assert_dirichlet, field_from_interior,
                   h2_seminorm_interior, interior_element_mask,
                   interior_node_mask, linf_gradient_interior,
-                  linf_norm_interior, load_contributions, lp_gradient_norm,
-                  prolongations, scatter_matrix, scatter_vector, w12_distance,
-                  zero_field, _b_at_quad, _chunks, _matrix_pattern)
+                  linf_norm_interior, lp_gradient_norm, prolongations,
+                  scatter_matrix, scatter_vector, w12_distance, zero_field,
+                  _b_at_quad, _chunks, _loads, _matrix_pattern)
 from .operators import (OperatorSpec, check_regularization_exponents,
                         regularize)
 
@@ -38,6 +38,7 @@ CG_MAXITER = 30
 # after each coarse correction.
 JACOBI_WEIGHT = 0.6
 JACOBI_SWEEPS = 2
+MAX_STEPS = 10_000  # the longest eps schedule: each step is a Newton solve
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class NewtonConfig:
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
-    """eps_k = eps0 * ratio^k for k = 0..steps-1, strictly decreasing."""
+    """eps_k = eps0 * ratio^k, k < steps <= MAX_STEPS, strictly decreasing."""
 
     eps0: float
     ratio: float = 0.5
@@ -72,6 +73,8 @@ class EpsilonSchedule:
         if not self.eps0 * self.ratio ** (self.steps - 1) > 0:
             raise InvalidExponents(
                 "the last eps, eps0 * ratio^(steps - 1), underflows to 0")
+        if self.steps > MAX_STEPS:
+            raise InvalidExponents(f"steps must be at most {MAX_STEPS}")
 
     def epsilons(self) -> np.ndarray:
         return self.eps0 * self.ratio ** np.arange(self.steps)
@@ -285,8 +288,7 @@ def p2_presolve(mesh: Mesh, b_field, *,
     """Solution of the p = 2 linear problem with the same right-hand side;
     the default initial guess of a continuation run.  The linear system goes
     through ``solves`` as in :func:`newton_solve`."""
-    F = scatter_vector(mesh, load_contributions(mesh,
-                                                _b_at_quad(mesh, b_field)))
+    F = scatter_vector(mesh, ((e, c) for _, e, c in _loads(mesh, b_field)))
     # the Laplacian: every element of a class has the block area * G G^T
     K = scatter_matrix(mesh, (
         (e, np.tile((k.area * k.grads @ k.grads.T).ravel(),

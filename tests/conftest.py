@@ -74,6 +74,23 @@ def constant_rhs(value):
     return b
 
 
+def assert_rhs_tiles_quad_points(calls, *meshes):
+    """The recorded rhs arguments cover each mesh's quadrature points once,
+    one chunk of elements after another in element order, mesh after mesh:
+    the rhs is evaluated once per mesh, and never again (per Newton step,
+    say), however many chunks that evaluation takes."""
+    calls = iter(calls)
+    for m in meshes:
+        rows = 0
+        while rows < m.n_elements:
+            x = next(calls)
+            assert x.ndim == 3 and x.shape[1:] == m.quad_points.shape[1:]
+            assert np.array_equal(x, m.quad_points[rows:rows + len(x)])
+            rows += len(x)
+        assert rows == m.n_elements
+    assert next(calls, None) is None
+
+
 def u_dependent_test_op(p=2.0, beta=0.5, kappa=0.5, dim=2):
     """Additive lower-order u-term: a = (1+t)^((p-2)/2) xi + |u|^(b-1) u v0.
 

@@ -16,7 +16,7 @@ import pqelliptic.cli
 import pqelliptic.solvers
 from pqelliptic import NonConvergence
 from pqelliptic.cli import main
-from conftest import DP_DESCRIPTOR
+from conftest import DP_DESCRIPTOR, assert_rhs_tiles_quad_points
 
 
 PLAP3 = {"family": "p-laplacian", "p": 3,
@@ -94,17 +94,19 @@ def test_solve_evaluates_callable_rhs_once(opfile, tmp_path, monkeypatch):
         b = real_parse_rhs(spec, op, mesh)
 
         def counted(x):
-            calls.append(1)
+            calls.append(np.array(x))
             return b(x)
         return counted
 
     monkeypatch.setattr(pqelliptic.cli, "parse_rhs", parse_rhs)
+    mesh = pqelliptic.build_mesh(2, PLAP3["domain"], 17)
     for start in ("presolve", "zero"):
         calls.clear()
         rc = main(["solve", "--operator", opfile(PLAP3), "--rhs",
                    "manufactured:sine2d", "--mesh", "2d:17x17", "--start",
                    start, "--out", str(tmp_path / f"{start}.json")])
-        assert rc == 0 and len(calls) == 1
+        assert rc == 0
+        assert_rhs_tiles_quad_points(calls, mesh)
 
 
 def test_newton_failure_exits_2_naming_eps(opfile, tmp_path, capsys,
@@ -328,6 +330,12 @@ MALFORMED = {
     "continuation-schedule-underflows": lambda opfile, tmp_path:
         _continuation(opfile) + ["--schedule",
                                  "eps0=0.2,ratio=0.5,steps=2000"],
+    "continuation-schedule-steps-1e15": lambda opfile, tmp_path:
+        _continuation(opfile) + [
+            "--schedule", "eps0=0.2,ratio=0.9999999999999999,steps=1e15"],
+    "continuation-schedule-steps-100000": lambda opfile, tmp_path:
+        _continuation(opfile) + ["--schedule",
+                                 "eps0=0.2,ratio=0.999,steps=100000"],
     "estimates-trace-mesh-2x2": _bad_trace("estimates", {"mesh": {
         "dim": 2, "box": {"min": [0, 0], "max": [1, 1]},
         "nodes_per_axis": [2, 2]}}),

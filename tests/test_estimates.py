@@ -68,6 +68,25 @@ def test_bracket_trivial_and_hand_value():
         == pytest.approx(9.0)
 
 
+def test_chunked_bracket_equals_one_pass_bitwise(monkeypatch):
+    # a(x, 0, 0) != 0, so both norms of the bracket are nonzero
+    op = pq.make_custom(lambda x, u, xi: xi + np.sin(3.0 * x), dim=2, p=2,
+                        q=2, m=1, M=1)
+    m = build_mesh(2, unit_box(2), 17)
+
+    def b(x):
+        return np.cos(3.0 * x[..., 0]) - x[..., 1] ** 2
+
+    xq = m.quad_points
+    a0 = np.sqrt(np.sum(op.flux(xq, np.zeros(xq.shape[:-1]),
+                                np.zeros_like(xq)) ** 2, axis=-1))
+    norms = [np.einsum("e,q,eq->", m.areas, m.quad_frac, np.abs(v) ** r)
+             ** (1.0 / r) for v, r in ((a0, 2.0), (b(xq), 1.5))]
+    ref = float((1.0 + float(norms[0]) + float(norms[1])) ** 2.0)
+    monkeypatch.setattr(pq.fem, "JACOBIAN_CHUNK", 7)
+    assert pq.global_lp_rhs(m, op, b, 2.0, 3.0) == ref
+
+
 def test_bracket_monotone_in_rhs():
     op = make_family("p-laplacian", {"p": 2})
     m = build_mesh(2, unit_box(2), 9)

@@ -338,6 +338,67 @@ def test_chunked_jacobian_equals_one_shot_bitwise(monkeypatch,
     assert np.abs(J.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
 
 
+def _bincount_residual(m, op, b, U):
+    """The residual as one pass over the mesh: each class's (n, nv)
+    contributions in one piece, summed by one whole-mesh np.bincount."""
+    nq, nv = m.quad_bary.shape
+    bq = b(m.quad_points)
+    contrib = np.empty(m.elements.shape)
+    for k in m.classes:
+        e = k.elements
+        ve = U.values[m.elements[e]]
+        aq = op.flux(m.quad_points[e], ve @ m.quad_bary.T,
+                     (ve @ k.grads)[:, None, :])
+        contrib[e] = bq[e] @ (k.area * m.quad_frac[:, None] * m.quad_bary)
+        K = k.area * m.quad_frac[:, None, None] * k.grads.T
+        contrib[e] += (np.broadcast_to(aq, (len(ve), nq, m.dim))
+                       .reshape(len(ve), -1) @ K.reshape(-1, nv))
+    return np.bincount(m.elements.ravel(), weights=contrib.ravel(),
+                       minlength=m.n_nodes)[m.interior]
+
+
+@pytest.mark.parametrize("case", ["1d", "2d", "u-dependent"])
+def test_chunked_residual_equals_one_bincount_bitwise(monkeypatch, case):
+    op = {"1d": make_family("p-laplacian", {"p": 3,
+                                            "domain": unit_box(1)}),
+          "2d": make_family("p-laplacian", {"p": 4}),
+          "u-dependent": _u_dependent_op(2)}[case]
+    m = build_mesh(op.dim, op.domain, 30 if op.dim == 1 else 9)
+    rng = np.random.default_rng(11)
+    vals = np.zeros(m.n_nodes)
+    vals[m.interior] = rng.standard_normal(m.interior.size)
+    U = DiscreteField(m, vals)
+
+    def b(x):
+        return np.cos(3.0 * x[..., 0]) - x[..., -1] ** 2
+
+    ref = _bincount_residual(m, op, b, U)
+    for chunk in (m.n_elements, 7):
+        monkeypatch.setattr(fem, "JACOBIAN_CHUNK", chunk)
+        assert assemble_residual(m, op, b, U).tobytes() == ref.tobytes()
+
+
+def test_chunked_rhs_of_a_nodal_table_equals_one_pass_bitwise(monkeypatch):
+    m = build_mesh(2, unit_box(2), 9)
+    nodal = np.random.default_rng(3).standard_normal(m.n_nodes)
+    ref = nodal[m.elements] @ m.quad_bary.T
+    monkeypatch.setattr(fem, "JACOBIAN_CHUNK", 7)
+    assert fem._b_at_quad(m, nodal).tobytes() == ref.tobytes()
+    assert fem._b_at_quad(m, list(nodal)).tobytes() == ref.tobytes()
+
+
+def test_rhs_that_does_not_match_the_mesh_is_a_mesh_error():
+    m = build_mesh(2, unit_box(2), 9)
+    for b in (lambda x: np.zeros(len(x) + 1), lambda x: np.zeros((2, 3)),
+              np.zeros(m.n_nodes + 1), np.zeros((m.n_elements, 2))):
+        with pytest.raises(MeshError):
+            fem._b_at_quad(m, b)
+    # a callable's values broadcast along the chunk, as a constant does
+    assert np.all(fem._b_at_quad(m, lambda x: -2.0) == -2.0)
+    with pytest.raises(QuadratureFailure):
+        fem._b_at_quad(m, lambda x: np.where(x[..., 0] > 0.9, np.nan, 0.0))
+
+
 @pytest.mark.parametrize("derivative", ["dflux_dxi", "dflux_du"])
 def test_chunked_jacobian_nonfinite_in_late_chunk(monkeypatch, derivative):
     def late_nan(name, x, value):

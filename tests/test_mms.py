@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pqelliptic import (InconsistentExactData, build_mesh, builtin_case,
                         convergence_study, make_family, make_manufactured,
                         unit_box)
 from pqelliptic.mms import _refined_errors
+from conftest import assert_rhs_tiles_quad_points
 
 
 def test_quad1d_rhs_is_minus_two():
@@ -170,6 +172,83 @@ def test_refined_errors_match_the_rule_with_coincident_points(name, dim):
         (np.sqrt(l2), np.sqrt(l2 + grad2)), rel=1e-13)
 
 
+def _refined_rule(dim):
+    """The refined rule's distinct barycentric points and their weights."""
+    split = pq.fem.SIMPLICES[dim]
+    bary = np.einsum("qk,ckv->cqv", split.quad_bary,
+                     split.children).reshape(-1, dim + 1)
+    bary, which = np.unique(bary, axis=0, return_inverse=True)
+    return bary, np.bincount(which.ravel(), np.tile(
+        split.quad_frac, len(split.children))) / len(split.children)
+
+
+def _whole_mesh_refined_errors(mesh, U, case):
+    """_refined_errors in one pass over the mesh: a (points, E, dim) array
+    of refined points and one gather of the vertex values."""
+    bary, frac = _refined_rule(mesh.dim)
+    uh_vert = U.values[mesh.elements]
+    grad = pq.element_gradients(U)
+    points = np.tensordot(bary, mesh.nodes[mesh.elements], axes=(1, 1))
+    l2 = np.zeros(mesh.n_elements)
+    w12g = np.zeros(mesh.n_elements)
+    for xq, uh, wq in zip(points, bary @ uh_vert.T, frac):
+        weight = wq * mesh.areas
+        u, du = case.jet(xq, 1)
+        l2 += weight * (uh - u) ** 2
+        w12g += weight * np.sum((grad - du) ** 2, axis=-1)
+    return float(np.sqrt(l2.sum())), float(np.sqrt(l2.sum() + w12g.sum()))
+
+
+@pytest.mark.parametrize("name,dim", [("quad1d", 1), ("sine2d", 2)])
+def test_chunked_refined_errors_equal_one_pass_bitwise(monkeypatch, name,
+                                                       dim):
+    # the kernel holds JACOBIAN_CHUNK points, so this gives chunks of 7
+    # elements: in 1D two classes of 14, since a one-element chunk can
+    # round its refined points differently (a matrix-vector product), and
+    # in 2D classes of 64, each with a ragged last chunk
+    op = make_family("p-laplacian", {"p": 3, "domain": unit_box(dim)})
+    case = builtin_case(name, op)
+    mesh = build_mesh(dim, unit_box(dim), 29 if dim == 1 else 17)
+    U = pq.interpolate(mesh, lambda x: 1.1 * case.u_exact(x) + 0.01,
+                       zero_boundary=True)
+    monkeypatch.setattr(pq.fem, "JACOBIAN_CHUNK",
+                        7 * len(_refined_rule(dim)[0]))
+    assert _refined_errors(mesh, U, case) == _whole_mesh_refined_errors(
+        mesh, U, case)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def sine2d_129(double_phase_op):
+    case = builtin_case("sine2d", double_phase_op)
+    mesh = build_mesh(2, double_phase_op.domain, 129)
+    return mesh, case
+
+
+def test_refined_errors_peak_memory_stays_chunk_sized(sine2d_129):
+    # a whole-mesh pass held the (9, E, 2) refined points and the vertex
+    # values: 49 (E,) float arrays at the peak
+    mesh, case = sine2d_129
+    U = pq.interpolate(mesh, case.u_exact)
+    _, peak = _traced_peak(lambda: _refined_errors(mesh, U, case))
+    assert peak <= 16 * 8 * mesh.n_elements, peak / (8 * mesh.n_elements)
+
+
+def test_rhs_peak_memory_stays_chunk_sized(sine2d_129):
+    # the analytic rhs on all E * nq points at once peaked at 19x its result
+    mesh, case = sine2d_129
+    bq, peak = _traced_peak(lambda: pq.fem._b_at_quad(mesh, case.b_field))
+    assert peak <= 5 * bq.nbytes, peak / bq.nbytes
+
+
 def test_bump2d_rhs_hand_value():
     # p = 2: b = laplace(u*) = -2 [y(1-y) + x(1-x)], -0.9 at (0.3, 0.6)
     op = make_family("p-laplacian", {"p": 2})
@@ -269,11 +348,12 @@ def test_convergence_study_evaluates_rhs_once_per_mesh():
     calls = []
 
     def b(x):
-        calls.append(np.shape(x))
+        calls.append(np.array(x))
         return case.b_field(x)
 
     convergence_study(op, dataclasses.replace(case, b_field=b), [9, 17, 33])
-    assert calls == [(2 * (n - 1) ** 2, 3, 2) for n in (9, 17, 33)]
+    assert_rhs_tiles_quad_points(calls, *(build_mesh(2, op.domain, n)
+                                          for n in (9, 17, 33)))
 
 
 # ---------------------------------------------------------------------------

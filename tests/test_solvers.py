@@ -13,9 +13,10 @@ from pqelliptic import (EpsilonSchedule, InvalidExponents, NewtonConfig,
                         NonConvergence, SingularJacobian,
                         build_mesh, make_family, unit_box, zero_field)
 from pqelliptic.fem import _matrix_pattern, scatter_matrix
-from pqelliptic.solvers import CG_RTOL, _LinearSolves, _asymmetry
-from conftest import (constant_rhs, dp_weight, dp_weight_grad,
-                      u_dependent_test_op)
+from pqelliptic.solvers import (CG_RTOL, MAX_STEPS, _LinearSolves,
+                                 _asymmetry)
+from conftest import (assert_rhs_tiles_quad_points, constant_rhs, dp_weight,
+                      dp_weight_grad, u_dependent_test_op)
 
 
 def test_newton_1d_poisson_nodal_exactness():
@@ -113,19 +114,21 @@ def test_residual_strictly_decreases_along_newton():
 # per-solve work: one rhs evaluation; multigrid-preconditioned CG that factors
 # only the coarsest level
 
-def test_rhs_evaluated_once_per_solve():
+def test_rhs_evaluated_once_per_solve(monkeypatch):
     op = make_family("p-laplacian", {"p": 4})
     m = build_mesh(2, unit_box(2), 17)
+    monkeypatch.setattr(pq.fem, "JACOBIAN_CHUNK", 50)  # several per class
     calls = []
 
     def b(x):
-        calls.append(1)
+        calls.append(np.array(x))
         return np.full(np.shape(x)[:-1], -2.0)
 
     U0 = pq.p2_presolve(m, b)
     calls.clear()
     _, stats = pq.newton_solve(m, op, b, U0)
-    assert stats.iterations > 1 and len(calls) == 1
+    assert stats.iterations > 1 and len(calls) > len(m.classes)
+    assert_rhs_tiles_quad_points(calls, m)
 
 
 def _weighted_stiffness(m, weights):
@@ -371,6 +374,17 @@ def test_schedule_whose_last_eps_underflows_is_rejected(steps):
     assert EpsilonSchedule(eps0=0.2, ratio=0.5, steps=1073).epsilons()[-1] > 0
     with pytest.raises(InvalidExponents, match="underflows"):
         EpsilonSchedule(eps0=0.2, ratio=0.5, steps=steps)
+
+
+def test_schedule_longer_than_max_steps_is_rejected():
+    # each step is a Newton solve: a schedule of 1e15 steps whose last eps
+    # stays positive could only run out of memory in epsilons(), or of time
+    assert EpsilonSchedule(eps0=0.2, ratio=0.999,
+                           steps=MAX_STEPS).epsilons()[-1] > 0
+    for ratio, steps in ((0.999, MAX_STEPS + 1), (0.999, 100_000),
+                         (0.9999999999999999, 10 ** 15)):
+        with pytest.raises(InvalidExponents, match="at most"):
+            EpsilonSchedule(eps0=0.2, ratio=ratio, steps=steps)
 
 
 def test_newton_config_rejects_nonpositive_and_nan_tolerances():
