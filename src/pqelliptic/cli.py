@@ -2,6 +2,8 @@
 
 Subcommands: check, solve, continuation, estimates, mms, report.  All data
 goes to files (written atomically); diagnostics go to standard error.
+``continuation --out trace.json`` writes the step fields to ``trace.npy``,
+then ``trace.json`` naming its sha256, then ``trace.csv``.
 Exit codes: 0 success, 1 verification failure, 2 numerical failure,
 3 configuration error.  Outputs embed no timestamps, so identical
 configurations and seeds reproduce byte-identical files.
@@ -12,13 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import logging
 import math
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -45,13 +47,15 @@ FLOAT_FMT = "%.17g"
 # ---------------------------------------------------------------------------
 # atomic output helpers
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write the strings ``chunks`` beside ``path``, then move them there."""
+def _atomic_write(path: str, data) -> None:
+    """Write the str or bytes ``data`` atomically, in open()'s file mode."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pq-tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
+        os.umask(umask := os.umask(0))  # read it, then put it back
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -59,15 +63,14 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
-def write_json(path: str, payload: dict, steps=None) -> None:
-    """``payload`` as compact JSON.  The dicts ``steps`` are encoded one at a
-    time as its last key: json.dumps({**payload, "steps": list(steps)})."""
-    # compact: with ``indent`` json falls back to its pure-Python encoder
-    if steps is None:
-        return _atomic_write(path, [json.dumps(payload), "\n"])
-    head = json.dumps({**payload, "steps": []})[:-2]
-    items = (", " * (k > 0) + json.dumps(s) for k, s in enumerate(steps))
-    _atomic_write(path, itertools.chain([head], items, ["]}\n"]))
+def write_json(path: str, payload: dict) -> None:
+    """Compact JSON: with ``indent`` json takes its pure-Python encoder."""
+    _atomic_write(path, json.dumps(payload) + "\n")
+
+
+def _sha256(data: bytes) -> str:
+    import hashlib  # here: its import takes 5 ms, and only traces hash
+    return hashlib.sha256(data).hexdigest()
 
 
 def _fmt(value) -> str:
@@ -86,19 +89,20 @@ def write_csv(path: str, columns: list, rows: list) -> None:
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(row.get(c)) for c in columns])
-    _atomic_write(path, [buf.getvalue()])
+    _atomic_write(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _read_json(path: str, what: str, object_hook=None):
-    """The JSON document in ``path``, every object through ``object_hook``.
-    Unreadable (OSError) or non-UTF-8 JSON (ValueError) is a config error."""
+def _read_json(path: str, what: str):
+    """The JSON document in ``path``.  Unreadable (OSError), non-UTF-8
+    (ValueError) or too deeply nested JSON (RecursionError) is a config
+    error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_hook=object_hook)
-    except (OSError, ValueError) as exc:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"bad {what} file {path!r}: {exc}") from exc
 
 
@@ -220,11 +224,6 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-def _solution_payload(mesh, U, stats) -> dict:
-    return {"mesh": mesh.to_dict(), "values": U.values.tolist(),
-            "stats": stats.to_dict()}
-
-
 def cmd_solve(args) -> int:
     op = load_operator(args.operator)
     mesh = parse_mesh_spec(args.mesh, op.domain)
@@ -236,7 +235,9 @@ def cmd_solve(args) -> int:
           else zero_field(mesh))
     U, stats = newton_solve(mesh, op, b, U0, cfg, solves=solves)
     if args.out:
-        write_json(args.out, _solution_payload(mesh, U, stats))
+        write_json(args.out, {"mesh": mesh.to_dict(),
+                              "values": U.values.tolist(),
+                              "stats": stats.to_dict()})
     print(f"solve: {stats.iterations} iterations, residual "
           f"{stats.residual_norm:.3e}", file=sys.stderr)
     return EXIT_OK
@@ -248,22 +249,28 @@ TRACE_COLUMNS = ["step", "eps", "newton_iterations", "newton_residual",
 
 
 def trace_csv_rows(trace: ContinuationTrace) -> list:
-    rows = []
-    for k, s in enumerate(trace.steps):
-        rows.append({"step": k, "eps": s.eps,
-                     "newton_iterations": s.stats.iterations,
-                     "newton_residual": s.stats.residual_norm,
-                     "lp_gradient": s.lp_gradient,
-                     "linf_u_interior": s.linf_u_interior,
-                     "linf_gradient_interior": s.linf_gradient_interior,
-                     "h2_seminorm_interior": s.h2_interior,
-                     "cauchy_increment_w12": s.cauchy_increment})
-    return rows
+    return [{"step": k, "eps": s.eps, "newton_iterations": s.stats.iterations,
+             "newton_residual": s.stats.residual_norm,
+             "lp_gradient": s.lp_gradient,
+             "linf_u_interior": s.linf_u_interior,
+             "linf_gradient_interior": s.linf_gradient_interior,
+             "h2_seminorm_interior": s.h2_interior,
+             "cauchy_increment_w12": s.cauchy_increment}
+            for k, s in enumerate(trace.steps)]
+
+
+def _beside_trace(path: str) -> tuple:
+    """The step fields and the CSV written beside the trace ``path``."""
+    stem, _ = os.path.splitext(path)
+    return stem + ".npy", stem + ".csv"
 
 
 def cmd_continuation(args) -> int:
     if not 0.0 <= args.delta < 0.5:
         raise ConfigError(f"--delta must lie in [0, 0.5), got {args.delta}")
+    if args.out and args.out in _beside_trace(args.out):
+        raise ConfigError(f"--out {args.out!r} names a file written beside "
+                          "the trace; give it another extension, e.g. .json")
     op = load_operator(args.operator)
     if op.descriptor is None:
         raise ConfigError("continuation needs a descriptor-built operator")
@@ -282,10 +289,15 @@ def cmd_continuation(args) -> int:
     trace = continuation_solve(mesh, op, b, schedule, cfg, delta=delta,
                                meta=meta)
     if args.out:
-        write_json(args.out, trace.head_dict(),
-                   (s.to_dict() for s in trace.steps))
-        stem, _ = os.path.splitext(args.out)
-        write_csv(stem + ".csv", TRACE_COLUMNS, trace_csv_rows(trace))
+        npy, csv_path = _beside_trace(args.out)
+        buf = io.BytesIO()
+        np.save(buf, np.stack([s.field.values for s in trace.steps]),
+                allow_pickle=False)
+        fields = buf.getvalue()
+        trace.meta["fields_sha256"] = _sha256(fields)
+        _atomic_write(npy, fields)
+        write_json(args.out, trace.to_dict())
+        write_csv(csv_path, TRACE_COLUMNS, trace_csv_rows(trace))
     last = trace.steps[-1]
     print(f"continuation: {len(trace.steps)} steps down to eps="
           f"{last.eps:.4g}, |Du|_p={last.lp_gradient:.6g}", file=sys.stderr)
@@ -296,19 +308,16 @@ ESTIMATE_COLUMNS = ["eps", "lp_grad", "bracket", "ratio", "c_gradient",
                     "c_hessian", "alpha", "pstar"]
 
 
-def _read_trace(path: str, values=None) -> dict:
-    """The trace in ``path``, decoded one step at a time: a step's "values"
-    list becomes ``values(list)`` at once, or is dropped if that is None."""
-    def step(obj: dict) -> dict:
-        if "values" in obj:
-            v = obj.pop("values")
-            if values is not None:
-                obj["values"] = values(v)
-        return obj
-
-    doc = _read_json(path, "trace", step)
+def _read_trace(path: str) -> dict:
+    """The trace in ``path``, refused if its steps carry inline fields."""
+    doc = _read_json(path, "trace")
     if not isinstance(doc, dict):
         raise ConfigError(f"bad trace file {path!r}: not a JSON object")
+    steps = doc.get("steps")
+    if isinstance(steps, list) and any("values" in s for s in steps
+                                       if isinstance(s, dict)):
+        raise ConfigError(f"trace file {path!r} was written by an older pq; "
+                          "rerun continuation")
     return doc
 
 
@@ -316,12 +325,17 @@ def cmd_estimates(args) -> int:
     if not (math.isfinite(args.lp_bound) and args.lp_bound > 0):
         raise ConfigError(
             f"--lp-bound must be a finite number > 0, got {args.lp_bound}")
-    try:
-        trace = ContinuationTrace.from_dict(_read_trace(args.trace,
-                                                        np.asarray))
+    doc = _read_trace(args.trace)
+    npy, _ = _beside_trace(args.trace)
+    try:  # the fields: read once, checked against the trace's sha256
+        data = Path(npy).read_bytes()
+        if _sha256(data) != (doc.get("meta") or {}).get("fields_sha256"):
+            raise ValueError(f"{npy!r} is stale: not the trace's sha256")
+        fields = np.load(io.BytesIO(data), allow_pickle=False)
+        trace = ContinuationTrace.from_dict(doc, fields)
         opdesc, rhs = trace.meta.get("operator"), trace.meta.get("rhs")
-    except (AttributeError, KeyError, TypeError, ValueError,
-            MeshError) as exc:
+    except (OSError, EOFError, AttributeError, KeyError, TypeError,
+            ValueError, MeshError) as exc:
         raise ConfigError(f"bad trace file {args.trace!r}: {exc}") from exc
     if not opdesc or not rhs:
         raise ConfigError("trace carries no operator/rhs descriptors")

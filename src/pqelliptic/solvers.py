@@ -317,8 +317,7 @@ class ContinuationStep:
                 "linf_u_interior": self.linf_u_interior,
                 "linf_gradient_interior": self.linf_gradient_interior,
                 "h2_interior": self.h2_interior,
-                "cauchy_increment_w12": self.cauchy_increment,
-                "values": self.field.values.tolist()}
+                "cauchy_increment_w12": self.cauchy_increment}
 
 
 @dataclass
@@ -355,30 +354,27 @@ class ContinuationTrace:
         return [s.cauchy_increment for s in self.steps
                 if s.cauchy_increment is not None]
 
-    def head_dict(self) -> dict:
-        """to_dict() without its last key, "steps"."""
+    def to_dict(self) -> dict:
+        """All but the step fields, which ``from_dict`` takes apart."""
         return {"p": self.p, "q": self.q, "delta": self.delta,
                 "schedule": self.schedule.to_dict(),
-                "mesh": self.mesh.to_dict(), "meta": self.meta}
-
-    def to_dict(self) -> dict:
-        return {**self.head_dict(),
+                "mesh": self.mesh.to_dict(), "meta": self.meta,
                 "steps": [s.to_dict() for s in self.steps]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ContinuationTrace":
+    def from_dict(cls, d: dict, fields: np.ndarray) -> "ContinuationTrace":
+        """The trace of ``to_dict()`` whose k-th step field is ``fields[k]``;
+        ValueError unless ``fields`` is float64 of shape (steps, nodes)."""
         mesh = Mesh.from_dict(d["mesh"])
+        shape = (len(d["steps"]), mesh.n_nodes)
+        if fields.dtype != np.float64 or fields.shape != shape:
+            raise ValueError(f"fields are {fields.dtype} of shape "
+                             f"{fields.shape}, not float64 of shape {shape}")
         steps = []
-        for s in d["steps"]:
-            st = s["stats"]
-            stats = SolveStats(st["method"], st["iterations"],
-                               st["residual_norm"],
-                               st.get("initial_residual", np.nan),
-                               st.get("backtracks", 0),
-                               st.get("converged", False))
+        for s, values in zip(d["steps"], fields):
             steps.append(ContinuationStep(
-                eps=s["eps"], field=DiscreteField(mesh, np.asarray(s["values"])),
-                stats=stats, lp_gradient=s["lp_gradient"],
+                eps=s["eps"], field=DiscreteField(mesh, values),
+                stats=SolveStats(**s["stats"]), lp_gradient=s["lp_gradient"],
                 linf_u_interior=s["linf_u_interior"],
                 linf_gradient_interior=s["linf_gradient_interior"],
                 h2_interior=s["h2_interior"],

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -272,6 +273,46 @@ def _huge_field(tmp_path):
     return str(path)
 
 
+def _deep(tmp_path):
+    """JSON nested deeper than the decoder's recursion limit."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    return str(path)
+
+
+def _traced(command, tamper):
+    """``command`` on a 9x9 trace after ``tamper(trace, npy)``."""
+    def argv(opfile, tmp_path):
+        trace = tmp_path / "trace.json"
+        assert main(_continuation(opfile) + ["--out", str(trace)]) == 0
+        tamper(trace, tmp_path / "trace.npy")
+        return [command, "--trace", str(trace)]
+    return argv
+
+
+def _save_fields(change, digest=True):
+    """A tamper that saves ``change(fields)`` as the trace's fields and,
+    with ``digest``, names their sha256 in the trace."""
+    def tamper(trace, npy):
+        buf = io.BytesIO()
+        np.save(buf, change(np.load(npy)))
+        npy.write_bytes(buf.getvalue())
+        if digest:
+            doc = json.loads(trace.read_text())
+            doc["meta"]["fields_sha256"] = hashlib.sha256(
+                buf.getvalue()).hexdigest()
+            trace.write_text(json.dumps(doc))
+    return tamper
+
+
+def _inline_values(trace, npy):
+    """The steps carry their fields as "values", as an older pq wrote them."""
+    doc = json.loads(trace.read_text())
+    for s, values in zip(doc["steps"], np.load(npy)):
+        s["values"] = values.tolist()
+    trace.write_text(json.dumps(doc))
+
+
 def _report_with_estimates(make_estimates):
     def argv(opfile, tmp_path):
         trace = tmp_path / "trace.json"
@@ -423,20 +464,50 @@ MALFORMED = {
         "report", "--trace", _not_utf8(tmp_path)],
     "report-estimates-not-utf8": _report_with_estimates(_not_utf8),
     "report-estimates-field-too-large": _report_with_estimates(_huge_field),
+    "continuation-out-is-its-csv": lambda opfile, tmp_path: _continuation(
+        opfile),
+    "continuation-out-is-its-npy": lambda opfile, tmp_path: _continuation(
+        opfile),
+    "operator-nested-too-deep": lambda opfile, tmp_path: [
+        "check", "--operator", _deep(tmp_path)],
+    "estimates-trace-nested-too-deep": lambda opfile, tmp_path: [
+        "estimates", "--trace", _deep(tmp_path)],
+    "report-trace-nested-too-deep": lambda opfile, tmp_path: [
+        "report", "--trace", _deep(tmp_path)],
+    "rhs-file-nested-too-deep": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--rhs", f"file:{_deep(tmp_path)}"],
+    "estimates-fields-missing": _traced(
+        "estimates", lambda trace, npy: npy.unlink()),
+    "estimates-fields-wrong-shape": _traced(
+        "estimates", _save_fields(lambda f: f[:, :-1])),
+    "estimates-fields-wrong-dtype": _traced(
+        "estimates", _save_fields(lambda f: f.astype(np.float32))),
+    "estimates-fields-stale": _traced(
+        "estimates", _save_fields(lambda f: f + 1.0, digest=False)),
+    "estimates-trace-with-inline-values": _traced("estimates",
+                                                  _inline_values),
+    "report-trace-with-inline-values": _traced("report", _inline_values),
 }
+
+#: cases whose --out is not the default name
+OUT_NAMES = {"continuation-out-is-its-csv": "out.csv",
+             "continuation-out-is-its-npy": "out.npy"}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_3(opfile, tmp_path, capsys, case):
     argv = MALFORMED[case](opfile, tmp_path)
     capsys.readouterr()
-    out = tmp_path / ("missing" if case.startswith("out") else ".") / "out"
+    out = (tmp_path / ("missing" if case.startswith("out") else ".")
+           / OUT_NAMES.get(case, "out"))
+    files = sorted(tmp_path.rglob("*"))
     rc = main(argv + ["--out", str(out)])
     assert rc == 3
     err = capsys.readouterr().err.strip()
     assert err.startswith("configuration error") and "\n" not in err
     assert "Traceback" not in err
     assert not out.exists()
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 TRACE_KEYS = {"p", "q", "delta", "schedule", "mesh", "meta", "steps"}
@@ -448,9 +519,8 @@ def test_trace_json_holds_the_steps_and_nothing_derived(opfile, tmp_path):
     assert set(json.loads(trace.read_text())) == TRACE_KEYS
 
 
-@pytest.mark.parametrize("steps", [1, 2, 5])
-def test_streamed_trace_equals_one_shot_encoding(opfile, tmp_path,
-                                                 monkeypatch, steps):
+def _keep_traces(monkeypatch) -> list:
+    """The traces that pq continuation solves from now on."""
     traces = []
     run = pqelliptic.cli.continuation_solve
 
@@ -459,51 +529,101 @@ def test_streamed_trace_equals_one_shot_encoding(opfile, tmp_path,
         return traces[-1]
 
     monkeypatch.setattr(pqelliptic.cli, "continuation_solve", keep)
+    return traces
+
+
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_trace_json_equals_one_shot_encoding(opfile, tmp_path, monkeypatch,
+                                             steps):
+    traces = _keep_traces(monkeypatch)
     out = tmp_path / "trace.json"
     assert main(_continuation(opfile, steps) + ["--out", str(out)]) == 0
     assert out.read_bytes() == (json.dumps(traces[0].to_dict())
                                 + "\n").encode()
+    assert all("values" not in s for s in json.loads(out.read_text())["steps"])
 
 
-def test_trace_decoded_step_by_step_equals_full_decode(opfile, tmp_path):
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_trace_npy_rows_are_the_solved_fields(opfile, tmp_path, monkeypatch,
+                                              steps):
+    traces = _keep_traces(monkeypatch)
+    out = tmp_path / "trace.json"
+    assert main(_continuation(opfile, steps) + ["--out", str(out)]) == 0
+    data = (tmp_path / "trace.npy").read_bytes()
+    fields = np.load(io.BytesIO(data), allow_pickle=False)
+    assert fields.dtype == np.float64 and fields.shape == (steps, 81)
+    for row, s in zip(fields, traces[0].steps, strict=True):
+        assert row.tobytes() == s.field.values.tobytes()
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["fields_sha256"] == hashlib.sha256(data).hexdigest()
+
+
+def test_trace_round_trips_through_json_and_npy(opfile, tmp_path,
+                                                monkeypatch):
+    traces = _keep_traces(monkeypatch)
     out = tmp_path / "trace.json"
     assert main(_continuation(opfile, 3) + ["--out", str(out)]) == 0
-    full = pqelliptic.solvers.ContinuationTrace.from_dict(
-        json.loads(out.read_text()))
-    hooked = pqelliptic.solvers.ContinuationTrace.from_dict(
-        pqelliptic.cli._read_trace(str(out), np.asarray))
-    assert hooked.to_dict() == full.to_dict()
-    for a, b in zip(hooked.steps, full.steps):
+    back = pqelliptic.solvers.ContinuationTrace.from_dict(
+        json.loads(out.read_text()), np.load(tmp_path / "trace.npy"))
+    assert back.to_dict() == traces[0].to_dict()
+    for a, b in zip(back.steps, traces[0].steps, strict=True):
         assert a.field.values.tobytes() == b.field.values.tobytes()
-    dropped = pqelliptic.cli._read_trace(str(out))
-    assert [set(s) for s in dropped["steps"]] == [
-        set(s) - {"values"} for s in json.loads(out.read_text())["steps"]]
 
 
-def test_trace_with_derived_keys_gives_the_same_estimates_and_report(
-        opfile, tmp_path):
-    # a trace written with final_values and extrapolated_values still loads,
-    # and pq estimates and pq report give the same bytes from it
-    outputs = {}
+def test_trace_of_an_older_pq_exits_3(opfile, tmp_path, capsys):
+    # the steps of an older trace carry their fields as "values" beside the
+    # final_values and extrapolated_values keys: both readers refuse it
+    # with one line and write nothing
     trace = tmp_path / "trace.json"
     assert main(_continuation(opfile, steps=3) + ["--out", str(trace)]) == 0
     doc = json.loads(trace.read_text())
-    assert set(doc) == TRACE_KEYS
-    u_km1, u_k = (np.asarray(s["values"]) for s in doc["steps"][-2:])
-    e_km1, e_k = (s["eps"] for s in doc["steps"][-2:])
+    fields = np.load(tmp_path / "trace.npy")
+    (e_km1, u_km1), (e_k, u_k) = [(s["eps"], v) for s, v in zip(
+        doc["steps"][-2:], fields[-2:])]
     old = tmp_path / "old" / "trace.json"
     old.parent.mkdir()
     old.write_text(json.dumps({
-        **doc, "final_values": u_k.tolist(),
+        **doc, "steps": [{**s, "values": v.tolist()}
+                         for s, v in zip(doc["steps"], fields)],
+        "final_values": u_k.tolist(),
         "extrapolated_values": (
             u_k + (u_k - u_km1) * (e_k / (e_km1 - e_k))).tolist()}) + "\n")
-    for t in (trace, old):
-        est, rep = t.parent / "estimates.csv", t.parent / "report.json"
-        assert main(["estimates", "--trace", str(t), "--out", str(est)]) == 0
-        assert main(["report", "--trace", str(t), "--estimates", str(est),
-                     "--out", str(rep)]) == 0
-        outputs[t] = est.read_bytes(), rep.read_bytes()
-    assert outputs[trace] == outputs[old]
+    capsys.readouterr()
+    for command in ("estimates", "report"):
+        out = old.parent / "out"
+        assert main([command, "--trace", str(old), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.endswith("written by an older pq; rerun continuation")
+        assert "\n" not in err and not out.exists()
+
+
+def test_report_never_reads_the_fields(opfile, tmp_path):
+    trace = tmp_path / "trace.json"
+    assert main(_continuation(opfile, steps=3) + ["--out", str(trace)]) == 0
+    reports = []
+    for name in ("with.json", "without.json"):
+        assert main(["report", "--trace", str(trace), "--out",
+                     str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name).read_bytes())
+        (tmp_path / "trace.npy").unlink(missing_ok=True)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_outputs_have_the_mode_of_a_plain_open(opfile, tmp_path, umask):
+    trace = tmp_path / "trace.json"
+    old = os.umask(umask)
+    try:
+        assert main(_continuation(opfile) + ["--out", str(trace)]) == 0
+        assert main(["report", "--trace", str(trace), "--out",
+                     str(tmp_path / "report.json")]) == 0
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = (tmp_path / "plain").stat().st_mode
+    for name in ("trace.json", "trace.npy", "trace.csv", "report.json"):
+        assert (tmp_path / name).stat().st_mode == mode, name
 
 
 def test_zero_solution_passes_estimates_and_report(opfile, tmp_path):
@@ -580,7 +700,7 @@ def test_reproducibility_across_threads(opfile, tmp_path):
                    "--seed", "5", "--out", str(d / "report.json")])
         assert rc == 0
         outs[run] = d
-    for name in ("trace.json", "trace.csv", "report.json"):
+    for name in ("trace.json", "trace.npy", "trace.csv", "report.json"):
         a = (outs["1"] / name).read_bytes()
         b = (outs["2"] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"

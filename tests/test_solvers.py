@@ -474,9 +474,15 @@ def test_continuation_trace_contents(double_phase_op):
     assert np.all(tr.extrapolated_field.values[m.boundary_mask] == 0.0)
     # serialization roundtrip
     d = tr.to_dict()
-    tr2 = pq.ContinuationTrace.from_dict(d)
+    assert all("values" not in s for s in d["steps"])
+    tr2 = pq.ContinuationTrace.from_dict(d, _fields(tr))
     assert np.array_equal(tr2.final_field.values, tr.final_field.values)
     assert tr2.epsilons == tr.epsilons
+
+
+def _fields(trace):
+    """The step fields of ``trace`` as one (steps, nodes) array."""
+    return np.stack([s.field.values for s in trace.steps])
 
 
 def _reference_fields(steps):
@@ -500,7 +506,8 @@ def test_final_and_extrapolated_fields_are_derived_from_the_steps(
     for k in (1, 2, 5):
         sub = dataclasses.replace(tr, steps=tr.steps[:k])
         final, extrap = _reference_fields(sub.steps)
-        for t in (sub, pq.ContinuationTrace.from_dict(sub.to_dict())):
+        for t in (sub, pq.ContinuationTrace.from_dict(sub.to_dict(),
+                                                      _fields(sub))):
             assert t.final_field.values.tobytes() == final.tobytes()
             assert t.extrapolated_field.values.tobytes() == extrap.tobytes()
         assert sub.final_field is sub.steps[-1].field
