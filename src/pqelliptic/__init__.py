@@ -11,8 +11,7 @@ from .errors import (ConfigError, DerivativeUnavailable, DimensionMismatch,
 from .estimates import (EstimateReport, alpha_is_extrapolated,
                         build_estimate_report, check_uniform_lp,
                         compute_alpha, compute_pstar, global_lp_rhs,
-                        interior_gradient_constant,
-                        second_derivative_constant)
+                        interior_constants)
 from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   build_mesh, element_gradients, field_from_interior,
                   h2_seminorm, h2_seminorm_interior, interpolate,

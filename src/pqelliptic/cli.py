@@ -308,16 +308,44 @@ ESTIMATE_COLUMNS = ["eps", "lp_grad", "bracket", "ratio", "c_gradient",
                     "c_hessian", "alpha", "pstar"]
 
 
+#: The numbers of a trace step; its cauchy_increment_w12 may also be null.
+STEP_NUMBERS = ("eps", "lp_gradient", "linf_u_interior",
+                "linf_gradient_interior", "h2_interior")
+
+
+def _is_number(value) -> bool:
+    """Whether a JSON value is a finite real number: an int or a float
+    within the float range, not a bool."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _read_trace(path: str) -> dict:
-    """The trace in ``path``, refused if its steps carry inline fields."""
+    """The trace in ``path``: an object with a non-empty list of steps, each
+    an object, whose p, q, delta and step numbers are finite real numbers.
+    A trace whose steps carry inline fields is refused as an older pq's."""
     doc = _read_json(path, "trace")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"bad trace file {path!r}: not a JSON object")
-    steps = doc.get("steps")
-    if isinstance(steps, list) and any("values" in s for s in steps
-                                       if isinstance(s, dict)):
+    steps = doc.get("steps") if isinstance(doc, dict) else None
+    if not (isinstance(steps, list) and steps
+            and all(isinstance(s, dict) for s in steps)
+            and isinstance(doc.get("meta") or {}, dict)):
+        raise ConfigError(f"bad trace file {path!r}: not a JSON object with "
+                          "a non-empty list of step objects and object meta")
+    if any("values" in s for s in steps):
         raise ConfigError(f"trace file {path!r} was written by an older pq; "
                           "rerun continuation")
+    numbers = [(k, doc.get(k)) for k in ("p", "q", "delta")]
+    for i, s in enumerate(steps):
+        numbers += [(f"steps[{i}].{k}", s.get(k)) for k in STEP_NUMBERS]
+        if s.get("cauchy_increment_w12") is not None:
+            numbers.append((f"steps[{i}].cauchy_increment_w12",
+                            s["cauchy_increment_w12"]))
+    for name, value in numbers:
+        if not _is_number(value):
+            raise ConfigError(f"bad trace file {path!r}: {name} is "
+                              f"{value!r}, not a finite number")
     return doc
 
 
@@ -350,9 +378,11 @@ def cmd_estimates(args) -> int:
         raise ConfigError(f"--rho {args.rho}, --R {args.R}: {exc}") from exc
     if args.out:
         write_csv(args.out, ESTIMATE_COLUMNS, report.rows)
-    uni = report.uniformity
+    uni, params = report.uniformity, report.params
+    note = (f"; alpha {params['alpha']:.4g} extrapolated to n = 2 (the paper "
+            "states it for n > 2)" if params["alpha_extrapolated"] else "")
     print(f"estimates: lp ratio {uni.ratio:.4g} "
-          f"({'pass' if uni.verdict else 'FAIL'} at {uni.bound})",
+          f"({'pass' if uni.verdict else 'FAIL'} at {uni.bound}){note}",
           file=sys.stderr)
     return EXIT_OK if uni.verdict else EXIT_VERIFICATION
 
@@ -389,26 +419,17 @@ def cmd_report(args) -> int:
                 estimates_rows = list(csv.DictReader(fh))
         except (OSError, ValueError, csv.Error) as exc:
             raise ConfigError(f"bad estimates file: {exc}") from exc
-    steps = trace_doc.get("steps")
-    try:  # steps: a non-empty list of objects, each with a finite lp_gradient
-        lp = [s["lp_gradient"] for s in steps]
-        if not lp or not all(type(v) in (int, float) and math.isfinite(v)
-                             for v in lp):
-            raise ValueError("needs steps, each with a finite lp_gradient")
-        increments = [s.get("cauchy_increment_w12") for s in steps
-                      if s.get("cauchy_increment_w12") is not None]
-        decreasing = all(a > b for a, b in zip(increments, increments[1:]))
-        operator = (trace_doc.get("meta") or {}).get("operator")
-    except (AttributeError, KeyError, OverflowError, TypeError,
-            ValueError) as exc:
-        raise ConfigError(f"bad trace file {args.trace!r}: {exc}") from exc
+    steps = trace_doc["steps"]
+    increments = [s["cauchy_increment_w12"] for s in steps
+                  if s.get("cauchy_increment_w12") is not None]
     summary = {
         "schedule": trace_doc.get("schedule"),
         "mesh": trace_doc.get("mesh"),
-        "operator": operator,
+        "operator": (trace_doc.get("meta") or {}).get("operator"),
         "steps": steps,
-        "lp_gradient_ratio": lp_ratio(lp),
-        "increments_strictly_decreasing": decreasing,
+        "lp_gradient_ratio": lp_ratio([s["lp_gradient"] for s in steps]),
+        "increments_strictly_decreasing": all(
+            a > b for a, b in zip(increments, increments[1:])),
         "estimates": estimates_rows,
     }
     if args.out:

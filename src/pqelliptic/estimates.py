@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidExponents, QuadratureFailure
-from .fem import (DiscreteField, ball_element_mask, ball_node_mask,
-                  element_gradients, gradient_weight_integral, h2_seminorm,
-                  _b_at_quad, _chunks)
+from .fem import (DiscreteField, element_gradients, h2_seminorm,
+                  region_mask, _b_at_quad, _chunks)
 from .operators import _sq
 from .verify import theta_exponent
 
@@ -41,7 +40,8 @@ def compute_alpha(n: int, p: float, q: float) -> float:
 
     Printed for n > 2 (so that alpha/p matches the stated exponent); the
     same formula is used at n = 2 (value 1 at p = q), flagged as
-    extrapolated in reports.
+    extrapolated in EstimateReport.params["alpha_extrapolated"] and in the
+    stderr line of ``pq estimates``.
     """
     _validate_pq_ratio(n, p, q)
     denom = (n + 2.0) * p - n * q
@@ -128,51 +128,41 @@ def check_uniform_lp(trace, bound: float = 1.5,
 # ---------------------------------------------------------------------------
 # interior estimates
 
-def _resolve_balls(mesh, rho, R):
-    """Centre of the concentric balls B_rho in B_R, the box centre; the
-    balls must lie in the box, so 0 < rho < R < half its smallest width."""
+def interior_constants(U: DiscreteField, p: float, q: float, rho: float,
+                       R: float, eps: float = 0.0) -> tuple:
+    """Empirical constants (c_gradient, c_hessian) of the interior gradient
+    and W^{2,2} estimates over the concentric balls B_rho in B_R around the
+    box centre, which must lie in the box: 0 < rho < R < half its smallest
+    width.  A ball is the union of the elements whose centroid lies inside
+    it; the second difference quotients are summed over its nodes.
+
+    c_gradient solves
+    ||Du||_{L^inf(B_rho)} = (c/(R-rho)^n int_{B_R} (1+|Du|^2)^(p/2))^(alpha/p)
+    for c, with alpha = compute_alpha(n, p, q), and
+    c_hessian = (R-rho)^2 * (discrete W^{2,2} seminorm on B_rho)^2
+        / int_{B_R} (1+|Du|^2)^((q+eps)/2),
+    eps being the continuation step's value (0 for the limit field).
+    """
+    mesh, n = U.mesh, U.mesh.dim
     half = 0.5 * float(np.min(np.asarray(mesh.box.widths)))
     if not 0.0 < rho < R < half:
         raise InvalidExponents(f"need 0 < rho < R < {half:g} (half the "
                                f"smallest box width), got rho={rho:g}, "
                                f"R={R:g}")
-    return mesh.box.center
+    inner = region_mask(mesh, "elements", "ball", rho)
+    outer = region_mask(mesh, "elements", "ball", R)
+    t = _sq(element_gradients(U))
+    areas, t_R = mesh.areas[outer], t[outer]
 
+    def integral(e):  # int_{B_R} (1 + |Du|^2)^(e/2)
+        return float(np.sum(areas * (1.0 + t_R) ** (e / 2.0)))
 
-def interior_gradient_constant(U: DiscreteField, p: float, q: float, n: int,
-                               rho: float, R: float) -> float:
-    """Empirical constant of the interior gradient estimate.
-
-    Solves ||Du||_{L^inf(B_rho)} = (c/(R-rho)^n int_{B_R} (1+|Du|^2)^(p/2))^(alpha/p)
-    for c, with alpha = compute_alpha(n, p, q).  Balls are realized as the
-    union of elements whose centroid lies inside.
-    """
-    mesh = U.mesh
-    center = _resolve_balls(mesh, rho, R)
-    inner = ball_element_mask(mesh, center, rho)
-    outer = ball_element_mask(mesh, center, R)
-    g = np.sqrt(_sq(element_gradients(U)))
-    lhs = float(g[inner].max())
-    integral = gradient_weight_integral(U, p, element_mask=outer)
+    lhs = float(np.sqrt(t)[inner].max())
     alpha = compute_alpha(n, p, q)
-    return float((R - rho) ** n * lhs ** (p / alpha) / integral)
-
-
-def second_derivative_constant(U: DiscreteField, q: float, rho: float,
-                               R: float, eps: float = 0.0) -> float:
-    """Empirical constant of the interior W^{2,2} estimate.
-
-    c = (R-rho)^2 * (discrete W^{2,2} seminorm on B_rho)^2
-        / int_{B_R} (1+|Du|^2)^((q+eps)/2); eps is the continuation step's
-    value (0 for the limit field).
-    """
-    mesh = U.mesh
-    center = _resolve_balls(mesh, rho, R)
-    node_mask = ball_node_mask(mesh, center, rho)
-    sem = h2_seminorm(U, node_mask=node_mask)
-    outer = ball_element_mask(mesh, center, R)
-    integral = gradient_weight_integral(U, q + eps, element_mask=outer)
-    return float((R - rho) ** 2 * sem ** 2 / integral)
+    c_gradient = float((R - rho) ** n * lhs ** (p / alpha) / integral(p))
+    sem = h2_seminorm(U, node_mask=region_mask(mesh, "nodes", "ball", rho))
+    c_hessian = float((R - rho) ** 2 * sem ** 2 / integral(q + eps))
+    return c_gradient, c_hessian
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +204,7 @@ def build_estimate_report(trace, op, b_field, rho_frac: float = 0.25,
 
     rows = []
     for step, per in zip(trace.steps, uni.lhs_over_bracket):
-        c_grad = interior_gradient_constant(step.field, p, q, n, rho, R)
-        c_hess = second_derivative_constant(step.field, q, rho, R,
+        c_grad, c_hess = interior_constants(step.field, p, q, rho, R,
                                             eps=step.eps)
         rows.append({"eps": step.eps, "lp_grad": step.lp_gradient,
                      "bracket": bracket, "ratio": per,

@@ -76,8 +76,8 @@ class Mesh:
     full_to_interior: np.ndarray = field(default=None, repr=False)
     pattern: tuple = field(default=None, repr=False)  # see _matrix_pattern
     transfers: list = field(default=None, repr=False)  # see prolongations
-    # (where, delta) -> read-only mask, see _interior_mask
-    interior_masks: dict = field(default_factory=dict, repr=False)
+    # (where, kind, size) -> read-only mask, see region_mask
+    region_masks: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -90,17 +90,6 @@ class Mesh:
     def node_grid(self, values: np.ndarray) -> np.ndarray:
         """Reshape a nodal vector to the tensor grid layout."""
         return np.asarray(values).reshape(self.shape)
-
-    def boundary_distance_nodes(self) -> np.ndarray:
-        lo = np.asarray(self.box.lo)
-        hi = np.asarray(self.box.hi)
-        return np.minimum(self.nodes - lo, hi - self.nodes).min(axis=-1)
-
-    def boundary_distance_centroids(self) -> np.ndarray:
-        lo = np.asarray(self.box.lo)
-        hi = np.asarray(self.box.hi)
-        return np.minimum(self.centroids - lo,
-                          hi - self.centroids).min(axis=-1)
 
     def to_dict(self, include_arrays: bool = False) -> dict:
         d = {"dim": self.dim, "box": self.box.to_dict(),
@@ -530,58 +519,43 @@ def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
 # ---------------------------------------------------------------------------
 # masks
 
-def _interior_mask(mesh: Mesh, where: str, delta: float) -> np.ndarray:
-    """Read-only mask of the ``where`` ("elements" or "nodes") at least
-    delta from the boundary, computed once per mesh and delta: a
-    continuation run reads it at every eps step."""
-    key = (where, delta)
-    if key not in mesh.interior_masks:
-        dist = (mesh.boundary_distance_centroids() if where == "elements"
-                else mesh.boundary_distance_nodes())
-        mask = dist >= delta
-        if not mask.any():
-            raise MeshError(f"delta leaves no interior {where}")
+def region_mask(mesh: Mesh, where: str, kind: str, size: float) -> np.ndarray:
+    """Read-only mask of the ``where`` ("elements", by centroid, or "nodes")
+    in the region ``kind``: "interior", at least ``size`` from the boundary,
+    or "ball", within ``size`` of the box centre.  Computed once per mesh
+    and key: a continuation run reads its interior masks, and an estimate
+    report its balls, at every eps step.  An empty interior, or a ball with
+    no element centroid, is a MeshError; a ball of nodes may be empty."""
+    key = (where, kind, size)
+    if key not in mesh.region_masks:
+        x = mesh.centroids if where == "elements" else mesh.nodes
+        if kind == "interior":
+            lo, hi = np.asarray(mesh.box.lo), np.asarray(mesh.box.hi)
+            mask = np.minimum(x - lo, hi - x).min(axis=-1) >= size
+            if not mask.any():
+                raise MeshError(f"delta leaves no interior {where}")
+        else:
+            mask = np.sqrt(_sq(x - np.asarray(mesh.box.center))) <= size
+            if where == "elements" and not mask.any():
+                raise MeshError("ball contains no element centroid")
         mask.flags.writeable = False
-        mesh.interior_masks[key] = mask
-    return mesh.interior_masks[key]
+        mesh.region_masks[key] = mask
+    return mesh.region_masks[key]
 
 
 def interior_element_mask(mesh: Mesh, delta: float) -> np.ndarray:
     if not 0.0 < delta < 0.5 * float(np.min(mesh.box.widths)):
         raise MeshError("delta must lie in (0, half the box width)")
-    return _interior_mask(mesh, "elements", delta)
-
-
-def interior_node_mask(mesh: Mesh, delta: float) -> np.ndarray:
-    return _interior_mask(mesh, "nodes", delta)
-
-
-def ball_element_mask(mesh: Mesh, center, radius: float) -> np.ndarray:
-    d = np.sqrt(_sq(mesh.centroids - np.asarray(center)))
-    mask = d <= radius
-    if not mask.any():
-        raise MeshError("ball contains no element centroid")
-    return mask
-
-
-def ball_node_mask(mesh: Mesh, center, radius: float) -> np.ndarray:
-    d = np.sqrt(_sq(mesh.nodes - np.asarray(center)))
-    return d <= radius
+    return region_mask(mesh, "elements", "interior", delta)
 
 
 # ---------------------------------------------------------------------------
 # norms
 
-def lp_gradient_norm(U: DiscreteField, p: float,
-                     element_mask=None) -> float:
+def lp_gradient_norm(U: DiscreteField, p: float) -> float:
     """||Du_h||_{L^p}: exact elementwise integral of the P1 gradient."""
-    m = U.mesh
     g = np.sqrt(_sq(element_gradients(U)))
-    areas = m.areas
-    if element_mask is not None:
-        g = g[element_mask]
-        areas = areas[element_mask]
-    return float(np.sum(areas * g ** p) ** (1.0 / p))
+    return float(np.sum(U.mesh.areas * g ** p) ** (1.0 / p))
 
 
 def linf_gradient_interior(U: DiscreteField, delta: float) -> float:
@@ -592,7 +566,8 @@ def linf_gradient_interior(U: DiscreteField, delta: float) -> float:
 
 
 def linf_norm_interior(U: DiscreteField, delta: float) -> float:
-    return float(np.abs(U.values[interior_node_mask(U.mesh, delta)]).max())
+    mask = region_mask(U.mesh, "nodes", "interior", delta)
+    return float(np.abs(U.values[mask]).max())
 
 
 def h2_seminorm(U: DiscreteField, node_mask=None) -> float:
@@ -629,7 +604,8 @@ def h2_seminorm(U: DiscreteField, node_mask=None) -> float:
 
 
 def h2_seminorm_interior(U: DiscreteField, delta: float) -> float:
-    return h2_seminorm(U, node_mask=interior_node_mask(U.mesh, delta))
+    return h2_seminorm(U, node_mask=region_mask(U.mesh, "nodes", "interior",
+                                                delta))
 
 
 def w12_distance(U: DiscreteField, V: DiscreteField) -> float:
@@ -643,14 +619,3 @@ def w12_distance(U: DiscreteField, V: DiscreteField) -> float:
     l2 = float((m.areas @ l2) ** (1.0 / 2.0))
     return float(np.hypot(l2, lp_gradient_norm(D, 2.0)))
 
-
-def gradient_weight_integral(U: DiscreteField, exponent: float,
-                             element_mask=None) -> float:
-    """int (1 + |Du_h|^2)^(exponent/2) dx over the (masked) elements."""
-    m = U.mesh
-    t = _sq(element_gradients(U))
-    areas = m.areas
-    if element_mask is not None:
-        t = t[element_mask]
-        areas = areas[element_mask]
-    return float(np.sum(areas * (1.0 + t) ** (exponent / 2.0)))

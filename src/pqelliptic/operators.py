@@ -35,17 +35,6 @@ FD_SCALE = 1e-5
 #: Lattice resolution (per axis) used to probe user-supplied coefficients.
 PROBE_PER_AXIS = 32
 
-FAMILIES = (
-    "p-laplacian",
-    "p-laplacian-degenerate",
-    "log",
-    "log-degenerate",
-    "variable-exponent",
-    "variable-exponent-degenerate",
-    "anisotropic",
-    "double-phase",
-)
-
 
 # ---------------------------------------------------------------------------
 # domain box

@@ -20,9 +20,9 @@ from .errors import InvalidExponents, NonConvergence, SingularJacobian
 from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   assert_dirichlet, field_from_interior,
                   h2_seminorm_interior, interior_element_mask,
-                  interior_node_mask, linf_gradient_interior,
-                  linf_norm_interior, lp_gradient_norm, prolongations,
-                  scatter_matrix, scatter_vector, w12_distance, zero_field,
+                  linf_gradient_interior, linf_norm_interior,
+                  lp_gradient_norm, prolongations, region_mask,
+                  scatter_matrix, scatter_vector, w12_distance,
                   _b_at_quad, _chunks, _loads, _matrix_pattern)
 from .operators import (OperatorSpec, check_regularization_exponents,
                         regularize)
@@ -391,7 +391,7 @@ def interior_margin(mesh: Mesh, delta: float | None = None) -> float:
     if delta is None:
         delta = 0.25 * float(np.min(np.asarray(mesh.box.widths)))
     interior_element_mask(mesh, delta)
-    interior_node_mask(mesh, delta)
+    region_mask(mesh, "nodes", "interior", delta)
     return delta
 
 
@@ -409,7 +409,7 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
                        schedule: EpsilonSchedule,
                        cfg: NewtonConfig | None = None, *,
                        delta: float | None = None,
-                       u0: DiscreteField | str | None = None,
+                       u0: DiscreteField | None = None,
                        meta: dict | None = None) -> ContinuationTrace:
     """Solve the regularized problems along the epsilon schedule.
 
@@ -426,12 +426,8 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
     delta = interior_margin(mesh, delta)
     solves = _LinearSolves(mesh)
     b_field = _b_at_quad(mesh, b_field)
-    if u0 is None:
-        U_prev = p2_presolve(mesh, b_field, solves=solves)
-    elif isinstance(u0, str) and u0 == "zero":
-        U_prev = zero_field(mesh)
-    else:
-        U_prev = u0.copy()
+    U_prev = (p2_presolve(mesh, b_field, solves=solves) if u0 is None
+              else u0.copy())
 
     trace = ContinuationTrace(steps=[], p=op.p, q=op.q, delta=delta,
                               schedule=schedule, mesh=mesh,

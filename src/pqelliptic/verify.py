@@ -241,12 +241,12 @@ def growth_xi_margin(op, x, u, xi):
     return bound - _max_abs(J, 2)
 
 
-def growth_u_margin(op, x, u, xi, u_floor=U_FLOOR):
+def growth_u_margin(op, x, u, xi):
     """Margin of the u-derivative growth bound.
 
     For beta < 1 both sides may blow up as u -> 0; the bound is a growth
     condition meaningful away from u = 0, so the check restricts itself to
-    |u| >= u_floor (this kernel clips |u| at the floor; the check never
+    |u| >= U_FLOOR (this kernel clips |u| at the floor; the check never
     selects samples below it).
     """
     au = op.dflux_du(np.asarray(x, float), np.asarray(u, float),
@@ -254,7 +254,7 @@ def growth_u_margin(op, x, u, xi, u_floor=U_FLOOR):
     t = _sq(np.asarray(xi, float))
     u_abs = np.abs(np.asarray(u, float))
     if op.beta < 1.0:
-        u_abs = np.maximum(u_abs, u_floor)
+        u_abs = np.maximum(u_abs, U_FLOOR)
     bound = (op.M * (1.0 + t) ** ((op.p + op.q - 4.0) / 4.0)
              + op.M * u_abs ** (op.beta - 1.0))
     return bound - _max_abs(au)
@@ -395,17 +395,17 @@ def check_growth_u(op: OperatorSpec, cfg: SampleConfig, *,
                            notes=notes)
 
 
-def check_local_conditions(op: OperatorSpec, L: float, subdomain,
-                           cfg: SampleConfig,
+def check_local_conditions(op: OperatorSpec, L: float, cfg: SampleConfig,
                            declared_ML: float | None = None) -> CheckEntry:
-    """Antisymmetry and x-derivative bounds on a compact subdomain.
+    """Antisymmetry and x-derivative bounds on a compact subdomain, the
+    central half of the domain on each axis.
 
     Fits the smallest M(L) covering both inequalities over the samples;
     when a declared M(L) is provided the margin is measured against it,
     otherwise the fitted constant is reported and the entry passes.
     """
-    subdomain = subdomain or op.domain.shrink(0.25)
-    S = draw_samples(op, cfg, box=subdomain, u_cap=L, directions=False)
+    S = draw_samples(op, cfg, box=op.domain.shrink(0.25), u_cap=L,
+                     directions=False)
 
     def ratios(s):
         r1, r2 = local_condition_ratios(op, s.x, s.u, s.xi)
@@ -627,7 +627,7 @@ def check_derivative_consistency(op: OperatorSpec, cfg: SampleConfig,
 
 
 def run_structure_checks(op: OperatorSpec, cfg: SampleConfig,
-                         L: float | None = None, subdomain=None,
+                         L: float | None = None,
                          declared_ML: float | None = None) -> AssumptionReport:
     """All structural checks on one operator, in a fixed order.
 
@@ -647,7 +647,7 @@ def run_structure_checks(op: OperatorSpec, cfg: SampleConfig,
             lambda: check_ellipticity(op, cfg, samples=base[0]),
             lambda: check_growth_xi(op, cfg, samples=base[0]),
             lambda: check_growth_u(op, cfg, samples=base[0]),
-            lambda: check_local_conditions(op, L, subdomain, cfg, declared_ML),
+            lambda: check_local_conditions(op, L, cfg, declared_ML),
             lambda: check_monotonicity(op, cfg, samples=base[0]),
             lambda: check_coercivity_lower(op, cfg, samples=base[0])[1],
             # takes the cloud out of ``base``, freeing it before the

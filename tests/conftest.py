@@ -68,6 +68,19 @@ def double_phase_op():
     return pq.operator_from_descriptor(DP_DESCRIPTOR)
 
 
+class MaskBuilds(dict):
+    """A mesh's mask cache that records each key stored in it: one entry
+    per mask built."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
 def constant_rhs(value):
     def b(x):
         return np.full(np.shape(x)[:-1], float(value))

@@ -162,6 +162,20 @@ def test_continuation_estimates_report_pipeline(opfile, tmp_path):
     assert len(doc["estimates"]) == 3
 
 
+@pytest.mark.parametrize("op,note", [(DP_DESCRIPTOR, True), (PLAP3, False)],
+                         ids=["q-above-p", "q-equals-p"])
+def test_estimates_line_notes_an_extrapolated_alpha(opfile, tmp_path, capsys,
+                                                    op, note):
+    # n = 2 with q > p: the paper states alpha for n > 2 only
+    trace = tmp_path / "trace.json"
+    assert main(_continuation(opfile, op=op) + ["--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["estimates", "--trace", str(trace)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("estimates: lp ratio") and err.count("\n") == 1
+    assert ("alpha 1.111 extrapolated to n = 2" in err) == note
+
+
 def test_continuation_bad_schedule_exits_3(opfile, tmp_path, capsys):
     for schedule in ("eps0=2.0,steps=2", "eps0=0.2,steps=nan",
                      "eps0=0.2,steps=2.7"):
@@ -311,6 +325,16 @@ def _inline_values(trace, npy):
     for s, values in zip(doc["steps"], np.load(npy)):
         s["values"] = values.tolist()
     trace.write_text(json.dumps(doc))
+
+
+def _edit_trace(change):
+    """A tamper that applies ``change`` to the trace's JSON document; the
+    fields, and so their sha256, stay as they are."""
+    def tamper(trace, npy):
+        doc = json.loads(trace.read_text())
+        change(doc)
+        trace.write_text(json.dumps(doc))
+    return tamper
 
 
 def _report_with_estimates(make_estimates):
@@ -487,6 +511,22 @@ MALFORMED = {
     "estimates-trace-with-inline-values": _traced("estimates",
                                                   _inline_values),
     "report-trace-with-inline-values": _traced("report", _inline_values),
+    "estimates-trace-p-string": _traced(
+        "estimates", _edit_trace(lambda d: d.update(p="2"))),
+    "estimates-trace-q-null": _traced(
+        "estimates", _edit_trace(lambda d: d.update(q=None))),
+    "estimates-trace-delta-string": _traced(
+        "estimates", _edit_trace(lambda d: d.update(delta="x"))),
+    "estimates-step-eps-string": _traced(
+        "estimates", _edit_trace(lambda d: d["steps"][1].update(eps="x"))),
+    "estimates-step-lp-gradient-null": _traced(
+        "estimates",
+        _edit_trace(lambda d: d["steps"][0].update(lp_gradient=None))),
+    "report-trace-p-true": _traced(
+        "report", _edit_trace(lambda d: d.update(p=True))),
+    "report-step-h2-interior-inf": _traced(
+        "report",
+        _edit_trace(lambda d: d["steps"][1].update(h2_interior=float("inf")))),
 }
 
 #: cases whose --out is not the default name

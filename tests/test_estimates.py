@@ -5,8 +5,9 @@ import pqelliptic as pq
 from pqelliptic import (DiscreteField, InvalidExponents, build_mesh,
                         compute_alpha, compute_pstar, interpolate,
                         make_family, unit_box)
+from pqelliptic.operators import _sq
 from pqelliptic.verify import theta_exponent
-from conftest import constant_rhs
+from conftest import MaskBuilds, constant_rhs
 
 
 def test_pstar_values():
@@ -133,7 +134,7 @@ def test_uniform_lp_reports_lhs_over_bracket(double_phase_op):
 def test_interior_gradient_constant_zero_field():
     m = build_mesh(2, unit_box(2), 9)
     U = DiscreteField(m, np.zeros(m.n_nodes))
-    assert pq.interior_gradient_constant(U, 2.0, 2.0, 2, 0.25, 0.4) == 0.0
+    assert pq.interior_constants(U, 2.0, 2.0, 0.25, 0.4)[0] == 0.0
 
 
 def test_interior_gradient_constant_linear_field_closed_form():
@@ -143,7 +144,7 @@ def test_interior_gradient_constant_linear_field_closed_form():
     g = 2.0
     U = interpolate(m, lambda x: g * x[..., 0])
     p, q, n, rho, R = 2.0, 2.2, 2, 0.25, 0.4
-    c = pq.interior_gradient_constant(U, p, q, n, rho, R)
+    c, _ = pq.interior_constants(U, p, q, rho, R)
     center = m.box.center
     inside = np.linalg.norm(m.centroids - center, axis=1) <= R
     area_R = m.areas[inside].sum()
@@ -157,7 +158,7 @@ def test_interior_gradient_constant_empty_ball_errors():
     m = build_mesh(2, unit_box(2), 5)
     U = DiscreteField(m, np.zeros(m.n_nodes))
     with pytest.raises(pq.MeshError):
-        pq.interior_gradient_constant(U, 2.0, 2.0, 2, 1e-6, 0.4)
+        pq.interior_constants(U, 2.0, 2.0, 1e-6, 0.4)
 
 
 def test_interior_balls_must_lie_in_the_box():
@@ -165,20 +166,17 @@ def test_interior_balls_must_lie_in_the_box():
     # smallest width (0.5 here); inf and 1e308 used to reach the power
     m = build_mesh(2, pq.Box((0.0, 0.0), (2.0, 1.0)), 9)
     U = interpolate(m, lambda x: x[..., 0] * x[..., 1])
-    assert np.isfinite(pq.interior_gradient_constant(U, 2.0, 2.2, 2, 0.2,
-                                                     0.45))
+    assert np.all(np.isfinite(pq.interior_constants(U, 2.0, 2.2, 0.2, 0.45)))
     for rho, R in ((0.25, 0.5), (0.25, 0.55), (0.25, np.inf), (0.25, 1e308),
                    (0.25, np.nan), (0.3, 0.3), (0.0, 0.4), (-0.1, 0.4)):
         with pytest.raises(InvalidExponents, match="half the smallest"):
-            pq.interior_gradient_constant(U, 2.0, 2.2, 2, rho, R)
-        with pytest.raises(InvalidExponents, match="half the smallest"):
-            pq.second_derivative_constant(U, 2.2, rho, R)
+            pq.interior_constants(U, 2.0, 2.2, rho, R)
 
 
 def test_second_derivative_constant_linear_is_zero():
     m = build_mesh(2, unit_box(2), 9)
     U = interpolate(m, lambda x: 3.0 * x[..., 0] - x[..., 1])
-    assert pq.second_derivative_constant(U, 2.0, 0.25, 0.4) == \
+    assert pq.interior_constants(U, 2.0, 2.0, 0.25, 0.4)[1] == \
         pytest.approx(0.0, abs=1e-20)
 
 
@@ -189,7 +187,7 @@ def test_second_derivative_constant_x2_hand_oracle():
     m = build_mesh(2, unit_box(2), n)
     U = interpolate(m, lambda x: x[..., 0] ** 2)
     rho, R = 0.25, 0.4
-    c = pq.second_derivative_constant(U, 2.0, rho, R)
+    _, c = pq.interior_constants(U, 2.0, 2.0, rho, R)
 
     h = 1.0 / (n - 1)
     G = U.values.reshape(n, n)
@@ -216,9 +214,59 @@ def test_second_derivative_constant_x2_hand_oracle():
 def test_constants_are_functions_of_the_field_only(double_phase_op):
     tr = _mini_trace(double_phase_op)
     U = tr.steps[-1].field
-    a = pq.interior_gradient_constant(U, 2.0, 2.2, 2, 0.25, 0.4)
-    b = pq.interior_gradient_constant(U.copy(), 2.0, 2.2, 2, 0.25, 0.4)
+    a = pq.interior_constants(U, 2.0, 2.2, 0.25, 0.4)
+    b = pq.interior_constants(U.copy(), 2.0, 2.2, 0.25, 0.4)
     assert a == b
+
+
+def _reference_constants(U, p, q, rho, R, eps):
+    """The two constants as separate functions computed them, each with its
+    own ball masks, gradients and B_R integral: the float operations that
+    estimates.csv was written with."""
+    m, n = U.mesh, U.mesh.dim
+    center = np.asarray(m.box.center)
+    ball = np.sqrt(_sq(m.centroids - center))
+    node_ball = np.sqrt(_sq(m.nodes - center))
+
+    def integral(exponent, mask):
+        t = _sq(pq.element_gradients(U))[mask]
+        return float(np.sum(m.areas[mask] * (1.0 + t) ** (exponent / 2.0)))
+
+    g = np.sqrt(_sq(pq.element_gradients(U)))
+    lhs = float(g[ball <= rho].max())
+    c_grad = float((R - rho) ** n * lhs ** (p / compute_alpha(n, p, q))
+                   / integral(p, ball <= R))
+    sem = pq.h2_seminorm(U, node_mask=node_ball <= rho)
+    c_hess = float((R - rho) ** 2 * sem ** 2 / integral(q + eps, ball <= R))
+    return c_grad, c_hess
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_interior_constants_equal_the_separate_formulas_bit_for_bit(eps):
+    m = build_mesh(2, unit_box(2), 33)
+    U = DiscreteField(m, np.random.default_rng(5).standard_normal(m.n_nodes))
+    got = pq.interior_constants(U, 2.0, 2.2, 0.25, 0.4, eps=eps)
+    want = _reference_constants(U, 2.0, 2.2, 0.25, 0.4, eps)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_estimate_report_builds_each_ball_once_and_one_gradient_per_step(
+        double_phase_op, monkeypatch):
+    tr = _mini_trace(double_phase_op, steps=5)
+    tr.mesh.region_masks = masks = MaskBuilds()
+    calls = []
+    real = pq.fem.element_gradients
+    for module in (pq.fem, pq.estimates):
+        monkeypatch.setattr(module, "element_gradients",
+                            lambda U: calls.append(U) or real(U))
+    rep = pq.build_estimate_report(tr, double_phase_op, constant_rhs(-2.0))
+    assert len(rep.rows) == 5
+    rho, R = rep.params["rho"], rep.params["R"]
+    assert sorted(masks.stored) == [("elements", "ball", rho),
+                                    ("elements", "ball", R),
+                                    ("nodes", "ball", rho)]
+    assert len(calls) == 5
+    assert all(U is s.field for U, s in zip(calls, tr.steps))
 
 
 def test_estimate_report(double_phase_op):

@@ -15,8 +15,9 @@ from pqelliptic import (EpsilonSchedule, InvalidExponents, NewtonConfig,
 from pqelliptic.fem import _matrix_pattern, scatter_matrix
 from pqelliptic.solvers import (CG_RTOL, MAX_STEPS, _LinearSolves,
                                  _asymmetry)
-from conftest import (assert_rhs_tiles_quad_points, constant_rhs, dp_weight,
-                      dp_weight_grad, u_dependent_test_op)
+from conftest import (MaskBuilds, assert_rhs_tiles_quad_points,
+                      constant_rhs, dp_weight, dp_weight_grad,
+                      u_dependent_test_op)
 
 
 def test_newton_1d_poisson_nodal_exactness():
@@ -517,23 +518,17 @@ def test_final_and_extrapolated_fields_are_derived_from_the_steps(
     assert empty.final_field is None and empty.extrapolated_field is None
 
 
-def test_continuation_computes_interior_masks_once(double_phase_op,
-                                                   monkeypatch):
+def test_continuation_computes_interior_masks_once(double_phase_op):
     # pq continuation checks the margin, then every eps step reads the
-    # masks of three tracked norms: the distances are computed once
-    calls = []
-    for name in ("boundary_distance_centroids", "boundary_distance_nodes"):
-        real = getattr(pq.fem.Mesh, name)
-        monkeypatch.setattr(pq.fem.Mesh, name,
-                            lambda self, _r=real, _n=name:
-                            calls.append(_n) or _r(self))
+    # masks of three tracked norms: each mask is built once
     m = build_mesh(2, unit_box(2), 17)
-    pq.solvers.interior_margin(m)
+    m.region_masks = masks = MaskBuilds()
+    delta = pq.solvers.interior_margin(m)
     tr = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
                                EpsilonSchedule(eps0=0.2, ratio=0.5, steps=3))
     assert len(tr.steps) == 3
-    assert sorted(calls) == ["boundary_distance_centroids",
-                             "boundary_distance_nodes"]
+    assert sorted(masks.stored) == [("elements", "interior", delta),
+                                    ("nodes", "interior", delta)]
 
 
 def test_continuation_shares_one_linear_solves(double_phase_op,
@@ -561,7 +556,7 @@ def test_continuation_shares_one_linear_solves(double_phase_op,
 
 # The hardest cases known for Newton: degenerate fluxes under a large load,
 # eps down to 2e-6, from the pre-solve and from zero.
-@pytest.mark.parametrize("start", [None, "zero"], ids=["presolve", "zero"])
+@pytest.mark.parametrize("start", [None, zero_field], ids=["presolve", "zero"])
 @pytest.mark.parametrize("family,params", [
     ("p-laplacian-degenerate", {"p": 4}),
     ("log-degenerate", {"p": 3, "q": 3.3})], ids=["p4", "log"])
@@ -570,7 +565,7 @@ def test_continuation_newton_alone_on_degenerate_cases(family, params, start):
     m = build_mesh(2, unit_box(2), 33)
     tr = pq.continuation_solve(m, op, constant_rhs(-5000.0),
                                EpsilonSchedule(eps0=0.2, ratio=0.1, steps=6),
-                               u0=start)
+                               u0=start and start(m))
     assert len(tr.steps) == 6
     assert tr.steps[-1].eps == pytest.approx(2e-6)
     assert all(s.stats.converged for s in tr.steps)
@@ -583,7 +578,7 @@ def test_continuation_propagates_failure_with_partial_trace(double_phase_op):
     with pytest.raises(NonConvergence) as err:
         pq.continuation_solve(m, double_phase_op, constant_rhs(-200.0),
                               EpsilonSchedule(eps0=0.2, steps=3), cfg,
-                              u0="zero")
+                              u0=zero_field(m))
     assert err.value.trace is not None and err.value.trace.steps == []
     assert str(err.value).endswith(" at eps=0.2")
     assert err.value.best is not None

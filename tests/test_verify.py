@@ -106,7 +106,7 @@ def test_local_conditions_symmetric_jacobian_zero_antisymmetry(cfg):
     r1, r2 = local_condition_ratios(op, np.array([0.5, 0.5]), 0.2,
                                     np.array([1.0, 2.0]))
     assert abs(r1) < 1e-14 and abs(r2) < 1e-14  # x-independent, gradient-type
-    e = pq.check_local_conditions(op, 5.0, None, cfg, declared_ML=1e-8)
+    e = pq.check_local_conditions(op, 5.0, cfg, declared_ML=1e-8)
     assert e.passed  # any positive declared M(L) works
 
 
@@ -119,7 +119,7 @@ def test_local_conditions_double_phase_fit_matches_formula(cfg):
                       "grad_weight": lambda x: np.stack(
                           [np.ones(np.shape(x)[:-1]),
                            np.zeros(np.shape(x)[:-1])], axis=-1)})
-    e = pq.check_local_conditions(op, 10.0, None, cfg)
+    e = pq.check_local_conditions(op, 10.0, cfg)
     assert e.passed
     sub = op.domain.shrink(0.25)
     S = draw_samples(op, cfg, box=sub, u_cap=10.0)
@@ -336,7 +336,7 @@ def test_structure_checks_equal_standalone_checks(family, params, seed):
              pq.check_ellipticity(op, cfg),
              pq.check_growth_xi(op, cfg),
              pq.check_growth_u(op, cfg),
-             pq.check_local_conditions(op, cfg.u_radius, None, cfg),
+             pq.check_local_conditions(op, cfg.u_radius, cfg),
              pq.check_monotonicity(op, cfg),
              pq.check_coercivity_lower(op, cfg)[1],
              pq.check_lemma_lower_bound(op, cfg)]
