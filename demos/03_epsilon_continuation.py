@@ -3,9 +3,10 @@
 The flux a(x, Du) = (1+|Du|^2)^((p-2)/2) Du + a(x) (1+|Du|^2)^((q-2)/2) Du
 with a Lipschitz weight a(x) = x1 has (p, q)-growth with p = 2, q = 2.2.
 Adding eps (1+|Du|^2)^((q+eps-2)/2) Du restores standard (q+eps)-growth;
-we solve down a geometric eps schedule, warm-starting each Newton solve
-from the previous solution, and track the quantities whose eps-uniform
-boundedness drives the limit passage.
+we solve down a geometric eps schedule, starting each Newton solve from
+the previous solution or, after the second, from the secant through the
+last two, and track the quantities whose eps-uniform boundedness drives
+the limit passage.
 """
 
 import numpy as np

@@ -19,7 +19,11 @@ Assembly integrates the weak form
 
     R_j = int a(x, u_h, Du_h) . grad(phi_j) dx + int b phi_j dx
 
-with the quadrature rule.  The interior CSR sparsity pattern is read from
+with the quadrature rule; its Jacobian takes dflux_dxi and, unless the
+operator declares its radial pair (dflux_du = 0, see operators), dflux_du.
+Inner products of long vectors are :func:`_inner`, numpy's pairwise sum,
+so results do not depend on the BLAS thread count.  The interior CSR
+sparsity pattern is read from
 the mesh table, without a sort: which neighbours a node couples to depends
 only on its parity class.  It is built once per mesh, at its first matrix
 assembly, and kept on the mesh; every matrix is then summed into it one
@@ -344,6 +348,13 @@ def element_gradients(U: DiscreteField) -> np.ndarray:
     return out
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) by numpy's pairwise sum: the same bits under any BLAS
+    thread count, where np.dot, @ and np.linalg.norm of long vectors are
+    BLAS calls whose sums differ in their last bits between thread counts."""
+    return float(np.add.reduce(a * b))
+
+
 def _b_at_quad(mesh: Mesh, b_field) -> np.ndarray:
     """Right-hand side at quadrature points (E, nq), chunk by chunk from a
     callable b(x) or a nodal array (its P1 interpolant), or (E, nq) as is."""
@@ -490,7 +501,8 @@ def assemble_residual(mesh: Mesh, op, b_field, U: DiscreteField) -> np.ndarray:
 
 def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
     """J = dR/dU over interior nodes, from dflux_dxi and dflux_du, evaluated
-    and scattered one chunk of elements at a time."""
+    and scattered one chunk of elements at a time.  An operator that declares
+    its radial pair has dflux_du = 0, which is neither evaluated nor added."""
     nq, nv = mesh.quad_bary.shape
 
     def blocks():
@@ -500,18 +512,20 @@ def assemble_jacobian(mesh: Mesh, op, U: DiscreteField) -> sp.csr_matrix:
             frac, GT = k.area * mesh.quad_frac, k.grads.T
             K_J = (frac[:, None, None, None, None] * GT[:, None, :, None]
                    * GT[None, :, None, :]).reshape(-1, nv * nv)
-            K_u = (frac[:, None, None, None] * GT[:, :, None]
-                   * mesh.quad_bary[:, None, None, :]).reshape(-1, nv * nv)
             ve, x = U.values[mesh.elements[e]], mesh.quad_points[e]
             xi = (ve @ k.grads)[:, None, :]
             uq = ve @ mesh.quad_bary.T
             Jq = op.dflux_dxi(x, uq, xi)                      # (n,nq,d,d)
-            au = op.dflux_du(x, uq, xi)                       # (n,nq,d)
-            if not (np.all(np.isfinite(Jq)) and np.all(np.isfinite(au))):
+            au = None if op.radial else op.dflux_du(x, uq, xi)  # (n,nq,d)
+            if not (np.all(np.isfinite(Jq))
+                    and (au is None or np.all(np.isfinite(au)))):
                 raise QuadratureFailure(
                     "non-finite derivative at a quadrature point")
             block = _at_quad(Jq, len(ve), nq) @ K_J
-            block += _at_quad(au, len(ve), nq) @ K_u
+            if au is not None:
+                K_u = (frac[:, None, None, None] * GT[:, :, None]
+                       * mesh.quad_bary[:, None, None, :]).reshape(-1, nv * nv)
+                block += _at_quad(au, len(ve), nq) @ K_u
             yield e, block
     return scatter_matrix(mesh, blocks())
 
@@ -616,6 +630,6 @@ def w12_distance(U: DiscreteField, V: DiscreteField) -> float:
     for _, e in _chunks(m):
         dq = D.values[m.elements[e]] @ m.quad_bary.T
         l2[e] = np.abs(dq) ** 2.0 @ m.quad_frac
-    l2 = float((m.areas @ l2) ** (1.0 / 2.0))
+    l2 = _inner(m.areas, l2) ** (1.0 / 2.0)
     return float(np.hypot(l2, lp_gradient_norm(D, 2.0)))
 

@@ -8,6 +8,12 @@ constant ``M``, and the lower-order exponents ``growth_alpha`` and
 ``x`` has shape ``(..., dim)``, ``u`` shape ``(...,)``, ``xi`` shape
 ``(..., dim)``.
 
+The isotropic families, a = w(x, u, |xi|^2) xi with ``dflux_du = 0``,
+declare their radial pair ``(w, wt)`` (wt = dw/dt) on ``radial``: the
+eps-regularization adds its term to the pair, and the assembly skips the
+zero ``dflux_du`` and treats their Jacobians as symmetric.  ``anisotropic``
+and custom operators leave it ``None``.
+
 Built-in families default to nondegenerate weights ``(1 + |xi|^2)^(s/2)``;
 the degenerate variants (weight ``|xi|^s``) are kept so the verifier can
 demonstrably flag them at ``xi = 0``.  Declared constants are derived
@@ -126,6 +132,10 @@ class OperatorSpec:
     family_tag: str
     domain: Box
     descriptor: Optional[dict] = None
+    # (w, wt) of an isotropic operator a = w(x, u, |xi|^2) xi with
+    # dflux_du = 0, from which _isotropic_callables built flux and
+    # dflux_dxi; None for any other operator
+    radial: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -356,7 +366,7 @@ def _family_p_laplacian(params, degenerate):
     M = float(params.get("M", max(p - 1.0, 1.0)))
     tag = "p-laplacian-degenerate" if degenerate else "p-laplacian"
     return OperatorSpec(dim, p, p, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        tag, domain)
+                        tag, domain, radial=(w, wt))
 
 
 def _family_log(params, degenerate):
@@ -396,7 +406,7 @@ def _family_log(params, degenerate):
     M = float(params.get("M", M_default))
     tag = "log-degenerate" if degenerate else "log"
     return OperatorSpec(dim, p, q, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        tag, domain)
+                        tag, domain, radial=(w, wt))
 
 
 def _family_variable_exponent(params, degenerate):
@@ -452,7 +462,7 @@ def _family_variable_exponent(params, degenerate):
     tag = ("variable-exponent-degenerate" if degenerate
            else "variable-exponent")
     return OperatorSpec(dim, pmin, pmax, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        tag, domain)
+                        tag, domain, radial=(w, wt))
 
 
 def _family_anisotropic(params):
@@ -527,7 +537,7 @@ def _family_double_phase(params):
     m = float(params.get("m", 1.0))
     M = float(params.get("M", (p - 1.0) + wmax * (q - 1.0)))
     return OperatorSpec(dim, p, q, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        "double-phase", domain)
+                        "double-phase", domain, radial=(w, wt))
 
 
 _FAMILY_BUILDERS = {
@@ -626,7 +636,11 @@ def regularize(op: OperatorSpec, eps: float, eps0: float | None = None
     """Add the eps-term eps (1+|xi|^2)^((q+eps-2)/2) xi to the flux.
 
     The returned operator declares growth exponent q+eps; ellipticity
-    constants (p, m) are inherited since the added term is monotone.
+    constants (p, m) are inherited since the added term is monotone.  For
+    an operator that declares its radial pair the eps-term is added to the
+    pair, so flux and dflux_dxi build one weight and one matrix per call,
+    and the result declares the sum; otherwise it is added to the base's
+    flux and dflux_dxi.
     """
     eps = float(eps)
     eps0 = float(eps if eps0 is None else eps0)
@@ -636,25 +650,39 @@ def regularize(op: OperatorSpec, eps: float, eps0: float | None = None
 
     qe = op.q + eps
     se = (qe - 2.0) / 2.0
-    base_flux = op.flux
-    base_dxi = op.dflux_dxi
+    radial = None
+    if op.radial is not None:
+        base_w, base_wt = op.radial
 
-    def flux(x, u, xi):
-        t = _sq(xi)
-        return _scaled(eps * (1.0 + t) ** se, xi, base=base_flux(x, u, xi))
+        def w(x, u, t):
+            return base_w(x, u, t) + eps * (1.0 + t) ** se
 
-    def dflux_dxi(x, u, xi):
-        t = _sq(xi)
-        return _radial_matrix(eps * (1.0 + t) ** se,
-                              eps * (qe - 2.0) * (1.0 + t) ** (se - 1.0), xi,
-                              base=base_dxi(x, u, xi))
+        def wt(x, u, t):
+            return (base_wt(x, u, t)
+                    + 0.5 * eps * (qe - 2.0) * (1.0 + t) ** (se - 1.0))
+
+        radial = (w, wt)
+        flux, dflux_dxi, _, _ = _isotropic_callables(op.dim, w, wt)
+    else:
+        base_flux = op.flux
+        base_dxi = op.dflux_dxi
+
+        def flux(x, u, xi):
+            t = _sq(xi)
+            return _scaled(eps * (1.0 + t) ** se, xi, base=base_flux(x, u, xi))
+
+        def dflux_dxi(x, u, xi):
+            t = _sq(xi)
+            return _radial_matrix(eps * (1.0 + t) ** se,
+                                  eps * (qe - 2.0) * (1.0 + t) ** (se - 1.0),
+                                  xi, base=base_dxi(x, u, xi))
 
     return RegularizedOperator(
         dim=op.dim, p=op.p, q=qe, m=op.m, M=op.M + eps * (qe - 1.0),
         growth_alpha=op.growth_alpha, beta=op.beta, flux=flux,
         dflux_dxi=dflux_dxi, dflux_du=op.dflux_du, dflux_dx=op.dflux_dx,
         family_tag=op.family_tag + "+eps", domain=op.domain, descriptor=None,
-        base=op, eps=eps, eps0=eps0)
+        radial=radial, base=op, eps=eps, eps0=eps0)
 
 
 # ---------------------------------------------------------------------------

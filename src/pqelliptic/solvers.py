@@ -2,11 +2,19 @@
 regularized approximation scheme numerically.
 
 The continuation solves, for a decreasing schedule eps_k, the problem with
-flux a + eps_k (1+|Du|^2)^((q+eps_k-2)/2) Du, warm-starting each solve from
-the previous solution, and records the quantities tracked by the a priori
+flux a + eps_k (1+|Du|^2)^((q+eps_k-2)/2) Du, starting each solve from
+the previous solution or, after the second, from the secant through the
+last two, and records the quantities tracked by the a priori
 estimates: the global L^p gradient norm, interior sup norms of u and Du, a
 discrete interior W^{2,2} seminorm, and W^{1,2} Cauchy increments between
 consecutive solutions.
+
+Linear systems go through :class:`_LinearSolves`: multigrid-preconditioned
+CG (a short loop, :func:`_cg`) for a symmetric matrix, a direct LU for any
+other.  A Jacobian of an operator that declares its radial pair is
+symmetric by construction and is not tested.  The inner products of CG and
+Newton's residual norm are numpy's pairwise sums (fem._inner), so a run
+writes the same bits under any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   linf_gradient_interior, linf_norm_interior,
                   lp_gradient_norm, prolongations, region_mask,
                   scatter_matrix, scatter_vector, w12_distance,
-                  _b_at_quad, _chunks, _loads, _matrix_pattern)
+                  _b_at_quad, _chunks, _inner, _loads, _matrix_pattern)
 from .operators import (OperatorSpec, check_regularization_exponents,
                         regularize)
 
@@ -157,6 +165,38 @@ def _asymmetry(mesh: Mesh, J: sp.csr_matrix) -> float:
     return float(np.abs(J.data - np.take(J.data, transpose)).max())
 
 
+def _norm(a: np.ndarray) -> float:
+    """The 2-norm, by :func:`fem._inner`."""
+    return float(np.sqrt(_inner(a, a)))
+
+
+def _cg(A, b: np.ndarray, M, rtol: float, maxiter: int):
+    """Preconditioned CG from x = 0, as scipy's cg with atol = 0: stops
+    before an iteration once |r| < rtol |b|.  Returns (x, iterations,
+    converged); its inner products are :func:`fem._inner`."""
+    x, r, bnorm = np.zeros_like(b), b.copy(), _norm(b)
+    if bnorm == 0.0:
+        return x, 0, True
+    atol = rtol * bnorm
+    p = rho_prev = None
+    for it in range(maxiter):
+        if _norm(r) < atol:
+            return x, it, True
+        z = M(r)
+        rho = _inner(r, z)
+        if p is None:
+            p = z.copy()
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = A @ p
+        alpha = rho / _inner(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, False
+
+
 class _LinearSolves:
     """Solves J x = rhs on one mesh, with their counts.  A symmetric J is
     solved by CG preconditioned with a V-cycle over the mesh's levels
@@ -178,27 +218,24 @@ class _LinearSolves:
                 f"{self.cg_iterations} CG iterations, {self.direct} direct LU")
 
     def solve(self, J: sp.csr_matrix, rhs: np.ndarray,
-              rtol: float = CG_RTOL) -> np.ndarray:
-        """J^{-1} rhs; CG stops at the relative residual ``rtol``."""
-        import scipy.sparse.linalg as spla  # loaded at first use, as in fem
+              rtol: float = CG_RTOL, symmetric: bool = False) -> np.ndarray:
+        """J^{-1} rhs; CG stops at the relative residual ``rtol``.  A caller
+        that knows J is symmetric says so with ``symmetric``, and J is then
+        not checked."""
         transfers = prolongations(self.mesh)
-        if transfers and (_asymmetry(self.mesh, J)
+        if transfers and (symmetric or _asymmetry(self.mesh, J)
                           <= 1e-12 * np.abs(J.data).max(initial=0.0)):
-            its = []  # one entry per CG iteration
             with np.errstate(all="ignore"):
                 try:
-                    M = spla.LinearOperator(J.shape, _VCycle(J, transfers),
-                                            dtype=float)
-                    sol, info = spla.cg(J, rhs, rtol=rtol, atol=0.0, M=M,
-                                        maxiter=CG_MAXITER,
-                                        callback=its.append)
+                    sol, its, ok = _cg(J, rhs, _VCycle(J, transfers), rtol,
+                                       CG_MAXITER)
                 except SingularJacobian:  # at the coarsest level
-                    info = -1
-            self.cg_iterations += len(its)
-            if info == 0 and np.all(np.isfinite(sol)):
+                    its, ok = 0, False
+            self.cg_iterations += its
+            if ok and np.all(np.isfinite(sol)):
                 self.multigrid += 1
                 log.debug("linear solve: mg-cg %d its to rtol %.1e",
-                          len(its), rtol)
+                          its, rtol)
                 return sol
         sol = _factor(J).solve(rhs)
         self.direct += 1
@@ -244,21 +281,22 @@ def newton_solve(mesh: Mesh, op: OperatorSpec, b_field, U0: DiscreteField,
     U = U0.copy()
     b_field = _b_at_quad(mesh, b_field)  # once per solve
     R = assemble_residual(mesh, op, b_field, U)
-    rnorm = float(np.linalg.norm(R))
+    rnorm = _norm(R)
     tol = max(cfg.abs_tol, cfg.rel_tol * rnorm)
     stats = SolveStats("newton", 0, rnorm, initial_residual=rnorm,
                        residuals=[rnorm])
     stats.converged = rnorm <= tol
     while not stats.converged and stats.iterations < cfg.max_iters:
         d = solves.solve(assemble_jacobian(mesh, op, U), R,
-                         rtol=_forcing_term(stats.residuals, tol))
+                         rtol=_forcing_term(stats.residuals, tol),
+                         symmetric=op.radial is not None)
         step = 1.0
         for _ in range(cfg.max_backtracks + 1):
             trial = U.values.copy()
             trial[mesh.interior] -= step * d
             Ut = DiscreteField(mesh, trial)
             Rt = assemble_residual(mesh, op, b_field, Ut)
-            rt = float(np.linalg.norm(Rt))
+            rt = _norm(Rt)
             if rt < rnorm:
                 break
             step *= 0.5
@@ -293,7 +331,7 @@ def p2_presolve(mesh: Mesh, b_field, *,
     K = scatter_matrix(mesh, (
         (e, np.tile((k.area * k.grads @ k.grads.T).ravel(),
                     (e.stop - e.start, 1))) for k, e in _chunks(mesh)))
-    sol = (solves or _LinearSolves(mesh)).solve(K, -F)
+    sol = (solves or _LinearSolves(mesh)).solve(K, -F, symmetric=True)
     return field_from_interior(mesh, sol)
 
 
@@ -345,10 +383,15 @@ class ContinuationTrace:
         copy of the last solution for one step, None for none."""
         if len(self.steps) < 2:
             return self.steps[0].field.copy() if self.steps else None
+        return self.secant(0.0)
+
+    def secant(self, eps: float) -> DiscreteField:
+        """The line through the last two steps' solutions at ``eps``:
+        U_k + (U_k - U_{k-1}) ((eps - eps_k) / (eps_k - eps_{k-1}))."""
         prev, last = self.steps[-2:]
         u_k, u_km1 = last.field.values, prev.field.values
         return DiscreteField(self.mesh, u_k + (u_k - u_km1)
-                             * (last.eps / (prev.eps - last.eps)))
+                             * ((eps - last.eps) / (last.eps - prev.eps)))
 
     def increments(self):
         return [s.cauchy_increment for s in self.steps
@@ -413,30 +456,33 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
                        meta: dict | None = None) -> ContinuationTrace:
     """Solve the regularized problems along the epsilon schedule.
 
-    The first solve starts from the p = 2 pre-solve (or ``u0``); later
-    solves warm-start from the previous solution, mirroring the extraction
-    of a single convergent sequence in the limit passage.  The pre-solve
-    and all eps steps share one ``_LinearSolves``, which counts the run's
-    linear solves, and the rhs at the quadrature points, which is evaluated
-    once.  A Newton failure raises NonConvergence naming the eps, with the
-    partial trace attached.
+    The first solve starts from the p = 2 pre-solve (or ``u0``), the second
+    from the first solution, and each later one from the secant predictor
+    through the last two solutions (Allgower & Georg, *Introduction to
+    Numerical Continuation Methods*, 2003): the run follows a single
+    sequence of solutions, as the limit passage extracts one.  The
+    pre-solve and all eps steps share one ``_LinearSolves``, which counts
+    the run's linear solves, and the rhs at the quadrature points, which
+    is evaluated once.  A Newton failure raises NonConvergence naming the
+    eps, with the partial trace attached.
     """
     cfg = cfg or NewtonConfig()
     check_regularization_exponents(op.p, op.q, op.dim, schedule.eps0)
     delta = interior_margin(mesh, delta)
     solves = _LinearSolves(mesh)
     b_field = _b_at_quad(mesh, b_field)
-    U_prev = (p2_presolve(mesh, b_field, solves=solves) if u0 is None
-              else u0.copy())
+    start = (p2_presolve(mesh, b_field, solves=solves) if u0 is None
+             else u0.copy())
 
     trace = ContinuationTrace(steps=[], p=op.p, q=op.q, delta=delta,
                               schedule=schedule, mesh=mesh,
                               meta=meta or {})
-    prev_solution = None
-    for eps in schedule.epsilons():
-        rop = regularize(op, float(eps), schedule.eps0)
+    for eps in map(float, schedule.epsilons()):
+        if len(trace.steps) >= 2:
+            start = trace.secant(eps)
+        rop = regularize(op, eps, schedule.eps0)
         try:
-            U, stats = newton_solve(mesh, rop, b_field, U_prev, cfg,
+            U, stats = newton_solve(mesh, rop, b_field, start, cfg,
                                     solves=solves)
         except NonConvergence as exc:
             raise NonConvergence(f"{exc} at eps={eps:.4g}", best=exc.best,
@@ -445,15 +491,13 @@ def continuation_solve(mesh: Mesh, op: OperatorSpec, b_field,
         if not all(np.isfinite(v) for v in norms.values()):
             raise NonConvergence(f"non-finite tracked norm at eps={eps:.4g}",
                                  best=U, trace=trace)
-        inc = (None if prev_solution is None
-               else w12_distance(U, prev_solution))
+        inc = (w12_distance(U, trace.steps[-1].field) if trace.steps
+               else None)
         trace.steps.append(ContinuationStep(
-            eps=float(eps), field=U, stats=stats,
-            cauchy_increment=inc, **norms))
+            eps=eps, field=U, stats=stats, cauchy_increment=inc, **norms))
         log.info("eps=%.4g: %d iterations, residual %.3e, |Du|_p=%.6g",
                  eps, stats.iterations, stats.residual_norm,
                  norms["lp_gradient"])
-        prev_solution = U
-        U_prev = U
+        start = U
     log.info("linear solves over %d eps steps: %s", len(trace.steps), solves)
     return trace

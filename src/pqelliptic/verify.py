@@ -627,8 +627,7 @@ def check_derivative_consistency(op: OperatorSpec, cfg: SampleConfig,
 
 
 def run_structure_checks(op: OperatorSpec, cfg: SampleConfig,
-                         L: float | None = None,
-                         declared_ML: float | None = None) -> AssumptionReport:
+                         L: float | None = None) -> AssumptionReport:
     """All structural checks on one operator, in a fixed order.
 
     The base cloud is drawn once and shared by the checks that use it; the
@@ -647,7 +646,7 @@ def run_structure_checks(op: OperatorSpec, cfg: SampleConfig,
             lambda: check_ellipticity(op, cfg, samples=base[0]),
             lambda: check_growth_xi(op, cfg, samples=base[0]),
             lambda: check_growth_u(op, cfg, samples=base[0]),
-            lambda: check_local_conditions(op, L, cfg, declared_ML),
+            lambda: check_local_conditions(op, L, cfg),
             lambda: check_monotonicity(op, cfg, samples=base[0]),
             lambda: check_coercivity_lower(op, cfg, samples=base[0])[1],
             # takes the cloud out of ``base``, freeing it before the

@@ -724,8 +724,10 @@ def test_rhs_table_and_manufactured(opfile, tmp_path):
     assert rc == 0
 
 
-def test_reproducibility_across_threads(opfile, tmp_path):
-    # two identical runs (there is no thread count left to vary)
+def test_identical_runs_in_one_process_give_identical_files(opfile,
+                                                            tmp_path):
+    # two identical runs in one process; the BLAS thread count is varied
+    # across processes in test_trace_bits_do_not_depend_on_blas_threads
     op = opfile(DP_DESCRIPTOR)
     outs = {}
     for run in ("1", "2"):
@@ -744,6 +746,31 @@ def test_reproducibility_across_threads(opfile, tmp_path):
         a = (outs["1"] / name).read_bytes()
         b = (outs["2"] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_trace_bits_do_not_depend_on_blas_threads(opfile, tmp_path):
+    # at 129x129 the vectors are long enough for a threaded BLAS ddot to
+    # split its sum; at 33x33 and 65x65 it did not
+    src = Path(__file__).resolve().parents[1] / "src"
+    op = opfile(DP_DESCRIPTOR)
+    digests = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}" / "trace.json"
+        out.parent.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqelliptic.cli", "continuation",
+             "--operator", op, "--rhs", "constant:-2", "--mesh", "2d:129x129",
+             "--schedule", "eps0=0.2", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests[threads] = {
+            name: hashlib.sha256((out.parent / name).read_bytes()).hexdigest()
+            for name in ("trace.json", "trace.npy", "trace.csv")}
+    for name, digest in digests["1"].items():
+        assert digests["2"][name] == digest, \
+            f"{name} differs between 1 and 2 BLAS threads"
 
 
 def test_check_logs_timings_on_stderr_only_with_pq_log_info(opfile, tmp_path):

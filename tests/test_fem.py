@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from pqelliptic import (DiscreteField, MeshError, QuadratureFailure,
                         interpolate, make_family, unit_box, zero_field)
 from pqelliptic import fem
 from pqelliptic.solvers import _LinearSolves
-from conftest import constant_rhs
+from conftest import constant_rhs, u_dependent_test_op
 
 
 def test_mesh_counts_1d():
@@ -336,6 +337,59 @@ def test_chunked_jacobian_equals_one_shot_bitwise(monkeypatch,
     ref = _einsum_jacobian(m, op, U)
     assert np.array_equal(J.indices, ref.indices)
     assert np.abs(J.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+
+def _jacobian_with_du_term(m, op, U):
+    """The chunked Jacobian that evaluates and adds dflux_du for every
+    operator: the kernel of assemble_jacobian before operators declared
+    their radial pair."""
+    nq, nv = m.quad_bary.shape
+
+    def blocks():
+        for k, e in fem._chunks(m):
+            frac, GT = k.area * m.quad_frac, k.grads.T
+            K_J = (frac[:, None, None, None, None] * GT[:, None, :, None]
+                   * GT[None, :, None, :]).reshape(-1, nv * nv)
+            K_u = (frac[:, None, None, None] * GT[:, :, None]
+                   * m.quad_bary[:, None, None, :]).reshape(-1, nv * nv)
+            ve, x = U.values[m.elements[e]], m.quad_points[e]
+            xi = (ve @ k.grads)[:, None, :]
+            uq = ve @ m.quad_bary.T
+            Jq, au = op.dflux_dxi(x, uq, xi), op.dflux_du(x, uq, xi)
+            block = fem._at_quad(Jq, len(ve), nq) @ K_J
+            block += fem._at_quad(au, len(ve), nq) @ K_u
+            yield e, block
+    return fem.scatter_matrix(m, blocks())
+
+
+@pytest.mark.parametrize("case", ["u-dependent", "conftest-u-dependent",
+                                  "double-phase-eps", "p-laplacian"])
+def test_jacobian_bits_with_and_without_the_du_term(monkeypatch,
+                                                    double_phase_op, case):
+    # an operator with dflux_du keeps its J bit for bit; a declared one
+    # skips a term that added +0.0, so its J keeps its bits too
+    op = {"u-dependent": _u_dependent_op(2),
+          "conftest-u-dependent": u_dependent_test_op(beta=1.0),
+          "double-phase-eps": pq.regularize(double_phase_op, 0.1, 0.2),
+          "p-laplacian": make_family("p-laplacian", {"p": 4})}[case]
+    assert (op.radial is None) == case.endswith("u-dependent")
+    m = build_mesh(2, unit_box(2), 17)
+    rng = np.random.default_rng(8)
+    vals = np.zeros(m.n_nodes)
+    vals[m.interior] = rng.standard_normal(m.interior.size)
+    U = DiscreteField(m, vals)
+    monkeypatch.setattr(fem, "JACOBIAN_CHUNK", 100)  # several chunks
+    J = assemble_jacobian(m, op, U)
+    ref = _jacobian_with_du_term(m, op, U)
+    assert J.data.tobytes() == ref.data.tobytes()
+    if op.radial is not None:  # dflux_du is not even evaluated
+
+        def unavailable(*args):
+            raise AssertionError("dflux_du evaluated")
+
+        J = assemble_jacobian(m, dataclasses.replace(op, dflux_du=unavailable),
+                              U)
+        assert J.data.tobytes() == ref.data.tobytes()
 
 
 def _bincount_residual(m, op, b, U):

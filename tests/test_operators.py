@@ -7,7 +7,8 @@ import pqelliptic as pq
 from pqelliptic import (DimensionMismatch, InvalidExponents,
                         NonnegativityViolation, eval_dflux_dxi, eval_flux,
                         make_custom, make_family, regularize)
-from conftest import DP_DESCRIPTOR, dp_weight, varexp_p
+from conftest import (DP_DESCRIPTOR, dp_weight, u_dependent_test_op,
+                      varexp_dp, varexp_p)
 
 
 X = np.array([0.5, 0.5])
@@ -346,3 +347,70 @@ def test_max_abs_bitwise_equal_to_numpy(shape, axes):
     wide = np.broadcast_to(a[:1], (9,) + shape[1:])
     assert np.array_equal(_bits(_max_abs(wide, axes)),
                           _bits(np.max(np.abs(wide), axis=trailing)))
+
+
+# ---------------------------------------------------------------------------
+# the radial pair and its regularization
+
+ISOTROPIC = {
+    "p-laplacian": {"p": 2.5},
+    "p-laplacian-degenerate": {"p": 2.5},
+    "log": {"p": 2, "q": 2.2},
+    "log-degenerate": {"p": 3, "q": 3.3},
+    "variable-exponent": {"pfun": varexp_p, "pmin": 2.0, "pmax": 2.2,
+                          "dpfun": varexp_dp},
+    "variable-exponent-degenerate": {"pfun": varexp_p, "pmin": 2.0,
+                                     "pmax": 2.2, "dpfun": varexp_dp},
+    "double-phase": {"p": 2, "q": 2.2, "weight": dp_weight},
+}
+
+
+def _eps_term_added_to_base(op, eps):
+    """The regularized flux and dflux_dxi as the base's plus the eps-term,
+    the composition for an operator without a radial pair."""
+    qe = op.q + eps
+    se = (qe - 2.0) / 2.0
+
+    def flux(x, u, xi):
+        t = np.sum(xi * xi, axis=-1)
+        return op.flux(x, u, xi) + (eps * (1.0 + t) ** se)[..., None] * xi
+
+    def dflux_dxi(x, u, xi):
+        t = np.sum(xi * xi, axis=-1)
+        w = eps * (1.0 + t) ** se
+        c = eps * (qe - 2.0) * (1.0 + t) ** (se - 1.0)
+        return (op.dflux_dxi(x, u, xi) + w[..., None, None] * np.eye(op.dim)
+                + c[..., None, None] * (xi[..., :, None] * xi[..., None, :]))
+
+    return flux, dflux_dxi
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.0125])
+@pytest.mark.parametrize("tag", sorted(ISOTROPIC))
+def test_regularized_radial_pair_agrees_with_base_plus_eps_term(tag, eps):
+    op = make_family(tag, ISOTROPIC[tag])
+    rop = regularize(op, eps, 0.2)
+    assert op.radial is not None and rop.radial is not None
+    rng = np.random.default_rng(3)
+    x = rng.random((400, 2))
+    u = rng.standard_normal(400)
+    xi = rng.standard_normal((400, 2)) * 3.0
+    xi[:50] = 0.0              # the degenerate variants' singular point
+    xi[50:100, 1] = 0.0        # on an axis
+    flux, dflux_dxi = _eps_term_added_to_base(op, eps)
+    np.testing.assert_allclose(rop.flux(x, u, xi), flux(x, u, xi),
+                               rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(rop.dflux_dxi(x, u, xi),
+                               dflux_dxi(x, u, xi), rtol=1e-14, atol=0.0)
+    # the base's other derivatives are kept
+    assert rop.dflux_du is op.dflux_du and rop.dflux_dx is op.dflux_dx
+
+
+def test_operators_without_radial_pair(double_phase_op):
+    aniso = make_family("anisotropic", {"exponents": [2, 2.5]})
+    custom = make_custom(lambda x, u, xi: xi, dim=2, p=2, q=2, m=1, M=1)
+    for op in (aniso, custom, u_dependent_test_op()):
+        assert op.radial is None
+        assert regularize(op, 0.1, 0.2).radial is None
+    # a descriptor keeps its family's pair
+    assert double_phase_op.radial is not None

@@ -206,7 +206,9 @@ def test_continuation_factors_only_the_coarsest_level(double_phase_op,
                                    EpsilonSchedule(eps0=0.2))
     # the 9x9 level, 49 unknowns, once per linear solve
     assert shapes and all(max(s) <= 49 for s in shapes)
-    assert [s.stats.iterations for s in tr.steps] == [3, 2, 2, 2, 2]
+    # the last step starts from the secant predictor close enough to stop
+    # after one iteration (from the previous solution it took two)
+    assert [s.stats.iterations for s in tr.steps] == [3, 2, 2, 2, 1]
     assert [s.stats.backtracks for s in tr.steps] == [0] * 5
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("linear solves")]
@@ -287,6 +289,66 @@ def test_gather_asymmetry_equals_sparse_transpose(dim):
     assert _asymmetry(m, sp.csr_matrix(J.shape)) == np.inf
 
 
+@pytest.mark.parametrize("n", [17, 65])
+@pytest.mark.parametrize("case", ["double-phase-eps", "p-laplacian-4",
+                                  "log-degenerate-eps"])
+def test_declared_jacobian_is_bitwise_symmetric(double_phase_op, case, n):
+    # what makes skipping the asymmetry gather sound for a declared operator
+    op = {"double-phase-eps": pq.regularize(double_phase_op, 0.05, 0.2),
+          "p-laplacian-4": make_family("p-laplacian", {"p": 4}),
+          "log-degenerate-eps": pq.regularize(
+              make_family("log-degenerate", {"p": 3, "q": 3.3}), 0.1, 0.2),
+          }[case]
+    assert op.radial is not None
+    m = build_mesh(2, unit_box(2), n)
+    rng = np.random.default_rng(n)
+    vals = np.zeros(m.n_nodes)
+    vals[m.interior] = rng.standard_normal(m.interior.size)
+    J = pq.assemble_jacobian(m, op, pq.DiscreteField(m, vals))
+    transpose = _matrix_pattern(m)[3]
+    assert J.data.tobytes() == J.data[transpose].tobytes()
+
+
+def test_declared_operators_skip_the_asymmetry_gather(double_phase_op,
+                                                      monkeypatch):
+    gathers = []
+    real_asymmetry = pq.solvers._asymmetry
+
+    def asymmetry(mesh, J):
+        gathers.append(J.shape)
+        return real_asymmetry(mesh, J)
+
+    monkeypatch.setattr(pq.solvers, "_asymmetry", asymmetry)
+    m = build_mesh(2, unit_box(2), 17)
+    tr = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
+                               EpsilonSchedule(eps0=0.2, steps=3))
+    assert len(tr.steps) == 3 and gathers == []
+    # an operator without the pair is still checked at every Newton step
+    U, stats = pq.newton_solve(m, u_dependent_test_op(), constant_rhs(-2.0),
+                               zero_field(m))
+    assert len(gathers) == stats.iterations > 0
+
+
+def test_cg_loop_follows_scipy_cg(double_phase_op):
+    # the same stopping rule and iteration count as scipy's cg with atol=0;
+    # only the inner products differ, so the solutions agree to rounding
+    m = build_mesh(2, unit_box(2), 65)
+    J = _jacobian_at(pq.regularize(double_phase_op, 0.05, 0.2), m, _bump)
+    M = pq.solvers._VCycle(J, pq.fem.prolongations(m))
+    rhs = np.random.default_rng(2).standard_normal(J.shape[0])
+    for rtol, maxiter in ((1e-3, 30), (1e-10, 30), (1e-10, 3)):
+        its = []
+        ref, info = spla.cg(J, rhs, rtol=rtol, atol=0.0, maxiter=maxiter,
+                            M=spla.LinearOperator(J.shape, M, dtype=float),
+                            callback=its.append)
+        sol, n, converged = pq.solvers._cg(J, rhs, M, rtol, maxiter)
+        assert (n, converged) == (len(its), info == 0)
+        np.testing.assert_allclose(sol, ref, rtol=0.0,
+                                   atol=1e-12 * np.abs(ref).max())
+    sol, n, converged = pq.solvers._cg(J, np.zeros(J.shape[0]), M, 1e-6, 30)
+    assert (n, converged) == (0, True) and not sol.any()
+
+
 def test_symmetric_jacobian_at_257_takes_multigrid(double_phase_op):
     # at 257^2, row * n + column keys of the 255^2 interior unknowns pass
     # the int32 range, (255^2)^2 > 2^31: a transpose permutation built from
@@ -325,13 +387,14 @@ def test_newton_solves_to_the_forcing_term(double_phase_op, monkeypatch,
     tr, inexact = _continuation_65(double_phase_op, caplog)
     debug = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("linear solve: mg-cg")]
-    # the pre-solve to CG_RTOL, then one solve per Newton iteration
-    assert len(debug) == 1 + len(forcing) == 12
+    # the pre-solve to CG_RTOL, then one solve per Newton iteration: 3, 2,
+    # 2, 2 and 1 with the secant predictor (3, 2, 2, 2, 2 without it)
+    assert len(debug) == 1 + len(forcing) == 11
     assert debug[0].endswith(f" to rtol {CG_RTOL:.1e}")
     for line, eta in zip(debug[1:], forcing):
         assert line.endswith(f" to rtol {eta:.1e}")
         assert CG_RTOL <= eta <= 0.1
-    assert [s.stats.iterations for s in tr.steps] == [3, 2, 2, 2, 2]
+    assert [s.stats.iterations for s in tr.steps] == [3, 2, 2, 2, 1]
     assert [s.stats.backtracks for s in tr.steps] == [0] * 5
     cfg = NewtonConfig()
     for s in tr.steps:
@@ -349,7 +412,7 @@ def test_newton_solves_to_the_forcing_term(double_phase_op, monkeypatch,
                         lambda residuals, tol: CG_RTOL)
     exact_tr, exact = _continuation_65(double_phase_op, caplog)
     assert inexact < exact
-    assert [s.stats.iterations for s in exact_tr.steps] == [3, 2, 2, 2, 2]
+    assert [s.stats.iterations for s in exact_tr.steps] == [3, 2, 2, 2, 1]
     assert pq.w12_distance(tr.final_field, exact_tr.final_field) <= 1e-9
 
 
@@ -529,6 +592,31 @@ def test_continuation_computes_interior_masks_once(double_phase_op):
     assert len(tr.steps) == 3
     assert sorted(masks.stored) == [("elements", "interior", delta),
                                     ("nodes", "interior", delta)]
+
+
+def test_continuation_starts_later_steps_from_the_secant(double_phase_op,
+                                                         monkeypatch):
+    m = build_mesh(2, unit_box(2), 17)
+    starts = []
+    real_newton = pq.solvers.newton_solve
+
+    def newton(mesh, op, b, U0, *args, **kwargs):
+        starts.append(U0.values.copy())
+        return real_newton(mesh, op, b, U0, *args, **kwargs)
+
+    monkeypatch.setattr(pq.solvers, "newton_solve", newton)
+    tr = pq.continuation_solve(m, double_phase_op, constant_rhs(-2.0),
+                               EpsilonSchedule(eps0=0.2, ratio=0.4, steps=5))
+    presolve = pq.p2_presolve(m, constant_rhs(-2.0))
+    assert np.array_equal(starts[0], presolve.values)
+    assert np.array_equal(starts[1], tr.steps[0].field.values)
+    for k in range(2, 5):
+        u1, u0 = tr.steps[k - 1].field.values, tr.steps[k - 2].field.values
+        e2, e1, e0 = (tr.steps[j].eps for j in (k, k - 1, k - 2))
+        predicted = u1 + (u1 - u0) * ((e2 - e1) / (e1 - e0))
+        assert starts[k].tobytes() == predicted.tobytes()
+        assert not starts[k][m.boundary_mask].any()
+        assert not np.array_equal(starts[k], u1)
 
 
 def test_continuation_shares_one_linear_solves(double_phase_op,
