@@ -19,20 +19,18 @@ from .fem import (DiscreteField, Mesh, assemble_jacobian, assemble_residual,
                   lp_gradient_norm, w12_distance, zero_field)
 from .mms import (ManufacturedCase, builtin_case, convergence_study,
                   make_manufactured)
-from .operators import (Box, OperatorSpec, RegularizedOperator,
-                        eval_dflux_dxi, eval_flux,
+from .operators import (Box, OperatorSpec, eval_dflux_dxi, eval_flux,
                         make_custom, make_family, operator_from_descriptor,
                         regularize, unit_box, validate_assumptions)
 from .report import AssumptionReport, CheckEntry
 from .solvers import (ContinuationStep, ContinuationTrace, EpsilonSchedule,
                       NewtonConfig, SolveStats, continuation_solve,
                       newton_solve, p2_presolve)
-from .verify import (CoercivityConstants, SampleConfig,
-                     check_coercivity_lower, check_derivative_consistency,
-                     check_ellipticity, check_growth_u, check_growth_xi,
-                     check_lemma_lower_bound, check_local_conditions,
-                     check_monotonicity, check_regularized_growth,
-                     reevaluate_witness, run_structure_checks,
-                     theta_exponent)
+from .verify import (SampleConfig, check_coercivity_lower,
+                     check_derivative_consistency, check_ellipticity,
+                     check_growth_u, check_growth_xi, check_lemma_lower_bound,
+                     check_local_conditions, check_monotonicity,
+                     check_regularized_growth, reevaluate_witness,
+                     run_structure_checks, theta_exponent)
 
 __version__ = "0.1.0"

@@ -4,9 +4,10 @@ Subcommands: check, solve, continuation, estimates, mms, report.  All data
 goes to files (written atomically); diagnostics go to standard error.
 ``continuation --out trace.json`` writes the step fields to ``trace.npy``,
 then ``trace.json`` naming its sha256, then ``trace.csv``.
-Exit codes: 0 success, 1 verification failure, 2 numerical failure,
-3 configuration error.  Outputs embed no timestamps, so identical
-configurations and seeds reproduce byte-identical files.
+Exit codes: 0 success, 1 verification failure, 2 numerical failure (out
+of memory among them), 3 configuration error.  Outputs embed no
+timestamps, so identical configurations and seeds reproduce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .fem import build_mesh, zero_field, _b_at_quad
 from .mms import builtin_case, convergence_study
 from .operators import operator_from_descriptor, validate_assumptions
 from .solvers import (ContinuationTrace, EpsilonSchedule, NewtonConfig,
-                      _LinearSolves, continuation_solve, interior_margin,
-                      newton_solve, p2_presolve)
-from .verify import SampleConfig, run_structure_checks
+                      continuation_solve, interior_margin, newton_solve,
+                      p2_presolve)
+from .verify import MAX_SAMPLES, SampleConfig, run_structure_checks
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -200,12 +201,14 @@ def parse_rhs(spec: str, op, mesh):
 # subcommands
 
 def cmd_check(args) -> int:
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    # the lemma check's stability fit draws twice the count
+    if not 1 <= args.samples <= MAX_SAMPLES // 2:
+        raise ConfigError(f"--samples must lie in [1, {MAX_SAMPLES // 2}], "
+                          f"got {args.samples}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if not (math.isfinite(args.L) and args.L > 0):
-        raise ConfigError(f"--L must be a finite number > 0, got {args.L}")
+    if not 0 < 2 * args.L < math.inf:  # u is drawn from [-L, L]
+        raise ConfigError(f"--L must be > 0 with 2 L finite, got {args.L}")
     for flag, value in (("--gamma", args.gamma), ("--s0", args.s0)):
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
@@ -229,11 +232,10 @@ def cmd_solve(args) -> int:
     mesh = parse_mesh_spec(args.mesh, op.domain)
     b = parse_rhs(args.rhs, op, mesh)
     cfg = newton_config(args.newton_tol)
-    solves = _LinearSolves(mesh)
-    b = _b_at_quad(mesh, b)
-    U0 = (p2_presolve(mesh, b, solves=solves) if args.start == "presolve"
+    b = _b_at_quad(mesh, b)  # one rhs table for the pre-solve and Newton
+    U0 = (p2_presolve(mesh, b) if args.start == "presolve"
           else zero_field(mesh))
-    U, stats = newton_solve(mesh, op, b, U0, cfg, solves=solves)
+    U, stats = newton_solve(mesh, op, b, U0, cfg)
     if args.out:
         write_json(args.out, {"mesh": mesh.to_dict(),
                               "values": U.values.tolist(),
@@ -536,6 +538,9 @@ def main(argv=None) -> int:
     except (NonConvergence, SingularJacobian, QuadratureFailure,
             MeshError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

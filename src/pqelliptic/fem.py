@@ -157,9 +157,8 @@ def _interior_numbering(shape) -> np.ndarray:
 
 def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
     """Uniform tensor-grid mesh, its cells split by the dimension's row of
-    SIMPLICES."""
-    if isinstance(box, dict):
-        box = Box.from_dict(box)
+    SIMPLICES.  A mesh of 3**dim * nodes >= 2**31, past the int32 indices
+    of its matrix pattern, is refused before anything is allocated."""
     if box.dim != dim:
         raise MeshError(f"box dimension {box.dim} != mesh dimension {dim}")
     split = SIMPLICES.get(dim)
@@ -172,6 +171,8 @@ def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
         shape = tuple(int(v) for v in nodes_per_axis)
     if len(shape) != dim or any(s < 3 for s in shape):
         raise MeshError("need at least 3 nodes per axis")
+    if 3 ** dim * math.prod(shape) >= 2 ** 31:
+        raise MeshError(f"{shape} nodes are too many: 3**dim * nodes >= 2**31")
 
     nodes = box.lattice(shape)
     grid = nodes.reshape(*shape, dim)

@@ -8,11 +8,13 @@ constant ``M``, and the lower-order exponents ``growth_alpha`` and
 ``x`` has shape ``(..., dim)``, ``u`` shape ``(...,)``, ``xi`` shape
 ``(..., dim)``.
 
-The isotropic families, a = w(x, u, |xi|^2) xi with ``dflux_du = 0``,
-declare their radial pair ``(w, wt)`` (wt = dw/dt) on ``radial``: the
-eps-regularization adds its term to the pair, and the assembly skips the
-zero ``dflux_du`` and treats their Jacobians as symmetric.  ``anisotropic``
-and custom operators leave it ``None``.
+An operator's dimension is that of its domain box, ``op.dim``.  The
+isotropic families, a = w(x, u, |xi|^2) xi with ``dflux_du = 0``, are built
+by one constructor from their radial pair ``(w, wt)`` (wt = dw/dt), which
+they declare on ``radial``: the eps-regularization adds its term to the
+pair, and the assembly skips the zero ``dflux_du`` and treats their
+Jacobians as symmetric.  ``anisotropic`` and custom operators leave it
+``None``.  :func:`regularize` returns an :class:`OperatorSpec` too.
 
 Built-in families default to nondegenerate weights ``(1 + |xi|^2)^(s/2)``;
 the degenerate variants (weight ``|xi|^s``) are kept so the verifier can
@@ -118,7 +120,6 @@ def unit_box(dim: int) -> Box:
 class OperatorSpec:
     """A vector field a(x, u, xi) with derivatives and declared constants."""
 
-    dim: int
     p: float
     q: float
     m: float
@@ -133,18 +134,13 @@ class OperatorSpec:
     domain: Box
     descriptor: Optional[dict] = None
     # (w, wt) of an isotropic operator a = w(x, u, |xi|^2) xi with
-    # dflux_du = 0, from which _isotropic_callables built flux and
-    # dflux_dxi; None for any other operator
+    # dflux_du = 0, from which _radial_flux built flux and dflux_dxi; None
+    # for any other operator
     radial: Optional[tuple] = None
 
-
-@dataclass(frozen=True)
-class RegularizedOperator(OperatorSpec):
-    """a_eps = a + eps (1+|xi|^2)^((q+eps-2)/2) xi, with q+eps declared growth."""
-
-    base: OperatorSpec = None
-    eps: float = 0.0
-    eps0: float = 0.0
+    @property
+    def dim(self) -> int:
+        return self.domain.dim
 
 
 # Reductions over the short trailing axis, one column at a time: the same
@@ -163,31 +159,26 @@ def _sq(xi):
     return _dot(xi, xi)
 
 
-def _scaled(w, xi, base=None):
-    """w[..., None] * xi (plus ``base``), one column at a time."""
-    shape = np.broadcast_shapes(np.shape(w), xi.shape[:-1],
-                                np.shape(base)[:-1]) + xi.shape[-1:]
-    out = np.empty(shape)
+def _scaled(w, xi):
+    """w[..., None] * xi, one column at a time."""
+    out = np.empty(np.broadcast_shapes(np.shape(w), xi.shape[:-1])
+                   + xi.shape[-1:])
     for i in range(xi.shape[-1]):
-        col = w * xi[..., i]
-        out[..., i] = col if base is None else base[..., i] + col
+        out[..., i] = w * xi[..., i]
     return out
 
 
-def _radial_matrix(w, c, xi, base=None):
-    """w[..., None, None] * I + c[..., None, None] * (xi xi^T) (plus
-    ``base``), one entry at a time; w * 0.0 off the diagonal keeps the bits
-    of the broadcast product."""
+def _radial_matrix(w, c, xi):
+    """w[..., None, None] * I + c[..., None, None] * (xi xi^T), one entry at
+    a time; w * 0.0 off the diagonal keeps the bits of the broadcast
+    product."""
     d = xi.shape[-1]
-    shape = np.broadcast_shapes(np.shape(w), np.shape(c), xi.shape[:-1],
-                                np.shape(base)[:-2])
+    shape = np.broadcast_shapes(np.shape(w), np.shape(c), xi.shape[:-1])
     out = np.empty(shape + (d, d))
     for i in range(d):
         for j in range(i, d):  # the term is symmetric: one product per pair
             entry = (w if i == j else w * 0.0) + c * (xi[..., i] * xi[..., j])
-            for a, b in {(i, j), (j, i)}:
-                out[..., a, b] = (entry if base is None
-                                  else base[..., a, b] + entry)
+            out[..., i, j] = out[..., j, i] = entry
     return out
 
 
@@ -224,13 +215,14 @@ def eval_dflux_dxi(op: OperatorSpec, x, u, xi):
 # ---------------------------------------------------------------------------
 # finite-difference fallbacks
 
-def fd_dflux_dxi(flux, x, u, xi, scale: float = FD_SCALE):
-    """Centered difference of flux in xi; step scale*max(1, |xi|) per sample."""
+def fd_dflux_dxi(flux, x, u, xi):
+    """Centered difference of flux in xi; step FD_SCALE*max(1, |xi|) per
+    sample."""
     x = np.asarray(x, float)
     u = np.asarray(u, float)
     xi = np.asarray(xi, float)
     dim = xi.shape[-1]
-    h = scale * np.maximum(1.0, np.sqrt(_sq(xi)))
+    h = FD_SCALE * np.maximum(1.0, np.sqrt(_sq(xi)))
     cols = []
     for j in range(dim):
         e = np.zeros(dim)
@@ -241,18 +233,18 @@ def fd_dflux_dxi(flux, x, u, xi, scale: float = FD_SCALE):
     return np.stack(cols, axis=-1)  # [..., i, j] = d a^i / d xi_j
 
 
-def fd_dflux_du(flux, x, u, xi, scale: float = FD_SCALE):
+def fd_dflux_du(flux, x, u, xi):
     u = np.asarray(u, float)
-    h = scale * np.maximum(1.0, np.abs(u))
+    h = FD_SCALE * np.maximum(1.0, np.abs(u))
     return (flux(x, u + h, xi) - flux(x, u - h, xi)) / (2.0 * h[..., None])
 
 
-def fd_dflux_dx(flux, x, u, xi, s: int, scale: float = FD_SCALE):
+def fd_dflux_dx(flux, x, u, xi, s: int):
     x = np.asarray(x, float)
     dim = x.shape[-1]
     e = np.zeros(dim)
     e[s] = 1.0
-    h = scale * np.maximum(1.0, np.abs(x[..., s]))
+    h = FD_SCALE * np.maximum(1.0, np.abs(x[..., s]))
     step = h[..., None] * e
     return (flux(x + step, u, xi) - flux(x - step, u, xi)) / (2.0 * h[..., None])
 
@@ -280,13 +272,11 @@ def _unavailable(name):
 # ---------------------------------------------------------------------------
 # isotropic scalar-weight machinery: a(x,u,xi) = w(x,u,|xi|^2) xi
 
-def _isotropic_callables(dim, w, wt, wx=None):
-    """Build (flux, dflux_dxi, dflux_du, dflux_dx) from the radial weight,
-    which does not depend on u.
+def _radial_flux(w, wt):
+    """(flux, dflux_dxi) of a = w(x, u, |xi|^2) xi.
 
     ``wt`` must already be guarded at t == 0 (it multiplies xi xi^T, so the
-    guarded value only has to be finite, not the analytic limit).  Without
-    ``wx``, dflux_dx is a finite difference of the flux.
+    guarded value only has to be finite, not the analytic limit).
     """
     def flux(x, u, xi):
         return _scaled(w(x, u, _sq(xi)), xi)
@@ -295,19 +285,28 @@ def _isotropic_callables(dim, w, wt, wx=None):
         t = _sq(xi)
         return _radial_matrix(w(x, u, t), 2.0 * wt(x, u, t), xi)
 
-    def dflux_du(x, u, xi):
-        shape = np.broadcast_shapes(np.shape(u), np.shape(xi)[:-1])
-        return np.zeros(shape + (dim,))
+    return flux, dflux_dxi
 
+
+def _zero_dflux_du(x, u, xi):
+    shape = np.broadcast_shapes(np.shape(u), np.shape(xi)[:-1])
+    return np.zeros(shape + np.shape(xi)[-1:])
+
+
+def _isotropic(p, q, m, M, tag, domain, w, wt, wx=None):
+    """The operator a = w(x, u, |xi|^2) xi of a radial pair (w, wt) whose w
+    does not depend on u.  Without ``wx`` (dw/dx_s), dflux_dx is a finite
+    difference of the flux."""
+    flux, dflux_dxi = _radial_flux(w, wt)
     if wx is not None:
         def dflux_dx(x, u, xi, s):
-            t = _sq(xi)
-            return wx(x, u, t, s)[..., None] * xi
+            return wx(x, u, _sq(xi), s)[..., None] * xi
     else:
         def dflux_dx(x, u, xi, s):
             return fd_dflux_dx(flux, x, u, xi, s)
 
-    return flux, dflux_dxi, dflux_du, dflux_dx
+    return OperatorSpec(p, q, m, M, 0.0, 0.0, flux, dflux_dxi, _zero_dflux_du,
+                        dflux_dx, tag, domain, radial=(w, wt))
 
 
 def _validate_pq(p, q):
@@ -342,7 +341,6 @@ def _family_p_laplacian(params, degenerate):
     p = float(params["p"])
     _validate_pq(p, p)
     domain = _resolve_domain(params)
-    dim = domain.dim
     e = (p - 2.0) / 2.0
 
     if degenerate:
@@ -361,12 +359,10 @@ def _family_p_laplacian(params, degenerate):
         def wt(x, u, t):
             return e * (1.0 + t) ** (e - 1.0)
 
-    flux, dxi, du, dx = _isotropic_callables(dim, w, wt)
     m = float(params.get("m", 1.0))
     M = float(params.get("M", max(p - 1.0, 1.0)))
     tag = "p-laplacian-degenerate" if degenerate else "p-laplacian"
-    return OperatorSpec(dim, p, p, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        tag, domain, radial=(w, wt))
+    return _isotropic(p, p, m, M, tag, domain, w, wt)
 
 
 def _family_log(params, degenerate):
@@ -376,7 +372,6 @@ def _family_log(params, degenerate):
     if q <= p:
         raise InvalidExponents("log family needs q > p (growth carries a log factor)")
     domain = _resolve_domain(params)
-    dim = domain.dim
     e = (p - 2.0) / 2.0
 
     if degenerate:
@@ -397,7 +392,6 @@ def _family_log(params, degenerate):
             return ((1.0 + t) ** e / (2.0 + t)
                     + np.log(2.0 + t) * e * (1.0 + t) ** (e - 1.0))
 
-    flux, dxi, du, dx = _isotropic_callables(dim, w, wt)
     # m = log 2: at xi=0 the nondegenerate Jacobian is exactly log(2) I, and
     # both radial/tangential eigenvalues dominate log(2) (1+t)^((p-2)/2).
     m = float(params.get("m", math.log(2.0)))
@@ -405,8 +399,7 @@ def _family_log(params, degenerate):
     M_default = (p - 1.0) * (math.log(2.0) + 2.0 / (math.e * (q - p))) + 2.0
     M = float(params.get("M", M_default))
     tag = "log-degenerate" if degenerate else "log"
-    return OperatorSpec(dim, p, q, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        tag, domain, radial=(w, wt))
+    return _isotropic(p, q, m, M, tag, domain, w, wt)
 
 
 def _family_variable_exponent(params, degenerate):
@@ -416,7 +409,6 @@ def _family_variable_exponent(params, degenerate):
     dpfun = params.get("dpfun")
     _validate_pq(pmin, pmax)
     domain = _resolve_domain(params)
-    dim = domain.dim
 
     probe = np.asarray(pfun(domain.lattice()), float)
     if probe.min() < pmin - 1e-12 or probe.max() > pmax + 1e-12:
@@ -455,14 +447,12 @@ def _family_variable_exponent(params, degenerate):
             dp = np.asarray(dpfun(x), float)[..., s]
             return (1.0 + t) ** e * 0.5 * dp * np.log1p(t)
 
-    flux, dxi, du, dx = _isotropic_callables(
-        dim, w, wt, wx=wx if dpfun is not None else None)
     m = float(params.get("m", 1.0))
     M = float(params.get("M", max(pmax - 1.0, 1.0)))
     tag = ("variable-exponent-degenerate" if degenerate
            else "variable-exponent")
-    return OperatorSpec(dim, pmin, pmax, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        tag, domain, radial=(w, wt))
+    return _isotropic(pmin, pmax, m, M, tag, domain, w, wt,
+                      wx if dpfun is not None else None)
 
 
 def _family_anisotropic(params):
@@ -487,18 +477,14 @@ def _family_anisotropic(params):
         out[..., idx, idx] = diag
         return out
 
-    def dflux_du(x, u, xi):
-        shape = np.broadcast_shapes(np.shape(u), np.shape(xi)[:-1])
-        return np.zeros(shape + (dim,))
-
     def dflux_dx(x, u, xi, s):
         shape = np.broadcast_shapes(np.shape(x)[:-1], np.shape(xi)[:-1])
         return np.zeros(shape + (dim,))
 
     m = float(params.get("m", 1.0))
     M = float(params.get("M", max(q - 1.0, 1.0)))
-    return OperatorSpec(dim, p, q, m, M, 0.0, 0.0, flux, dflux_dxi,
-                        dflux_du, dflux_dx, "anisotropic", domain)
+    return OperatorSpec(p, q, m, M, 0.0, 0.0, flux, dflux_dxi, _zero_dflux_du,
+                        dflux_dx, "anisotropic", domain)
 
 
 def _family_double_phase(params):
@@ -508,7 +494,6 @@ def _family_double_phase(params):
     weight = params["weight"]
     grad_weight = params.get("grad_weight")
     domain = _resolve_domain(params)
-    dim = domain.dim
 
     probe = np.asarray(weight(domain.lattice()), float)
     if probe.min() < -1e-12:
@@ -533,11 +518,9 @@ def _family_double_phase(params):
             da = np.asarray(grad_weight(x), float)[..., s]
             return da * (1.0 + t) ** eq
 
-    flux, dxi, du, dx = _isotropic_callables(dim, w, wt, wx=wx)
     m = float(params.get("m", 1.0))
     M = float(params.get("M", (p - 1.0) + wmax * (q - 1.0)))
-    return OperatorSpec(dim, p, q, m, M, 0.0, 0.0, flux, dxi, du, dx,
-                        "double-phase", domain, radial=(w, wt))
+    return _isotropic(p, q, m, M, "double-phase", domain, w, wt, wx)
 
 
 _FAMILY_BUILDERS = {
@@ -595,10 +578,14 @@ def make_custom(flux, *, dim, p, q, m, M, growth_alpha=0.0, beta=0.0,
     Missing derivatives fall back to centered finite differences unless
     ``fd_fallback`` is disabled, in which case evaluating them raises
     :class:`DerivativeUnavailable`.  Set ``vectorized=False`` when the
-    callables only accept single points.
+    callables only accept single points.  ``dim`` must be the dimension of
+    ``domain``, which defaults to the unit box of ``dim``.
     """
     _validate_pq(p, q)
     domain = domain or unit_box(dim)
+    if domain.dim != dim:
+        raise ConfigError(f"dim {dim!r} disagrees with the domain, which has "
+                          f"dim {domain.dim}")
     if not vectorized:
         flux = _batchify(flux, (dim,))
         if dflux_dxi is not None:
@@ -614,7 +601,7 @@ def make_custom(flux, *, dim, p, q, m, M, growth_alpha=0.0, beta=0.0,
         dflux_du = fd_u if fd_fallback else _unavailable("dflux_du")
     if dflux_dx is None:
         dflux_dx = fd_x if fd_fallback else _unavailable("dflux_dx")
-    return OperatorSpec(dim, float(p), float(q), float(m), float(M),
+    return OperatorSpec(float(p), float(q), float(m), float(M),
                         float(growth_alpha), float(beta), flux, dflux_dxi,
                         dflux_du, dflux_dx, family_tag, domain)
 
@@ -632,15 +619,16 @@ def check_regularization_exponents(p, q, dim, eps0) -> None:
 
 
 def regularize(op: OperatorSpec, eps: float, eps0: float | None = None
-               ) -> RegularizedOperator:
+               ) -> OperatorSpec:
     """Add the eps-term eps (1+|xi|^2)^((q+eps-2)/2) xi to the flux.
 
     The returned operator declares growth exponent q+eps; ellipticity
-    constants (p, m) are inherited since the added term is monotone.  For
-    an operator that declares its radial pair the eps-term is added to the
+    constants (p, m) are inherited since the added term is monotone, and so
+    are dflux_du and dflux_dx, on which the term has no effect.  For an
+    operator that declares its radial pair the eps-term is added to the
     pair, so flux and dflux_dxi build one weight and one matrix per call,
-    and the result declares the sum; otherwise it is added to the base's
-    flux and dflux_dxi.
+    and the result declares the sum; otherwise the term's flux and
+    dflux_dxi are added to the base's.
     """
     eps = float(eps)
     eps0 = float(eps if eps0 is None else eps0)
@@ -650,39 +638,32 @@ def regularize(op: OperatorSpec, eps: float, eps0: float | None = None
 
     qe = op.q + eps
     se = (qe - 2.0) / 2.0
-    radial = None
+
+    def w_eps(x, u, t):
+        return eps * (1.0 + t) ** se
+
+    def wt_eps(x, u, t):
+        return 0.5 * eps * (qe - 2.0) * (1.0 + t) ** (se - 1.0)
+
     if op.radial is not None:
         base_w, base_wt = op.radial
-
-        def w(x, u, t):
-            return base_w(x, u, t) + eps * (1.0 + t) ** se
-
-        def wt(x, u, t):
-            return (base_wt(x, u, t)
-                    + 0.5 * eps * (qe - 2.0) * (1.0 + t) ** (se - 1.0))
-
-        radial = (w, wt)
-        flux, dflux_dxi, _, _ = _isotropic_callables(op.dim, w, wt)
+        radial = (lambda x, u, t: base_w(x, u, t) + w_eps(x, u, t),
+                  lambda x, u, t: base_wt(x, u, t) + wt_eps(x, u, t))
+        flux, dflux_dxi = _radial_flux(*radial)
     else:
-        base_flux = op.flux
-        base_dxi = op.dflux_dxi
+        radial = None
+        base_flux, base_dxi = op.flux, op.dflux_dxi
+        flux_eps, dxi_eps = _radial_flux(w_eps, wt_eps)
 
         def flux(x, u, xi):
-            t = _sq(xi)
-            return _scaled(eps * (1.0 + t) ** se, xi, base=base_flux(x, u, xi))
+            return base_flux(x, u, xi) + flux_eps(x, u, xi)
 
         def dflux_dxi(x, u, xi):
-            t = _sq(xi)
-            return _radial_matrix(eps * (1.0 + t) ** se,
-                                  eps * (qe - 2.0) * (1.0 + t) ** (se - 1.0),
-                                  xi, base=base_dxi(x, u, xi))
+            return base_dxi(x, u, xi) + dxi_eps(x, u, xi)
 
-    return RegularizedOperator(
-        dim=op.dim, p=op.p, q=qe, m=op.m, M=op.M + eps * (qe - 1.0),
-        growth_alpha=op.growth_alpha, beta=op.beta, flux=flux,
-        dflux_dxi=dflux_dxi, dflux_du=op.dflux_du, dflux_dx=op.dflux_dx,
-        family_tag=op.family_tag + "+eps", domain=op.domain, descriptor=None,
-        radial=radial, base=op, eps=eps, eps0=eps0)
+    return replace(op, q=qe, M=op.M + eps * (qe - 1.0), flux=flux,
+                   dflux_dxi=dflux_dxi, family_tag=op.family_tag + "+eps",
+                   descriptor=None, radial=radial)
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,6 @@ def nonstrict_entry(condition_id, margin, tolerance, witness=None,
                       witness, fitted or {}, notes)
 
 
-def strict_entry(condition_id, margin, witness=None, fitted=None,
-                 notes="") -> CheckEntry:
+def strict_entry(condition_id, margin, notes="") -> CheckEntry:
     """Entry for a strict inequality: pass requires margin >= TOL_STRICT."""
-    return CheckEntry(condition_id, float(margin), -TOL_STRICT,
-                      witness, fitted or {}, notes)
+    return CheckEntry(condition_id, float(margin), -TOL_STRICT, notes=notes)

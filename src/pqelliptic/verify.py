@@ -8,7 +8,7 @@ with the same seed gives a bit-identical report.
 
 Margin convention: margin = (right-hand side) - (left-hand side) of the
 bound, minimized over samples; an entry passes iff the worst margin is at
-least -tolerance, so a NaN margin fails.  Checks that *fit* a constant (the
+least -TOLERANCE, so a NaN margin fails.  Checks that *fit* a constant (the
 paper only asserts existence of constants, never values) report the fitted
 value and encode a stability criterion into the margin, as documented per
 check.
@@ -23,7 +23,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import InvalidExponents
-from .operators import OperatorSpec, RegularizedOperator, _dot, _max_abs, _sq
+from .operators import OperatorSpec, _dot, _max_abs, _sq
 from .report import AssumptionReport, CheckEntry, nonstrict_entry
 
 log = logging.getLogger("pq.check")
@@ -40,6 +40,17 @@ U_FLOOR = 1e-6
 #: The coercivity fit fails when no c1 >= C1_FLOOR admits finite constants.
 C1_FLOOR = 1e-6
 
+#: A sampled non-strict bound passes when its worst margin is >= -TOLERANCE.
+TOLERANCE = 1e-10
+
+#: The derivative-consistency check passes when every analytic derivative
+#: is within this relative error of its centered finite difference.
+FD_REL_TOL = 1e-6
+
+#: The largest count of a sample cloud: its base arrays alone hold 72 GB
+#: in 2D.
+MAX_SAMPLES = 10 ** 9
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -50,14 +61,14 @@ class SampleConfig:
     xi_radius: float = 10.0
     u_radius: float = 10.0
     large_xi_radius: float = 1e3
-    tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
-        if not all(r > 0 for r in (self.xi_radius, self.u_radius,
-                                   self.large_xi_radius)):
-            raise ValueError("radii must be positive")
+        if not 1 <= self.count <= MAX_SAMPLES:
+            raise ValueError(f"count must lie in [1, {MAX_SAMPLES}], got "
+                             f"{self.count}")
+        if not all(0 < 2 * r < np.inf for r in (
+                self.xi_radius, self.u_radius, self.large_xi_radius)):
+            raise ValueError("radii r must be > 0 with the span 2 r finite")
 
 
 @dataclass
@@ -110,14 +121,13 @@ def _structured_block(dim, xi_radius, large_radius):
 
 
 def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
-                 u_cap: float | None = None, xi_radius: float | None = None,
                  structured: bool = True, xi_low_frac: float = 0.0,
                  directions: bool = True) -> Samples:
     """Seeded sample cloud over the operator's domain.
 
     x is uniform in the box (or a given sub-box); u uniform in
-    [-u_cap, u_cap]; xi, eta and lambda are random directions with
-    |N(0,1)|-scaled magnitudes.  ``xi_low_frac > 0`` lifts magnitudes away
+    [-u_radius, u_radius]; xi, eta and lambda are random directions with
+    magnitudes xi_radius |N(0,1)|.  ``xi_low_frac > 0`` lifts magnitudes away
     from zero (used by the derivative-consistency check, where degenerate
     built-ins are not twice differentiable at xi = 0).  eta and lambda are
     drawn last, so ``directions=False`` leaves them None and x, u and xi
@@ -129,8 +139,7 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
     """
     dim = op.dim
     box = box or op.domain
-    radius = cfg.xi_radius if xi_radius is None else xi_radius
-    u_cap = cfg.u_radius if u_cap is None else u_cap
+    radius = cfg.xi_radius
     rng = np.random.default_rng(cfg.seed)
 
     n = cfg.count
@@ -146,7 +155,7 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
     rng.random(out=x[k:])
     x[k:] *= np.asarray(box.hi) - lo
     x[k:] += lo
-    u[k:] = rng.uniform(-u_cap, u_cap, size=n)  # uniform() takes no out=
+    u[k:] = rng.uniform(-cfg.u_radius, cfg.u_radius, n)  # takes no out=
     mag = rng.standard_normal(n)
     if xi_low_frac > 0.0:  # the normal draw above only advances the stream
         rng.random(out=mag)
@@ -206,15 +215,13 @@ def _worst(margins):
     return float(margins[idx]), idx
 
 
-def _witness(samples: Samples, idx: int, *, eta=False, lam=False, extra=None):
+def _witness(samples: Samples, idx: int, *, eta=False, lam=False):
     w = {"x": samples.x[idx].tolist(), "u": float(samples.u[idx]),
          "xi": samples.xi[idx].tolist()}
     if eta and samples.eta is not None:
         w["eta"] = samples.eta[idx].tolist()
     if lam and samples.lam is not None:
         w["lambda"] = samples.lam[idx].tolist()
-    if extra:
-        w.update(extra)
     return w
 
 
@@ -297,13 +304,15 @@ def coercivity_margin(op, x, u, xi, c1, c2, theta):
     return dot - c1 * norm ** op.p + c2 * np.abs(u) ** theta + b1_values(op, x)
 
 
+def _a0_norm(op, x):
+    """|a(x, 0, 0)|."""
+    zeros_xi = np.zeros(x.shape[:-1] + (op.dim,))
+    return np.sqrt(_sq(op.flux(x, np.zeros(x.shape[:-1]), zeros_xi)))
+
+
 def b1_values(op, x):
     """b1(x) = 1 + |a(x, 0, 0)|^(p/(p-1))."""
-    x = np.asarray(x, float)
-    zeros_xi = np.zeros(x.shape[:-1] + (op.dim,))
-    zeros_u = np.zeros(x.shape[:-1])
-    a0 = op.flux(x, zeros_u, zeros_xi)
-    return 1.0 + np.sqrt(_sq(a0)) ** (op.p / (op.p - 1.0))
+    return 1.0 + _a0_norm(op, np.asarray(x, float)) ** (op.p / (op.p - 1.0))
 
 
 def lemma_lower_ratio(op, x, u, xi):
@@ -312,24 +321,24 @@ def lemma_lower_ratio(op, x, u, xi):
     u = np.asarray(u, float)
     xi = np.asarray(xi, float)
     dot = _dot(op.flux(x, u, xi), xi)
-    zeros_xi = np.zeros(x.shape[:-1] + (op.dim,))
-    zeros_u = np.zeros(x.shape[:-1])
-    a0 = np.sqrt(_sq(op.flux(x, zeros_u, zeros_xi)))
+    a0 = _a0_norm(op, x)
     norm = np.sqrt(_sq(xi))
     denom = (norm ** op.q + np.abs(u) ** op.q
              + a0 ** (op.q / (op.q - 1.0)) + 1.0)
     return -dot / denom
 
 
-def regularized_growth_ratio(rop: RegularizedOperator, x, u, xi):
-    """|a_eps| over M-bracket |xi|^(q+eps-1) + |u|^(q+eps-1) + b1(x)."""
+def regularized_growth_ratio(rop: OperatorSpec, x, u, xi):
+    """|a_eps| over M-bracket |xi|^(q+eps-1) + |u|^(q+eps-1) + b1(x) of a
+    regularized operator, whose q is q+eps; b1 is the base's, as
+    a_eps(x, 0, 0) = a(x, 0, 0)."""
     x = np.asarray(x, float)
     u = np.asarray(u, float)
     xi = np.asarray(xi, float)
-    qe = rop.base.q + rop.eps
     mag = np.sqrt(_sq(rop.flux(x, u, xi)))
     norm = np.sqrt(_sq(xi))
-    denom = norm ** (qe - 1.0) + np.abs(u) ** (qe - 1.0) + b1_values(rop.base, x)
+    denom = (norm ** (rop.q - 1.0) + np.abs(u) ** (rop.q - 1.0)
+             + b1_values(rop, x))
     return mag / denom
 
 
@@ -337,17 +346,6 @@ def theta_exponent(p: float, q: float, beta: float) -> float:
     """theta = max{2p/(p-q+2), beta p/(p-1)} -- as printed; the remark
     q/p < 1+2/n <=> 2p/(p-q+2) < p* confirms the denominator."""
     return max(2.0 * p / (p - q + 2.0), beta * p / (p - 1.0))
-
-
-# ---------------------------------------------------------------------------
-# coercivity constants
-
-@dataclass
-class CoercivityConstants:
-    c1: float
-    c2: float
-    theta: float
-    b1_form: object  # callable x -> b1(x)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +358,7 @@ def check_ellipticity(op: OperatorSpec, cfg: SampleConfig, *,
     margins = _chunked_margins(
         lambda s: ellipticity_margin(op, s.x, s.u, s.xi, s.lam), S)
     worst, idx = _worst(margins)
-    return nonstrict_entry("ellipticity", worst, cfg.tolerance,
+    return nonstrict_entry("ellipticity", worst, TOLERANCE,
                            _witness(S, idx, lam=True))
 
 
@@ -371,7 +369,7 @@ def check_growth_xi(op: OperatorSpec, cfg: SampleConfig, *,
     margins = _chunked_margins(
         lambda s: growth_xi_margin(op, s.x, s.u, s.xi), S)
     worst, idx = _worst(margins)
-    return nonstrict_entry("growth-xi", worst, cfg.tolerance, _witness(S, idx))
+    return nonstrict_entry("growth-xi", worst, TOLERANCE, _witness(S, idx))
 
 
 def check_growth_u(op: OperatorSpec, cfg: SampleConfig, *,
@@ -391,7 +389,7 @@ def check_growth_u(op: OperatorSpec, cfg: SampleConfig, *,
     margins = _chunked_margins(
         lambda s: growth_u_margin(op, s.x, s.u, s.xi), S, keep)
     worst, idx = _worst(margins)
-    return nonstrict_entry("growth-u", worst, cfg.tolerance, _witness(S, idx),
+    return nonstrict_entry("growth-u", worst, TOLERANCE, _witness(S, idx),
                            notes=notes)
 
 
@@ -404,8 +402,8 @@ def check_local_conditions(op: OperatorSpec, L: float, cfg: SampleConfig,
     when a declared M(L) is provided the margin is measured against it,
     otherwise the fitted constant is reported and the entry passes.
     """
-    S = draw_samples(op, cfg, box=op.domain.shrink(0.25), u_cap=L,
-                     directions=False)
+    S = draw_samples(op, replace(cfg, u_radius=L),
+                     box=op.domain.shrink(0.25), directions=False)
 
     def ratios(s):
         r1, r2 = local_condition_ratios(op, s.x, s.u, s.xi)
@@ -423,7 +421,7 @@ def check_local_conditions(op: OperatorSpec, L: float, cfg: SampleConfig,
         worst = float(declared_ML - fitted)
         notes = "margin against declared M(L)"
     return nonstrict_entry(
-        "local-conditions", worst, cfg.tolerance,
+        "local-conditions", worst, TOLERANCE,
         _witness(S, idx), fitted={"M_L": fitted, "L": float(L)}, notes=notes)
 
 
@@ -435,7 +433,7 @@ def check_monotonicity(op: OperatorSpec, cfg: SampleConfig, *,
         lambda s: monotonicity_margin(op, s.x, s.u, s.xi, s.eta), S,
         keep=lambda s: np.any(s.xi != s.eta, axis=-1))
     worst, idx = _worst(margins)
-    return nonstrict_entry("monotonicity", worst, cfg.tolerance,
+    return nonstrict_entry("monotonicity", worst, TOLERANCE,
                            _witness(S, idx, eta=True))
 
 
@@ -481,40 +479,36 @@ def _coercivity_feasible(terms, c1, theta, tol):
 
 
 def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig, *,
-                           samples: Samples | None = None):
+                           samples: Samples | None = None) -> CheckEntry:
     """Fit constants for (a,xi) >= c1 |xi|^p - c2 |u|^theta - b1(x).
 
     c1 is found by bisection on (0, m] (40 iterations) with c2 fitted as the
     worst residual ratio; a dedicated large-|xi| batch joins the cloud.  The
     terms that do not depend on c1 are evaluated once per sample, so the
-    bisection evaluates no flux.  Returns (CoercivityConstants, CheckEntry);
-    the entry fails if no c1 >= C1_FLOOR admits finite constants.
+    bisection evaluates no flux.  The entry's fitted constants are c1, c2
+    and theta; it fails if no c1 >= C1_FLOOR admits finite constants.
     """
     theta = theta_exponent(op.p, op.q, op.beta)
     S = draw_samples(op, cfg) if samples is None else samples
-    big_cfg = replace(cfg, seed=cfg.seed + 1, count=max(cfg.count // 4, 16))
-    B = draw_samples(op, big_cfg, xi_radius=cfg.large_xi_radius,
-                     structured=False, directions=False)
+    big_cfg = replace(cfg, seed=cfg.seed + 1, count=max(cfg.count // 4, 16),
+                      xi_radius=cfg.large_xi_radius)
+    B = draw_samples(op, big_cfg, structured=False, directions=False)
     terms = _coercivity_terms(op, (S, B))
 
-    feasible_m, c2_m = _coercivity_feasible(terms, op.m, theta, cfg.tolerance)
+    feasible_m, c2_m = _coercivity_feasible(terms, op.m, theta, TOLERANCE)
     if feasible_m:
         c1, c2 = op.m, c2_m
     else:
         lo, hi = C1_FLOOR, op.m
-        ok_lo, c2_lo = _coercivity_feasible(terms, lo, theta, cfg.tolerance)
+        ok_lo, c2_lo = _coercivity_feasible(terms, lo, theta, TOLERANCE)
         if not ok_lo:
-            consts = CoercivityConstants(0.0, np.inf, theta,
-                                         lambda x: b1_values(op, x))
-            entry = nonstrict_entry(
-                "coercivity-lower", -np.inf, cfg.tolerance, None,
+            return nonstrict_entry(
+                "coercivity-lower", -np.inf, TOLERANCE, None,
                 fitted={"c1": 0.0, "c2": np.inf, "theta": theta},
                 notes=f"no feasible c1 >= {C1_FLOOR:g}")
-            return consts, entry
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            ok, c2_mid = _coercivity_feasible(terms, mid, theta,
-                                              cfg.tolerance)
+            ok, c2_mid = _coercivity_feasible(terms, mid, theta, TOLERANCE)
             if ok:
                 lo, c2_lo = mid, c2_mid
             else:
@@ -529,12 +523,9 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig, *,
                          + c2 * abs_u[rows] ** theta + b1[rows])
     worst, idx = _worst(margins)
     witness = _witness(S, idx) if idx < len(S) else _witness(B, idx - len(S))
-    consts = CoercivityConstants(float(c1), float(c2), float(theta),
-                                 lambda x: b1_values(op, x))
-    entry = nonstrict_entry(
-        "coercivity-lower", worst, cfg.tolerance, witness,
+    return nonstrict_entry(
+        "coercivity-lower", worst, TOLERANCE, witness,
         fitted={"c1": float(c1), "c2": float(c2), "theta": float(theta)})
-    return consts, entry
 
 
 def _stable_fit(ratio_fn, op, cfg, condition_id, constant_name,
@@ -562,10 +553,10 @@ def _stable_fit(ratio_fn, op, cfg, condition_id, constant_name,
     ratios2 = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi), S2)
     c2 = max(float(np.max(ratios2)), 0.0)
 
-    stability = 2.0 * c - c2 if c2 > cfg.tolerance else 0.0
+    stability = 2.0 * c - c2 if c2 > TOLERANCE else 0.0
     worst = min(0.0, stability)
     return nonstrict_entry(
-        condition_id, worst, cfg.tolerance, witness,
+        condition_id, worst, TOLERANCE, witness,
         fitted={constant_name: c, constant_name + "_doubled": c2},
         notes="margin includes 2x-stability under sample doubling")
 
@@ -582,7 +573,7 @@ def check_lemma_lower_bound(op: OperatorSpec, cfg: SampleConfig, *,
                        samples)
 
 
-def check_regularized_growth(rop: RegularizedOperator,
+def check_regularized_growth(rop: OperatorSpec,
                              cfg: SampleConfig) -> CheckEntry:
     """|a_eps| <= M (|xi|^(q+eps-1) + |u|^(q+eps-1) + b1(x)) for a finite,
     sample-stable M."""
@@ -590,9 +581,10 @@ def check_regularized_growth(rop: RegularizedOperator,
                        "regularized-growth", "M")
 
 
-def check_derivative_consistency(op: OperatorSpec, cfg: SampleConfig,
-                                 rel_tol: float = 1e-6) -> CheckEntry:
-    """Analytic derivatives vs centered finite differences of the flux.
+def check_derivative_consistency(op: OperatorSpec,
+                                 cfg: SampleConfig) -> CheckEntry:
+    """Analytic derivatives vs centered finite differences of the flux, to
+    the relative error FD_REL_TOL.
 
     Relative error is measured entrywise against max(1, the larger of the
     two blocks).  Sample magnitudes are kept away from zero, where the
@@ -617,13 +609,13 @@ def check_derivative_consistency(op: OperatorSpec, cfg: SampleConfig,
             err = np.maximum(err, rel_err(
                 op.dflux_dx(s.x, s.u, s.xi, axis),
                 fd_dflux_dx(op.flux, s.x, s.u, s.xi, axis)))
-        return rel_tol - err
+        return FD_REL_TOL - err
 
     vals = _chunked_margins(margins, S)
     worst, idx = _worst(vals)
     return nonstrict_entry("derivative-consistency", worst, 0.0,
                            _witness(S, idx),
-                           fitted={"rel_tol": rel_tol})
+                           fitted={"rel_tol": FD_REL_TOL})
 
 
 def run_structure_checks(op: OperatorSpec, cfg: SampleConfig,
@@ -648,7 +640,7 @@ def run_structure_checks(op: OperatorSpec, cfg: SampleConfig,
             lambda: check_growth_u(op, cfg, samples=base[0]),
             lambda: check_local_conditions(op, L, cfg),
             lambda: check_monotonicity(op, cfg, samples=base[0]),
-            lambda: check_coercivity_lower(op, cfg, samples=base[0])[1],
+            lambda: check_coercivity_lower(op, cfg, samples=base[0]),
             # takes the cloud out of ``base``, freeing it before the
             # doubled cloud is drawn
             lambda: check_lemma_lower_bound(op, cfg, samples=base)):

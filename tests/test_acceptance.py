@@ -111,7 +111,7 @@ def test_criterion_3_derivative_consistency():
     worst = 0.0
     ok = True
     for name, op in fams:
-        e = pq.check_derivative_consistency(op, cfg, rel_tol=1e-6)
+        e = pq.check_derivative_consistency(op, cfg)
         ok &= e.passed
         worst = max(worst, 1e-6 - e.worst_margin)
 

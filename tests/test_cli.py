@@ -100,7 +100,8 @@ def test_solve_evaluates_callable_rhs_once(opfile, tmp_path, monkeypatch):
         return counted
 
     monkeypatch.setattr(pqelliptic.cli, "parse_rhs", parse_rhs)
-    mesh = pqelliptic.build_mesh(2, PLAP3["domain"], 17)
+    mesh = pqelliptic.build_mesh(2, pqelliptic.Box.from_dict(PLAP3["domain"]),
+                                 17)
     for start in ("presolve", "zero"):
         calls.clear()
         rc = main(["solve", "--operator", opfile(PLAP3), "--rhs",
@@ -124,6 +125,22 @@ def test_newton_failure_exits_2_naming_eps(opfile, tmp_path, capsys,
     assert err.startswith("numerical failure: ") and "\n" not in err
     assert "eps=0.2" in err
     assert not out.exists() and not (tmp_path / "trace.csv").exists()
+
+
+def test_out_of_memory_exits_2_with_one_line(opfile, tmp_path, capsys,
+                                             monkeypatch):
+    def cmd_check(args):
+        raise MemoryError("Unable to allocate 8.00 TiB")
+
+    monkeypatch.setattr(pqelliptic.cli, "cmd_check", cmd_check)
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["check", "--operator", opfile(PLAP3), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err == ("numerical failure: out of memory: "
+                   "Unable to allocate 8.00 TiB")
+    assert not out.exists()
 
 
 def test_solve_bad_mesh_spec_exits_3(opfile, tmp_path):
@@ -362,6 +379,22 @@ MALFORMED = {
         "check", "--operator", opfile(PLAP3), "--L", "nan"],
     "check-L-negative": lambda opfile, tmp_path: [
         "check", "--operator", opfile(PLAP3), "--L", "-5"],
+    "check-L-overflows": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--L", "1e308"],
+    "check-samples-1e14": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--samples", str(10 ** 14)],
+    "check-samples-1e18": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--samples", str(10 ** 18)],
+    "solve-mesh-2d-1e7": lambda opfile, tmp_path: [
+        "solve", "--operator", opfile(PLAP3), "--rhs", "constant:-2",
+        "--mesh", "2d:10000000"],
+    "continuation-mesh-2d-1e7": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--mesh", "2d:10000000"],
+    "continuation-mesh-2d-1e19": lambda opfile, tmp_path: _continuation(
+        opfile) + ["--mesh", "2d:10000000000000000000"],
+    "mms-grid-1e7": lambda opfile, tmp_path: [
+        "mms", "--operator", opfile(PLAP3), "--case", "sine2d",
+        "--grids", "5,9,10000000"],
     "check-seed-negative": lambda opfile, tmp_path: [
         "check", "--operator", opfile(PLAP3), "--seed", "-1"],
     "check-gamma-nan": lambda opfile, tmp_path: [

@@ -54,9 +54,18 @@ def test_mesh_elements_match_cell_loop(shape):
     np.testing.assert_array_equal(m.elements, _loop_elements(*shape))
 
 
-def test_mesh_errors():
+def test_mesh_errors(monkeypatch):
     with pytest.raises(MeshError):
         build_mesh(2, unit_box(2), 2)
+    # past 2**31 entries of the matrix pattern its int32 indices would
+    # overflow: refused before the nodes are allocated
+    def lattice(*args):
+        raise AssertionError("the nodes of a mesh past the bound")
+
+    monkeypatch.setattr(pq.Box, "lattice", lattice)
+    for dim, n in ((1, 715_827_883), (2, 15_448), (2, 10 ** 19)):
+        with pytest.raises(MeshError, match="too many"):
+            build_mesh(dim, unit_box(dim), n)
     with pytest.raises(pq.ConfigError):
         pq.Box((0.0, 0.0), (0.0, 1.0))
 

@@ -117,7 +117,6 @@ def test_regularize_declares_q_plus_eps_and_keeps_m():
     rop = regularize(op, 0.1, 0.2)
     assert rop.q == pytest.approx(2.3)
     assert rop.p == op.p and rop.m == op.m
-    assert rop.base is op and rop.eps == 0.1 and rop.eps0 == 0.2
 
 
 def test_regularize_limit_is_monotone_in_eps():
@@ -404,6 +403,52 @@ def test_regularized_radial_pair_agrees_with_base_plus_eps_term(tag, eps):
                                dflux_dxi(x, u, xi), rtol=1e-14, atol=0.0)
     # the base's other derivatives are kept
     assert rop.dflux_du is op.dflux_du and rop.dflux_dx is op.dflux_dx
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.0125])
+def test_regularized_operator_without_pair_is_base_plus_eps_term(eps):
+    rng = np.random.default_rng(4)
+    x = rng.random((400, 2))
+    u = rng.standard_normal(400)
+    xi = rng.standard_normal((400, 2)) * 3.0
+    xi[:50] = 0.0
+    t = np.sum(xi * xi, axis=-1)
+    for op in (make_family("anisotropic", {"exponents": [2, 2.5]}),
+               u_dependent_test_op()):
+        rop = regularize(op, eps, 0.2)
+        qe = op.q + eps
+        w = eps * (1.0 + t) ** ((qe - 2.0) / 2.0)
+        c = eps * (qe - 2.0) * (1.0 + t) ** ((qe - 2.0) / 2.0 - 1.0)
+        flux = op.flux(x, u, xi) + w[:, None] * xi
+        dflux_dxi = op.dflux_dxi(x, u, xi) + (
+            w[:, None, None] * np.eye(2)
+            + c[:, None, None] * (xi[:, :, None] * xi[:, None, :]))
+        assert rop.flux(x, u, xi).tobytes() == flux.tobytes()
+        assert rop.dflux_dxi(x, u, xi).tobytes() == dflux_dxi.tobytes()
+
+
+def test_regularize_returns_an_operator_spec(double_phase_op):
+    op, eps = double_phase_op, 0.1
+    rop = regularize(op, eps, 0.2)
+    assert type(rop) is pq.OperatorSpec and op.descriptor is not None
+    assert rop.q == op.q + eps and rop.descriptor is None
+    assert rop.family_tag == "double-phase+eps" and rop.domain is op.domain
+    assert rop.dflux_du is op.dflux_du and rop.dflux_dx is op.dflux_dx
+    # the composed pair: the base's plus the eps-term's weight
+    qe = op.q + eps
+    x, u, t = np.array([[0.3, 0.7]]), np.zeros(1), np.array([2.0])
+    (w, wt), (bw, bwt) = rop.radial, op.radial
+    assert w(x, u, t) == bw(x, u, t) + eps * (1.0 + t) ** ((qe - 2.0) / 2.0)
+    assert wt(x, u, t) == (bwt(x, u, t) + 0.5 * eps * (qe - 2.0)
+                           * (1.0 + t) ** ((qe - 2.0) / 2.0 - 1.0))
+
+
+def test_custom_dim_must_match_domain():
+    with pytest.raises(pq.ConfigError, match="disagrees with the domain"):
+        make_custom(lambda x, u, xi: xi, dim=3, p=2, q=2, m=1, M=1,
+                    domain=pq.unit_box(2))
+    op = make_custom(lambda x, u, xi: xi, dim=3, p=2, q=2, m=1, M=1)
+    assert op.dim == op.domain.dim == 3
 
 
 def test_operators_without_radial_pair(double_phase_op):

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -122,7 +123,7 @@ def test_local_conditions_double_phase_fit_matches_formula(cfg):
     e = pq.check_local_conditions(op, 10.0, cfg)
     assert e.passed
     sub = op.domain.shrink(0.25)
-    S = draw_samples(op, cfg, box=sub, u_cap=10.0)
+    S = draw_samples(op, replace(cfg, u_radius=10.0), box=sub)
     t = np.sum(S.xi * S.xi, axis=-1)
     expected = np.max(np.abs(S.xi).max(axis=-1)
                       * (1.0 + t) ** ((op.q - 2.0) / 2.0)
@@ -165,14 +166,15 @@ def test_regularized_monotonicity_margin_dominates_base():
 
 def test_coercivity_p_laplacian_exact_constants(cfg):
     op = make_family("p-laplacian", {"p": 2})
-    consts, entry = pq.check_coercivity_lower(op, cfg)
+    entry = pq.check_coercivity_lower(op, cfg)
     assert entry.passed
-    assert consts.c1 == pytest.approx(1.0)
-    assert consts.c2 == 0.0
-    assert consts.theta == pytest.approx(2.0)   # max{2p/(p-q+2), 0} at p=q=2
+    consts = entry.fitted_constants
+    assert consts["c1"] == pytest.approx(1.0)
+    assert consts["c2"] == 0.0
+    assert consts["theta"] == pytest.approx(2.0)  # max{2p/(p-q+2), 0}, p=q=2
     # b1 == 1 wherever a(x,0,0) = 0
-    assert np.allclose(consts.b1_form(np.random.default_rng(0).random((5, 2))),
-                       1.0)
+    assert np.allclose(pq.verify.b1_values(
+        op, np.random.default_rng(0).random((5, 2))), 1.0)
 
 
 def test_theta_formula_hand_value():
@@ -184,10 +186,10 @@ def test_theta_formula_hand_value():
 
 def test_coercivity_u_dependent_needs_c2(cfg):
     op = u_dependent_test_op(beta=0.5, kappa=0.5)
-    consts, entry = pq.check_coercivity_lower(op, cfg)
+    entry = pq.check_coercivity_lower(op, cfg)
     assert entry.passed
-    assert 0.0 < consts.c1 <= 1.0
-    assert np.isfinite(consts.c2)
+    assert 0.0 < entry.fitted_constants["c1"] <= 1.0
+    assert np.isfinite(entry.fitted_constants["c2"])
     # the witness margin reproduces on re-evaluation
     again = pq.reevaluate_witness(op, entry)
     assert again == pytest.approx(entry.worst_margin, abs=1e-12)
@@ -338,7 +340,7 @@ def test_structure_checks_equal_standalone_checks(family, params, seed):
              pq.check_growth_u(op, cfg),
              pq.check_local_conditions(op, cfg.u_radius, cfg),
              pq.check_monotonicity(op, cfg),
-             pq.check_coercivity_lower(op, cfg)[1],
+             pq.check_coercivity_lower(op, cfg),
              pq.check_lemma_lower_bound(op, cfg)]
     rep = pq.run_structure_checks(op, cfg)
     assert [e.to_dict() for e in rep.entries] == [e.to_dict() for e in alone]
@@ -367,10 +369,12 @@ def test_structure_checks_log_timings_at_info_only(caplog):
 def test_draw_without_directions_keeps_the_other_bits():
     op = make_family("anisotropic", {"exponents": [2, 2.5]})
     cfg = SampleConfig(seed=5, count=400)
-    for kwargs in ({}, {"structured": False, "xi_low_frac": 0.05},
-                   {"u_cap": 2.0, "box": op.domain.shrink(0.25)}):
-        full = draw_samples(op, cfg, **kwargs)
-        bare = draw_samples(op, cfg, directions=False, **kwargs)
+    for c, kwargs in ((cfg, {}),
+                      (cfg, {"structured": False, "xi_low_frac": 0.05}),
+                      (replace(cfg, u_radius=2.0),
+                       {"box": op.domain.shrink(0.25)})):
+        full = draw_samples(op, c, **kwargs)
+        bare = draw_samples(op, c, directions=False, **kwargs)
         assert bare.eta is None and bare.lam is None
         for name in ("x", "u", "xi"):
             a, b = getattr(full, name), getattr(bare, name)
@@ -391,10 +395,17 @@ def test_nan_margin_fails():
 
 
 @pytest.mark.parametrize("field", ["xi_radius", "u_radius", "large_xi_radius"])
-@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("value", [float("nan"), 0.0, -1.0, float("inf"),
+                                   1e308])
 def test_sample_config_rejects_bad_radius(field, value):
     with pytest.raises(ValueError):
         SampleConfig(**{field: value})
+
+
+@pytest.mark.parametrize("count", [0, pq.verify.MAX_SAMPLES + 1])
+def test_sample_config_rejects_bad_count(count):
+    with pytest.raises(ValueError):
+        SampleConfig(count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +583,7 @@ def _reference_entry(cid, margins, arrays, cfg, **kwargs):
     witness = {"x": x.tolist(), "u": float(u), "xi": xi.tolist()}
     if len(arrays) > 3:
         witness["eta"] = arrays[3][idx].tolist()
-    return nonstrict_entry(cid, float(margins[idx]), cfg.tolerance, witness,
+    return nonstrict_entry(cid, float(margins[idx]), 1e-10, witness,
                            **kwargs)
 
 
@@ -585,9 +596,9 @@ def _reference_coercivity(op, cfg, S):
     from pqelliptic import verify as v
 
     theta = theta_exponent(op.p, op.q, op.beta)
-    big = replace(cfg, seed=cfg.seed + 1, count=max(cfg.count // 4, 16))
-    B = draw_samples(op, big, xi_radius=cfg.large_xi_radius,
-                     structured=False, directions=False)
+    big = replace(cfg, seed=cfg.seed + 1, count=max(cfg.count // 4, 16),
+                  xi_radius=cfg.large_xi_radius)
+    B = draw_samples(op, big, structured=False, directions=False)
     x, u, xi = (np.concatenate([getattr(S, a), getattr(B, a)])
                 for a in ("x", "u", "xi"))
 
@@ -596,9 +607,9 @@ def _reference_coercivity(op, cfg, S):
         residual = c1 * np.sqrt(np.sum(xi * xi, axis=-1)) ** op.p - dot
         residual = residual - v.b1_values(op, x)
         small_u = np.abs(u) < v.U_FLOOR
-        if np.any(residual[small_u] > cfg.tolerance):
+        if np.any(residual[small_u] > 1e-10):
             return False, np.inf
-        pos = (residual > cfg.tolerance) & ~small_u
+        pos = (residual > 1e-10) & ~small_u
         if not np.any(pos):
             return True, 0.0
         c2 = np.max(residual[pos] / np.abs(u[pos]) ** theta)
@@ -662,7 +673,7 @@ def test_masked_and_chunked_checks_equal_copying_references(name):
         if op.beta < 1.0 else "")
     assert pq.check_growth_u(op, cfg, samples=S).to_dict() == ref.to_dict()
 
-    got = pq.check_coercivity_lower(op, cfg, samples=S)[1]
+    got = pq.check_coercivity_lower(op, cfg, samples=S)
     assert got.to_dict() == _reference_coercivity(op, cfg, S).to_dict()
 
 
@@ -677,8 +688,13 @@ def test_masked_and_chunked_checks_equal_copying_references(name):
 def test_draw_samples_bitwise_equal_to_vstack_reference(name, kwargs):
     op = _zoo_operator(name)
     cfg = SampleConfig(seed=7, count=5000)
-    got = draw_samples(op, cfg, **kwargs)
-    ref = _vstack_draw(op, cfg, **kwargs)
+    # draw_samples reads the u and xi radii from its config
+    kwargs = dict(kwargs)
+    radii = {"u_radius": kwargs.pop("u_cap", cfg.u_radius),
+             "xi_radius": kwargs.pop("xi_radius", cfg.xi_radius)}
+    got = draw_samples(op, replace(cfg, **radii), **kwargs)
+    ref = _vstack_draw(op, cfg, u_cap=radii["u_radius"],
+                       xi_radius=radii["xi_radius"], **kwargs)
     for field, want in zip(("x", "u", "xi", "eta", "lam"), ref):
         a = getattr(got, field)
         if want is None:
