@@ -201,12 +201,11 @@ def parse_rhs(spec: str, op, mesh):
 # subcommands
 
 def cmd_check(args) -> int:
-    # the lemma check's stability fit draws twice the count
-    if not 1 <= args.samples <= MAX_SAMPLES // 2:
-        raise ConfigError(f"--samples must lie in [1, {MAX_SAMPLES // 2}], "
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise ConfigError(f"--samples must lie in [1, {MAX_SAMPLES}], "
                           f"got {args.samples}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed < 2 ** 128:  # keeps the plans' streams apart
+        raise ConfigError(f"--seed must lie in [0, 2**128), got {args.seed}")
     if not 0 < 2 * args.L < math.inf:  # u is drawn from [-L, L]
         raise ConfigError(f"--L must be > 0 with 2 L finite, got {args.L}")
     for flag, value in (("--gamma", args.gamma), ("--s0", args.s0)):

@@ -51,6 +51,11 @@ FD_REL_TOL = 1e-6
 #: in 2D.
 MAX_SAMPLES = 10 ** 9
 
+#: The sampling plans, each drawn from its own stream of the seed: the base
+#: cloud's is default_rng(seed), and a plan k > 0 spawns from the seed, so no
+#: two plans or seeds (below 2**128) share a stream.
+BASE, DERIVATIVES, LARGE_XI, FRESH_HALF = range(4)
+
 
 @dataclass(frozen=True)
 class SampleConfig:
@@ -120,27 +125,28 @@ def _structured_block(dim, xi_radius, large_radius):
     return np.asarray(xis), np.asarray(etas), np.asarray(lams)
 
 
-def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
+def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, stream: int = BASE,
                  structured: bool = True, xi_low_frac: float = 0.0,
                  directions: bool = True) -> Samples:
-    """Seeded sample cloud over the operator's domain.
+    """Seeded sample cloud of the plan ``stream`` over the operator's domain.
 
-    x is uniform in the box (or a given sub-box); u uniform in
-    [-u_radius, u_radius]; xi, eta and lambda are random directions with
-    magnitudes xi_radius |N(0,1)|.  ``xi_low_frac > 0`` lifts magnitudes away
-    from zero (used by the derivative-consistency check, where degenerate
-    built-ins are not twice differentiable at xi = 0).  eta and lambda are
-    drawn last, so ``directions=False`` leaves them None and x, u and xi
-    unchanged.  The arrays are read-only, so checks that share one cloud
-    cannot change it.
+    x is uniform in the box; u uniform in [-u_radius, u_radius]; xi, eta
+    and lambda are random directions with magnitudes xi_radius |N(0,1)|.
+    ``xi_low_frac > 0`` draws the xi magnitudes uniform in [xi_low_frac, 1]
+    xi_radius instead (used by the derivative-consistency check, where
+    degenerate built-ins are not twice differentiable at xi = 0).  eta and
+    lambda are drawn last, so ``directions=False`` leaves them None and x, u
+    and xi unchanged.  The arrays are read-only, so checks that share one
+    cloud cannot change it.
 
     Each array is allocated once, structured rows first; the random rows
     are drawn into it and scaled in place.
     """
     dim = op.dim
-    box = box or op.domain
+    box = op.domain
     radius = cfg.xi_radius
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        cfg.seed, spawn_key=(stream,) if stream else ()))
 
     n = cfg.count
     xs, es, ls = (_structured_block(dim, radius, cfg.large_xi_radius)
@@ -156,14 +162,13 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, box=None,
     x[k:] *= np.asarray(box.hi) - lo
     x[k:] += lo
     u[k:] = rng.uniform(-cfg.u_radius, cfg.u_radius, n)  # takes no out=
-    mag = rng.standard_normal(n)
-    if xi_low_frac > 0.0:  # the normal draw above only advances the stream
-        rng.random(out=mag)
+    if xi_low_frac > 0.0:
+        mag = rng.random(n)
         mag *= 1.0 - xi_low_frac
         mag *= radius
         mag += xi_low_frac * radius
     else:
-        np.abs(mag, out=mag)
+        mag = np.abs(rng.standard_normal(n))
         mag *= radius
     _unit_vectors(rng, xi[k:])
     xi[k:] *= mag[:, None]
@@ -269,9 +274,7 @@ def growth_u_margin(op, x, u, xi):
 
 def local_condition_ratios(op, x, u, xi):
     """(antisymmetry ratio, x-derivative ratio): lhs over its weight."""
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    xi = np.asarray(xi, float)
+    x, u, xi = (np.asarray(a, float) for a in (x, u, xi))
     J = op.dflux_dxi(x, u, xi)
     t = _sq(xi)
     d1 = (1.0 + t) ** ((op.p + op.q - 4.0) / 4.0)
@@ -284,10 +287,7 @@ def local_condition_ratios(op, x, u, xi):
 
 
 def monotonicity_margin(op, x, u, xi, eta):
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    xi = np.asarray(xi, float)
-    eta = np.asarray(eta, float)
+    x, u, xi, eta = (np.asarray(a, float) for a in (x, u, xi, eta))
     diff = xi - eta
     lhs = _dot(op.flux(x, u, xi) - op.flux(x, u, eta), diff)
     mid = 0.5 * (xi + eta)
@@ -296,9 +296,7 @@ def monotonicity_margin(op, x, u, xi, eta):
 
 
 def coercivity_margin(op, x, u, xi, c1, c2, theta):
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    xi = np.asarray(xi, float)
+    x, u, xi = (np.asarray(a, float) for a in (x, u, xi))
     dot = _dot(op.flux(x, u, xi), xi)
     norm = np.sqrt(_sq(xi))
     return dot - c1 * norm ** op.p + c2 * np.abs(u) ** theta + b1_values(op, x)
@@ -317,9 +315,7 @@ def b1_values(op, x):
 
 def lemma_lower_ratio(op, x, u, xi):
     """-(a, xi) over the lemma's bracket |xi|^q + |u|^q + |a0|^(q') + 1."""
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    xi = np.asarray(xi, float)
+    x, u, xi = (np.asarray(a, float) for a in (x, u, xi))
     dot = _dot(op.flux(x, u, xi), xi)
     a0 = _a0_norm(op, x)
     norm = np.sqrt(_sq(xi))
@@ -332,9 +328,7 @@ def regularized_growth_ratio(rop: OperatorSpec, x, u, xi):
     """|a_eps| over M-bracket |xi|^(q+eps-1) + |u|^(q+eps-1) + b1(x) of a
     regularized operator, whose q is q+eps; b1 is the base's, as
     a_eps(x, 0, 0) = a(x, 0, 0)."""
-    x = np.asarray(x, float)
-    u = np.asarray(u, float)
-    xi = np.asarray(xi, float)
+    x, u, xi = (np.asarray(a, float) for a in (x, u, xi))
     mag = np.sqrt(_sq(rop.flux(x, u, xi)))
     norm = np.sqrt(_sq(xi))
     denom = (norm ** (rop.q - 1.0) + np.abs(u) ** (rop.q - 1.0)
@@ -394,22 +388,25 @@ def check_growth_u(op: OperatorSpec, cfg: SampleConfig, *,
 
 
 def check_local_conditions(op: OperatorSpec, L: float, cfg: SampleConfig,
-                           declared_ML: float | None = None) -> CheckEntry:
-    """Antisymmetry and x-derivative bounds on a compact subdomain, the
-    central half of the domain on each axis.
+                           declared_ML: float | None = None, *,
+                           samples: Samples | None = None) -> CheckEntry:
+    """Antisymmetry and x-derivative bounds for |u| <= L on the central
+    half of the domain on each axis, where the base cloud's x is mapped
+    affinely (its u is scaled by L / u_radius) one chunk at a time.
 
     Fits the smallest M(L) covering both inequalities over the samples;
     when a declared M(L) is provided the margin is measured against it,
     otherwise the fitted constant is reported and the entry passes.
     """
-    S = draw_samples(op, replace(cfg, u_radius=L),
-                     box=op.domain.shrink(0.25), directions=False)
+    S = draw_samples(op, cfg) if samples is None else samples
+    box, sub = op.domain, op.domain.shrink(0.25)
 
-    def ratios(s):
-        r1, r2 = local_condition_ratios(op, s.x, s.u, s.xi)
-        return np.maximum(r1, r2)
+    def local(s):  # x, u and xi of the samples s, mapped
+        return ((s.x - box.lo) * (sub.widths / box.widths) + sub.lo,
+                s.u * (L / cfg.u_radius), s.xi)
 
-    fit = _chunked_margins(ratios, S)
+    fit = _chunked_margins(
+        lambda s: np.maximum(*local_condition_ratios(op, *local(s))), S)
     idx = int(np.argmax(fit))
     fitted = float(fit[idx])
     if declared_ML is None:
@@ -422,7 +419,8 @@ def check_local_conditions(op: OperatorSpec, L: float, cfg: SampleConfig,
         notes = "margin against declared M(L)"
     return nonstrict_entry(
         "local-conditions", worst, TOLERANCE,
-        _witness(S, idx), fitted={"M_L": fitted, "L": float(L)}, notes=notes)
+        _witness(Samples(*local(S[idx:idx + 1])), 0),
+        fitted={"M_L": fitted, "L": float(L)}, notes=notes)
 
 
 def check_monotonicity(op: OperatorSpec, cfg: SampleConfig, *,
@@ -483,16 +481,16 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig, *,
     """Fit constants for (a,xi) >= c1 |xi|^p - c2 |u|^theta - b1(x).
 
     c1 is found by bisection on (0, m] (40 iterations) with c2 fitted as the
-    worst residual ratio; a dedicated large-|xi| batch joins the cloud.  The
-    terms that do not depend on c1 are evaluated once per sample, so the
-    bisection evaluates no flux.  The entry's fitted constants are c1, c2
+    worst residual ratio; a large-|xi| batch, a plan of its own, joins the
+    cloud.  The terms that do not depend on c1 are evaluated once per
+    sample, so the bisection evaluates no flux.  The entry's fitted constants are c1, c2
     and theta; it fails if no c1 >= C1_FLOOR admits finite constants.
     """
     theta = theta_exponent(op.p, op.q, op.beta)
     S = draw_samples(op, cfg) if samples is None else samples
-    big_cfg = replace(cfg, seed=cfg.seed + 1, count=max(cfg.count // 4, 16),
-                      xi_radius=cfg.large_xi_radius)
-    B = draw_samples(op, big_cfg, structured=False, directions=False)
+    B = draw_samples(op, replace(cfg, count=max(cfg.count // 4, 16),
+                                 xi_radius=cfg.large_xi_radius),
+                     stream=LARGE_XI, structured=False, directions=False)
     terms = _coercivity_terms(op, (S, B))
 
     feasible_m, c2_m = _coercivity_feasible(terms, op.m, theta, TOLERANCE)
@@ -533,10 +531,11 @@ def _stable_fit(ratio_fn, op, cfg, condition_id, constant_name,
     """Fit c = max ratio; pass iff the fit is finite and stable under
     doubling the sample count (within factor 2).
 
-    The entry margin is min(sample slack, 2*c - c_doubled): a fit that
-    doubles less than 2x keeps the margin nonnegative.  ``samples`` is the
-    base cloud, or a list holding it, which the fit empties: a cloud held
-    nowhere else is then freed before the doubled cloud is drawn.
+    2n samples are the base cloud plus a fresh half, a plan of its own, so
+    c_doubled = max(c, the fit on the fresh half).  The entry margin is
+    min(0, 2*c - c_doubled): a NaN or infinite fit fails.  ``samples`` is
+    the base cloud, or a list holding it, which the fit empties: a cloud
+    held nowhere else is then freed before the fresh half is drawn.
     """
     if isinstance(samples, list):
         samples = samples.pop()
@@ -544,17 +543,17 @@ def _stable_fit(ratio_fn, op, cfg, condition_id, constant_name,
     del samples
     ratios = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi), S)
     idx = int(np.argmax(ratios))
-    c = max(float(ratios[idx]), 0.0)
+    # np.maximum keeps a NaN, and + 0.0 turns a fit of -0.0 into 0.0
+    c = float(np.maximum(ratios[idx], 0.0)) + 0.0
     witness = _witness(S, idx)
     del S, ratios
 
-    cfg2 = replace(cfg, count=2 * cfg.count)
-    S2 = draw_samples(op, cfg2, directions=False)
+    S2 = draw_samples(op, cfg, stream=FRESH_HALF, structured=False,
+                      directions=False)
     ratios2 = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi), S2)
-    c2 = max(float(np.max(ratios2)), 0.0)
+    c2 = float(np.maximum(np.max(ratios2), c)) + 0.0
 
-    stability = 2.0 * c - c2 if c2 > TOLERANCE else 0.0
-    worst = min(0.0, stability)
+    worst = 0.0 if c2 <= TOLERANCE else min(2.0 * c - c2, 0.0)
     return nonstrict_entry(
         condition_id, worst, TOLERANCE, witness,
         fitted={constant_name: c, constant_name + "_doubled": c2},
@@ -592,8 +591,8 @@ def check_derivative_consistency(op: OperatorSpec,
     """
     from .operators import fd_dflux_du, fd_dflux_dx, fd_dflux_dxi
 
-    S = draw_samples(op, cfg, structured=False, xi_low_frac=0.05,
-                     directions=False)
+    S = draw_samples(op, cfg, stream=DERIVATIVES, structured=False,
+                     xi_low_frac=0.05, directions=False)
 
     def rel_err(a, f):
         k = a.ndim - 1
@@ -623,26 +622,28 @@ def run_structure_checks(op: OperatorSpec, cfg: SampleConfig,
     """All structural checks on one operator, in a fixed order.
 
     The base cloud is drawn once and shared by the checks that use it; the
-    lemma check, last, frees it before drawing its doubled cloud, so at
-    most two clouds are alive at a time.  Per-check wall times are logged
-    on ``pq.check`` at info level.
+    lemma check, last, frees it before drawing its fresh half.  The size
+    and wall time of the draw and per-check wall times are logged on
+    ``pq.check`` at info level.
     """
     L = cfg.u_radius if L is None else L
     rep = AssumptionReport(meta={"family": op.family_tag, "p": op.p,
                                  "q": op.q, "m": op.m, "M": op.M,
                                  "seed": cfg.seed, "count": cfg.count})
+    t0 = perf_counter()
     base = [draw_samples(op, cfg)]
-    log.info("shared sample cloud: %d points", len(base[0]))
+    log.info("shared sample cloud: %d points, %.3f s", len(base[0]),
+             perf_counter() - t0)
     for check in (
             lambda: check_derivative_consistency(op, cfg),
             lambda: check_ellipticity(op, cfg, samples=base[0]),
             lambda: check_growth_xi(op, cfg, samples=base[0]),
             lambda: check_growth_u(op, cfg, samples=base[0]),
-            lambda: check_local_conditions(op, L, cfg),
+            lambda: check_local_conditions(op, L, cfg, samples=base[0]),
             lambda: check_monotonicity(op, cfg, samples=base[0]),
             lambda: check_coercivity_lower(op, cfg, samples=base[0]),
             # takes the cloud out of ``base``, freeing it before the
-            # doubled cloud is drawn
+            # fresh half is drawn
             lambda: check_lemma_lower_bound(op, cfg, samples=base)):
         t0 = perf_counter()
         entry = check()

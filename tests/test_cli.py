@@ -381,6 +381,13 @@ MALFORMED = {
         "check", "--operator", opfile(PLAP3), "--L", "-5"],
     "check-L-overflows": lambda opfile, tmp_path: [
         "check", "--operator", opfile(PLAP3), "--L", "1e308"],
+    # seed 5 + 2**128 would draw seed 5's derivative-consistency plan
+    "check-seed-2-128": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--seed", str(2 ** 128 + 5)],
+    # the largest count is verify.MAX_SAMPLES = 10**9; no test runs a
+    # check near it, whose base cloud alone would hold 72 GB
+    "check-samples-above-max": lambda opfile, tmp_path: [
+        "check", "--operator", opfile(PLAP3), "--samples", str(10 ** 9 + 1)],
     "check-samples-1e14": lambda opfile, tmp_path: [
         "check", "--operator", opfile(PLAP3), "--samples", str(10 ** 14)],
     "check-samples-1e18": lambda opfile, tmp_path: [

@@ -1,4 +1,6 @@
 import logging
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 
 import pqelliptic as pq
 from pqelliptic import SampleConfig, make_custom, make_family, regularize
-from pqelliptic.verify import (draw_samples, local_condition_ratios,
+from pqelliptic.verify import (BASE, DERIVATIVES, FRESH_HALF, LARGE_XI,
+                               draw_samples, local_condition_ratios,
                                monotonicity_margin, theta_exponent)
 from conftest import u_dependent_test_op
 
@@ -122,8 +125,7 @@ def test_local_conditions_double_phase_fit_matches_formula(cfg):
                            np.zeros(np.shape(x)[:-1])], axis=-1)})
     e = pq.check_local_conditions(op, 10.0, cfg)
     assert e.passed
-    sub = op.domain.shrink(0.25)
-    S = draw_samples(op, replace(cfg, u_radius=10.0), box=sub)
+    S = draw_samples(op, cfg)  # the mapped base cloud keeps its xi
     t = np.sum(S.xi * S.xi, axis=-1)
     expected = np.max(np.abs(S.xi).max(axis=-1)
                       * (1.0 + t) ** ((op.q - 2.0) / 2.0)
@@ -306,22 +308,25 @@ def test_unit_vectors_bitwise_equal_to_linalg_norm(dim):
     assert np.array_equal(got[7], np.zeros(dim))
 
 
-def test_structure_checks_draw_five_clouds(monkeypatch):
+def test_structure_checks_draw_four_clouds(monkeypatch):
     import pqelliptic.verify as verify
 
-    calls = []
+    calls, streams = [], []
     real = verify.draw_samples
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("directions", True))
+        streams.append(kwargs.get("stream", BASE))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(verify, "draw_samples", counting)
     op = make_family("p-laplacian", {"p": 3})
     pq.run_structure_checks(op, SampleConfig(seed=2, count=200))
-    # base, derivative-consistency, local-conditions, large-|xi|, doubled;
-    # only the base cloud draws eta and lambda
-    assert calls == [True, False, False, False, False]
+    # base, derivative-consistency, large-|xi|, fresh half, each from its
+    # own stream; local conditions read the base cloud, and only the base
+    # cloud draws eta and lambda
+    assert calls == [True, False, False, False]
+    assert streams == [BASE, DERIVATIVES, LARGE_XI, FRESH_HALF]
 
 
 @pytest.mark.parametrize("seed", [4, 11])
@@ -359,7 +364,8 @@ def test_structure_checks_log_timings_at_info_only(caplog):
         loud = pq.run_structure_checks(op, cfg)
     lines = [r.getMessage() for r in caplog.records if r.name == "pq.check"]
     n = len(draw_samples(op, cfg))
-    assert lines[0] == f"shared sample cloud: {n} points"
+    assert re.fullmatch(rf"shared sample cloud: {n} points, \d+\.\d{{3}} s",
+                        lines[0])
     ids = [e.condition_id for e in loud.entries]
     assert [line.split(":")[0] for line in lines[1:]] == ids
     assert all(line.endswith(" s") for line in lines[1:])
@@ -371,8 +377,7 @@ def test_draw_without_directions_keeps_the_other_bits():
     cfg = SampleConfig(seed=5, count=400)
     for c, kwargs in ((cfg, {}),
                       (cfg, {"structured": False, "xi_low_frac": 0.05}),
-                      (replace(cfg, u_radius=2.0),
-                       {"box": op.domain.shrink(0.25)})):
+                      (replace(cfg, u_radius=2.0), {"stream": FRESH_HALF})):
         full = draw_samples(op, c, **kwargs)
         bare = draw_samples(op, c, directions=False, **kwargs)
         assert bare.eta is None and bare.lam is None
@@ -381,6 +386,124 @@ def test_draw_without_directions_keeps_the_other_bits():
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
             assert not b.flags.writeable
+
+
+def test_plans_and_seeds_draw_from_distinct_streams():
+    op = make_family("p-laplacian", {"p": 2})  # on the unit square
+    seeds = (0, 1, 5, 2 ** 32 + 5)
+    xs = {}
+    for seed in seeds:
+        cfg = SampleConfig(seed=seed, count=64)
+        for stream in (BASE, DERIVATIVES, LARGE_XI, FRESH_HALF):
+            xs[seed, stream] = draw_samples(
+                op, cfg, stream=stream, structured=False,
+                directions=False).x.tobytes()
+        # the base plan keeps the bits of default_rng(seed): x is its first
+        # draw, scaled by the unit widths
+        want = np.random.default_rng(seed).random((64, 2))
+        assert xs[seed, BASE] == want.tobytes()
+    assert len(set(xs.values())) == len(xs)
+    # the next seed's base cloud is not the large-|xi| batch of this one
+    assert xs[1, BASE] != xs[0, LARGE_XI]
+    # nor does a seed above 2**32 draw another seed's plan
+    assert xs[2 ** 32 + 5, BASE] != xs[5, DERIVATIVES]
+
+
+def test_lemma_zero_fit_is_positive_zero():
+    op = _zoo_operator("double-phase")
+    e = pq.check_lemma_lower_bound(op, SampleConfig(seed=0, count=1000))
+    assert e.passed
+    for key in ("c", "c_doubled"):
+        value = e.fitted_constants[key]
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0, key
+
+
+def test_lemma_doubling_adds_a_fresh_half():
+    from pqelliptic.verify import lemma_lower_ratio
+
+    op = u_dependent_test_op(beta=0.5, kappa=0.8)
+    cfg = SampleConfig(seed=4, count=3000)
+    e = pq.check_lemma_lower_bound(op, cfg)
+    base = draw_samples(op, cfg)
+    fresh = draw_samples(op, cfg, stream=FRESH_HALF, structured=False,
+                         directions=False)
+    assert len(fresh) == cfg.count and fresh.eta is None
+    c = e.fitted_constants["c"]
+    assert c == np.max(lemma_lower_ratio(op, base.x, base.u, base.xi)) > 0.0
+    fit = np.max(lemma_lower_ratio(op, fresh.x, fresh.u, fresh.xi))
+    assert e.fitted_constants["c_doubled"] == max(c, fit)
+
+    def rows(S):
+        return {r.tobytes() for r in np.column_stack([S.x, S.u, S.xi])}
+
+    assert not rows(base) & rows(fresh)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("cloud", ["base", "fresh half"])
+def test_stable_fit_fails_on_a_nan_or_infinite_ratio(bad, cloud):
+    from pqelliptic.verify import _stable_fit
+
+    clouds = []
+
+    def ratio(op, x, u, xi):  # each cloud is one chunk: base first
+        out = np.full(len(u), 0.5)
+        if ["base", "fresh half"][len(clouds)] == cloud:
+            out[3] = bad
+        clouds.append(len(u))
+        return out
+
+    op = make_family("p-laplacian", {"p": 3})
+    e = _stable_fit(ratio, op, SampleConfig(seed=1, count=1000), "fit", "c")
+    assert len(clouds) == 2
+    assert not e.passed
+
+
+def _reference_local_conditions(op, L, cfg, declared_ML=None):
+    """check_local_conditions on a cloud drawn over the subdomain with u in
+    [-L, L] from the base stream, as it was drawn before the check read
+    the base cloud."""
+    from pqelliptic.report import nonstrict_entry
+
+    x, u, xi, _, _ = _vstack_draw(op, cfg, box=op.domain.shrink(0.25),
+                                  u_cap=L, directions=False)
+    r1, r2 = local_condition_ratios(op, x, u, xi)
+    fit = np.maximum(r1, r2)
+    idx = int(np.argmax(fit))
+    fitted = float(fit[idx])
+    if declared_ML is None:
+        worst, notes = 0.0, "no declared M(L); fitted constant reported"
+    else:
+        worst, notes = declared_ML - fitted, "margin against declared M(L)"
+    return nonstrict_entry(
+        "local-conditions", worst, 1e-10,
+        {"x": x[idx].tolist(), "u": float(u[idx]), "xi": xi[idx].tolist()},
+        fitted={"M_L": fitted, "L": float(L)}, notes=notes)
+
+
+@pytest.mark.parametrize("name", ["double-phase", "variable-exponent"])
+def test_local_conditions_read_the_mapped_base_cloud(name):
+    op = _zoo_operator(name)
+    cfg = SampleConfig(seed=3, count=9000)
+    alone = pq.check_local_conditions(op, cfg.u_radius, cfg)
+    shared = pq.check_local_conditions(op, cfg.u_radius, cfg,
+                                       samples=draw_samples(op, cfg))
+    assert alone.to_dict() == shared.to_dict()
+    # on the unit square at L = u_radius the map is exact
+    ref = _reference_local_conditions(op, cfg.u_radius, cfg)
+    assert alone.to_dict() == ref.to_dict()
+    assert alone.fitted_constants["M_L"] > 0.0
+    # off the origin, or with L != u_radius, it rounds differently
+    moved = pq.operator_from_descriptor(
+        {**ZOO[name], "domain": {"min": [0.25, -1.0], "max": [1.0, 0.5]}})
+    for o, L in ((moved, cfg.u_radius), (op, 3.0), (moved, 3.0)):
+        fit = _reference_local_conditions(o, L, cfg).fitted_constants["M_L"]
+        got = pq.check_local_conditions(o, L, cfg)
+        assert got.fitted_constants["M_L"] == pytest.approx(fit, rel=1e-12)
+        for declared in (0.5 * fit, fit, 2.0 * fit):
+            assert (pq.check_local_conditions(o, L, cfg, declared).passed
+                    == _reference_local_conditions(o, L, cfg,
+                                                   declared).passed)
 
 
 def test_nan_margin_fails():
@@ -502,7 +625,8 @@ def test_derivative_consistency_equals_numpy_reductions(name):
     op = pq.operator_from_descriptor(
         {**ZOO[name], "domain": {"min": [0, 0], "max": [1, 1]}})
     cfg = SampleConfig(seed=3, count=3000)
-    S = draw_samples(op, cfg, structured=False, xi_low_frac=0.05)
+    S = draw_samples(op, cfg, stream=DERIVATIVES, structured=False,
+                     xi_low_frac=0.05)
     x, u, xi = S.x, S.u, S.xi
 
     def rel_err(a, f):
@@ -525,16 +649,27 @@ def test_derivative_consistency_equals_numpy_reductions(name):
 # ---------------------------------------------------------------------------
 # one cloud at a time: references that copy, as the checks once did
 
+def _stream_rng(seed, stream):
+    """The generator of sampling plan ``stream``: the seed's own for the
+    base plan, and the seed's spawned child number ``stream`` otherwise."""
+    seq = np.random.SeedSequence(seed)
+    return np.random.default_rng(seq.spawn(stream + 1)[stream] if stream
+                                 else seq)
+
+
 def _vstack_draw(op, cfg, *, box=None, u_cap=None, xi_radius=None,
-                 structured=True, xi_low_frac=0.0, directions=True):
-    """draw_samples built from whole draws joined with np.vstack."""
+                 stream=BASE, structured=True, xi_low_frac=0.0,
+                 directions=True):
+    """draw_samples built from whole draws joined with np.vstack; a ``box``
+    other than the domain rebuilds the local-conditions cloud as it was
+    drawn before it read the base cloud."""
     from pqelliptic.verify import _structured_block
 
     dim = op.dim
     box = box or op.domain
     radius = cfg.xi_radius if xi_radius is None else xi_radius
     u_cap = cfg.u_radius if u_cap is None else u_cap
-    rng = np.random.default_rng(cfg.seed)
+    rng = _stream_rng(cfg.seed, stream)
 
     def unit(n):
         v = rng.standard_normal((n, dim))
@@ -546,10 +681,11 @@ def _vstack_draw(op, cfg, *, box=None, u_cap=None, xi_radius=None,
     lo = np.asarray(box.lo)
     x = lo + rng.random((n, dim)) * (np.asarray(box.hi) - lo)
     u = rng.uniform(-u_cap, u_cap, size=n)
-    mag = np.abs(rng.standard_normal(n)) * radius
     if xi_low_frac > 0.0:
         mag = (xi_low_frac * radius
                + rng.random(n) * (1.0 - xi_low_frac) * radius)
+    else:
+        mag = np.abs(rng.standard_normal(n)) * radius
     xi = unit(n) * mag[:, None]
     eta = lam = None
     if directions:
@@ -596,9 +732,10 @@ def _reference_coercivity(op, cfg, S):
     from pqelliptic import verify as v
 
     theta = theta_exponent(op.p, op.q, op.beta)
-    big = replace(cfg, seed=cfg.seed + 1, count=max(cfg.count // 4, 16),
+    big = replace(cfg, count=max(cfg.count // 4, 16),
                   xi_radius=cfg.large_xi_radius)
-    B = draw_samples(op, big, structured=False, directions=False)
+    B = draw_samples(op, big, stream=LARGE_XI, structured=False,
+                     directions=False)
     x, u, xi = (np.concatenate([getattr(S, a), getattr(B, a)])
                 for a in ("x", "u", "xi"))
 
@@ -682,7 +819,9 @@ def test_masked_and_chunked_checks_equal_copying_references(name):
     {"structured": False, "directions": False},
     {"structured": False, "xi_low_frac": 0.05, "directions": False},
     {"xi_low_frac": 0.3},
-    {"box": pq.unit_box(2).shrink(0.25), "u_cap": 2.0, "xi_radius": 1e3},
+    {"stream": LARGE_XI, "u_cap": 2.0, "xi_radius": 1e3},
+    {"stream": DERIVATIVES, "structured": False, "xi_low_frac": 0.05},
+    {"stream": FRESH_HALF, "structured": False, "directions": False},
 ])
 @pytest.mark.parametrize("name", ["anisotropic", "double-phase"])
 def test_draw_samples_bitwise_equal_to_vstack_reference(name, kwargs):
@@ -706,7 +845,7 @@ def test_draw_samples_bitwise_equal_to_vstack_reference(name, kwargs):
 
 def test_structure_checks_peak_memory_is_two_base_clouds():
     # checks evaluate CHUNK rows at a time and never copy a cloud; the
-    # lemma's doubled cloud is drawn after the base cloud is freed
+    # lemma's fresh half is drawn after the base cloud is freed
     import tracemalloc
 
     op = _zoo_operator("double-phase")
