@@ -48,5 +48,5 @@ print(f"  passed={entry.passed}, worst margin {entry.worst_margin:+.3e} "
 print("\nExponent bookkeeping is strict: q/p < 1 + 1/n fails at equality,")
 rep = pq.validate_assumptions(
     pq.make_custom(lambda x, u, xi: xi, dim=2, p=2.0,
-                   q=np.nextafter(3.0, 0.0), m=1, M=1), n=2)
+                   q=np.nextafter(3.0, 0.0), m=1, M=1))
 print(f"  (n=2, p=2, q->3): qp-ratio passed = {rep.entry('qp-ratio').passed}")

@@ -213,7 +213,7 @@ def cmd_check(args) -> int:
             raise ConfigError(f"{flag} must be finite, got {value}")
     op = load_operator(args.operator)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    report = validate_assumptions(op, n=op.dim, gamma=args.gamma, s0=args.s0)
+    report = validate_assumptions(op, gamma=args.gamma, s0=args.s0)
     structural = run_structure_checks(op, cfg, L=args.L)
     report.extend(structural)
     report.meta.update(structural.meta)

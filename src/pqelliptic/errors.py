@@ -5,14 +5,6 @@ class PQError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatch(PQError):
-    """An argument vector does not match the operator's space dimension."""
-
-
-class DerivativeUnavailable(PQError):
-    """No analytic derivative and the finite-difference fallback is disabled."""
-
-
 class InvalidExponents(PQError):
     """Declared exponents violate a structural constraint."""
 

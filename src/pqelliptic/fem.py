@@ -95,13 +95,9 @@ class Mesh:
         """Reshape a nodal vector to the tensor grid layout."""
         return np.asarray(values).reshape(self.shape)
 
-    def to_dict(self, include_arrays: bool = False) -> dict:
-        d = {"dim": self.dim, "box": self.box.to_dict(),
-             "nodes_per_axis": list(self.shape)}
-        if include_arrays:
-            d["nodes"] = self.nodes.tolist()
-            d["elements"] = self.elements.tolist()
-        return d
+    def to_dict(self) -> dict:
+        return {"dim": self.dim, "box": self.box.to_dict(),
+                "nodes_per_axis": list(self.shape)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Mesh":
@@ -155,14 +151,12 @@ def _interior_numbering(shape) -> np.ndarray:
     return numbering
 
 
-def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
-    """Uniform tensor-grid mesh, its cells split by the dimension's row of
-    SIMPLICES.  A mesh of 3**dim * nodes >= 2**31, past the int32 indices
-    of its matrix pattern, is refused before anything is allocated."""
-    if box.dim != dim:
-        raise MeshError(f"box dimension {box.dim} != mesh dimension {dim}")
-    split = SIMPLICES.get(dim)
-    if split is None:
+def mesh_shape(dim: int, nodes_per_axis) -> tuple:
+    """The nodes per axis of a mesh of ``dim``, one count for every axis or
+    one per axis.  MeshError for a dimension without a row of SIMPLICES,
+    fewer than 3 nodes on an axis, or 3**dim * nodes >= 2**31, past the
+    int32 indices of the matrix pattern."""
+    if dim not in SIMPLICES:
         raise MeshError(f"no mesh for dim {dim}; dims {sorted(SIMPLICES)} "
                         "are supported")
     if np.isscalar(nodes_per_axis):
@@ -173,6 +167,17 @@ def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
         raise MeshError("need at least 3 nodes per axis")
     if 3 ** dim * math.prod(shape) >= 2 ** 31:
         raise MeshError(f"{shape} nodes are too many: 3**dim * nodes >= 2**31")
+    return shape
+
+
+def build_mesh(dim: int, box, nodes_per_axis) -> Mesh:
+    """Uniform tensor-grid mesh, its cells split by the dimension's row of
+    SIMPLICES.  A shape that :func:`mesh_shape` refuses is refused before
+    anything is allocated."""
+    if box.dim != dim:
+        raise MeshError(f"box dimension {box.dim} != mesh dimension {dim}")
+    shape = mesh_shape(dim, nodes_per_axis)
+    split = SIMPLICES[dim]
 
     nodes = box.lattice(shape)
     grid = nodes.reshape(*shape, dim)
@@ -315,14 +320,6 @@ def zero_field(mesh: Mesh) -> DiscreteField:
 def field_from_interior(mesh: Mesh, interior_values) -> DiscreteField:
     vals = np.zeros(mesh.n_nodes)
     vals[mesh.interior] = interior_values
-    return DiscreteField(mesh, vals)
-
-
-def interpolate(mesh: Mesh, f, zero_boundary: bool = False) -> DiscreteField:
-    vals = np.asarray(f(mesh.nodes), float)
-    if zero_boundary:
-        vals = vals.copy()
-        vals[mesh.boundary_mask] = 0.0
     return DiscreteField(mesh, vals)
 
 

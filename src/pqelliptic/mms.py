@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InconsistentExactData
 from .fem import (SIMPLICES, DiscreteField, build_mesh, field_from_interior,
-                  prolongations, _b_at_quad, _chunks)
+                  mesh_shape, prolongations, _b_at_quad, _chunks)
 from .operators import OperatorSpec, _sq
 from .solvers import NewtonConfig, _LinearSolves, newton_solve, p2_presolve
 
@@ -271,6 +271,8 @@ def convergence_study(op: OperatorSpec, case, grid_sizes,
         raise ValueError("need at least 3 strictly refining grid sizes")
     if isinstance(case, str):
         case = builtin_case(case, op)
+    for nside in sizes:  # every size is checked before the first solve
+        mesh_shape(op.dim, nside)
     cfg = cfg or NewtonConfig()
 
     rows, U = [], None

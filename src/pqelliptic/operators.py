@@ -33,8 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (ConfigError, DerivativeUnavailable, DimensionMismatch,
-                     InvalidExponents, NonnegativityViolation)
+from .errors import ConfigError, InvalidExponents, NonnegativityViolation
 from .report import AssumptionReport, nonstrict_entry, strict_entry
 
 #: Relative step for the centered finite-difference fallback.
@@ -61,8 +60,10 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or len(lo) == 0:
             raise ConfigError("box corners must have equal positive length")
-        if not all(-math.inf < l < h < math.inf for l, h in zip(lo, hi)):
-            raise ConfigError("box must have finite corners and positive widths")
+        if not all(-math.inf < l < h and h - l < math.inf
+                   for l, h in zip(lo, hi)):
+            raise ConfigError("box must have finite corners and positive, "
+                              "finite widths")
 
     @property
     def dim(self) -> int:
@@ -192,26 +193,6 @@ def _max_abs(a, axes=1):
     return m
 
 
-def _check_point(op, xi):
-    xi = np.asarray(xi, float)
-    if xi.shape[-1:] != (op.dim,):
-        raise DimensionMismatch(
-            f"xi has trailing dimension {xi.shape[-1:]}, expected ({op.dim},)")
-    return xi
-
-
-def eval_flux(op: OperatorSpec, x, u, xi):
-    """Evaluate a(x, u, xi); pure, broadcasts over leading axes."""
-    xi = _check_point(op, xi)
-    return op.flux(np.asarray(x, float), np.asarray(u, float), xi)
-
-
-def eval_dflux_dxi(op: OperatorSpec, x, u, xi):
-    """Matrix of partials d a^i / d xi_j, shape (..., dim, dim)."""
-    xi = _check_point(op, xi)
-    return op.dflux_dxi(np.asarray(x, float), np.asarray(u, float), xi)
-
-
 # ---------------------------------------------------------------------------
 # finite-difference fallbacks
 
@@ -260,13 +241,6 @@ def _fd_closures(flux):
         return fd_dflux_dx(flux, x, u, xi, s)
 
     return dxi, du, dx
-
-
-def _unavailable(name):
-    def raiser(*args, **kwargs):
-        raise DerivativeUnavailable(
-            f"no analytic {name} and finite-difference fallback is disabled")
-    return raiser
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +306,16 @@ def _resolve_domain(params, default_dim=2):
         raise ConfigError(f"params dim {dim!r} disagrees with the domain, "
                           f"which has dim {box.dim}")
     return box
+
+
+def _probe(fun, domain, name):
+    """``fun`` on the domain's probe lattice, which must be finite; an
+    overflow there is refused, not warned about."""
+    with np.errstate(all="ignore"):
+        probe = np.asarray(fun(domain.lattice()), float)
+    if not np.all(np.isfinite(probe)):
+        raise ConfigError(f"{name} is not finite at a probe point")
+    return probe
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +394,7 @@ def _family_variable_exponent(params, degenerate):
     _validate_pq(pmin, pmax)
     domain = _resolve_domain(params)
 
-    probe = np.asarray(pfun(domain.lattice()), float)
+    probe = _probe(pfun, domain, "p(x)")
     if probe.min() < pmin - 1e-12 or probe.max() > pmax + 1e-12:
         raise InvalidExponents(
             f"p(x) probe range [{probe.min():.6g}, {probe.max():.6g}] leaves "
@@ -495,7 +479,7 @@ def _family_double_phase(params):
     grad_weight = params.get("grad_weight")
     domain = _resolve_domain(params)
 
-    probe = np.asarray(weight(domain.lattice()), float)
+    probe = _probe(weight, domain, "double-phase weight")
     if probe.min() < -1e-12:
         raise NonnegativityViolation(
             f"double-phase weight is negative ({probe.min():.6g}) at a probe point")
@@ -550,60 +534,26 @@ def make_family(tag: str, params: dict | None = None, **kw) -> OperatorSpec:
     return _FAMILY_BUILDERS[tag](merged)
 
 
-def _batchify(fn, out_trailing):
-    """Wrap a pointwise callable so it accepts leading batch axes."""
-    def wrapped(x, u, xi, *rest):
-        x = np.asarray(x, float)
-        u = np.asarray(u, float)
-        xi = np.asarray(xi, float)
-        if xi.ndim < 2:  # a single point
-            return np.asarray(fn(x, float(u), xi, *rest), float)
-        lead = np.broadcast_shapes(x.shape[:-1], u.shape, xi.shape[:-1])
-        xb = np.broadcast_to(x, lead + x.shape[-1:])
-        ub = np.broadcast_to(u, lead)
-        xib = np.broadcast_to(xi, lead + xi.shape[-1:])
-        out = np.empty(lead + out_trailing)
-        for idx in np.ndindex(lead):
-            out[idx] = fn(xb[idx], float(ub[idx]), xib[idx], *rest)
-        return out
-    return wrapped
-
-
 def make_custom(flux, *, dim, p, q, m, M, growth_alpha=0.0, beta=0.0,
                 domain: Box | None = None, dflux_dxi=None, dflux_du=None,
-                dflux_dx=None, fd_fallback=True,
-                vectorized=True, family_tag="custom") -> OperatorSpec:
-    """Wrap user code in an OperatorSpec.
+                dflux_dx=None, family_tag="custom") -> OperatorSpec:
+    """Wrap user code, callables that broadcast over leading axes, in an
+    OperatorSpec.
 
-    Missing derivatives fall back to centered finite differences unless
-    ``fd_fallback`` is disabled, in which case evaluating them raises
-    :class:`DerivativeUnavailable`.  Set ``vectorized=False`` when the
-    callables only accept single points.  ``dim`` must be the dimension of
-    ``domain``, which defaults to the unit box of ``dim``.
+    Missing derivatives fall back to centered finite differences.  ``dim``
+    must be the dimension of ``domain``, which defaults to the unit box of
+    ``dim``.
     """
     _validate_pq(p, q)
     domain = domain or unit_box(dim)
     if domain.dim != dim:
         raise ConfigError(f"dim {dim!r} disagrees with the domain, which has "
                           f"dim {domain.dim}")
-    if not vectorized:
-        flux = _batchify(flux, (dim,))
-        if dflux_dxi is not None:
-            dflux_dxi = _batchify(dflux_dxi, (dim, dim))
-        if dflux_du is not None:
-            dflux_du = _batchify(dflux_du, (dim,))
-        if dflux_dx is not None:
-            dflux_dx = _batchify(dflux_dx, (dim,))
     fd_xi, fd_u, fd_x = _fd_closures(flux)
-    if dflux_dxi is None:
-        dflux_dxi = fd_xi if fd_fallback else _unavailable("dflux_dxi")
-    if dflux_du is None:
-        dflux_du = fd_u if fd_fallback else _unavailable("dflux_du")
-    if dflux_dx is None:
-        dflux_dx = fd_x if fd_fallback else _unavailable("dflux_dx")
     return OperatorSpec(float(p), float(q), float(m), float(M),
-                        float(growth_alpha), float(beta), flux, dflux_dxi,
-                        dflux_du, dflux_dx, family_tag, domain)
+                        float(growth_alpha), float(beta), flux,
+                        dflux_dxi or fd_xi, dflux_du or fd_u,
+                        dflux_dx or fd_x, family_tag, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -669,17 +619,18 @@ def regularize(op: OperatorSpec, eps: float, eps0: float | None = None
 # ---------------------------------------------------------------------------
 # exponent-level assumption checks
 
-def validate_assumptions(op: OperatorSpec, n: int, gamma: float | None = None,
+def validate_assumptions(op: OperatorSpec, gamma: float | None = None,
                          s0: float | None = None) -> AssumptionReport:
-    """Check the scalar exponent inequalities of the structural hypotheses.
+    """Check the scalar exponent inequalities of the structural hypotheses
+    in the operator's dimension n = op.dim.
 
     Strict inequalities are tested strictly (an exactly saturated bound
     fails); failures are report entries, never exceptions.  ``gamma`` and
     ``s0`` are the declared local summability exponents of |a(.,0,0)| and
     of the right-hand side; their entries appear only when supplied.
     """
-    p, q = op.p, op.q
-    rep = AssumptionReport(meta={"family": op.family_tag, "n": int(n),
+    p, q, n = op.p, op.q, op.dim
+    rep = AssumptionReport(meta={"family": op.family_tag, "n": n,
                                  "p": p, "q": q})
     rep.add(nonstrict_entry("p-lower", p - 2.0, 0.0,
                             notes="p >= 2"))
@@ -713,8 +664,8 @@ def _function_from_descriptor(d: dict, dim: int):
     """Scalar coefficient function from a JSON-able descriptor.
 
     Supported: {"type": "constant", "value": v} and
-    {"type": "affine", "offset": c0, "coeffs": [c1, ..., cn]}.
-    Returns (callable, gradient callable or None).
+    {"type": "affine", "offset": c0, "coeffs": [c1, ..., cn]}, with finite
+    numbers.  Returns (callable, gradient callable or None).
     """
     if not isinstance(d, dict) or "type" not in d:
         raise ConfigError(f"bad function descriptor: {d!r}")
@@ -724,6 +675,8 @@ def _function_from_descriptor(d: dict, dim: int):
     kind = d["type"]
     if kind == "constant":
         v = float(d["value"])
+        if not math.isfinite(v):
+            raise ConfigError(f"constant value must be finite, got {v}")
 
         def fun(x):
             return np.full(np.shape(x)[:-1], v)
@@ -737,6 +690,8 @@ def _function_from_descriptor(d: dict, dim: int):
         coeffs = np.asarray(d.get("coeffs", [0.0] * dim), float)
         if coeffs.shape != (dim,):
             raise ConfigError(f"affine coeffs must have length {dim}")
+        if not np.all(np.isfinite(np.append(coeffs, c0))):
+            raise ConfigError("affine offset and coeffs must be finite")
 
         def fun(x):  # one 2-D product: a stacked x @ coeffs is slow
             x = np.asarray(x, float)

@@ -17,7 +17,7 @@ check.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -55,6 +55,18 @@ MAX_SAMPLES = 10 ** 9
 #: cloud's is default_rng(seed), and a plan k > 0 spawns from the seed, so no
 #: two plans or seeds (below 2**128) share a stream.
 BASE, DERIVATIVES, LARGE_XI, FRESH_HALF = range(4)
+
+
+def _plan(cfg, stream):
+    """(count, xi radius, low) of the plan ``stream``; |xi| is uniform in
+    [low, 1] xi radius when low > 0, else xi radius |N(0,1)|.  DERIVATIVES
+    keeps |xi| >= 0.05 xi_radius, away from xi = 0, where the degenerate
+    built-ins are not twice differentiable; LARGE_XI draws a quarter of the
+    count (at least 16) at large_xi_radius.  Only BASE draws the structured
+    rows and eta and lambda."""
+    if stream == LARGE_XI:
+        return max(cfg.count // 4, 16), cfg.large_xi_radius, 0.0
+    return cfg.count, cfg.xi_radius, 0.05 if stream == DERIVATIVES else 0.0
 
 
 @dataclass(frozen=True)
@@ -125,32 +137,28 @@ def _structured_block(dim, xi_radius, large_radius):
     return np.asarray(xis), np.asarray(etas), np.asarray(lams)
 
 
-def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, stream: int = BASE,
-                 structured: bool = True, xi_low_frac: float = 0.0,
-                 directions: bool = True) -> Samples:
+def draw_samples(op: OperatorSpec, cfg: SampleConfig, *,
+                 stream: int = BASE) -> Samples:
     """Seeded sample cloud of the plan ``stream`` over the operator's domain.
 
-    x is uniform in the box; u uniform in [-u_radius, u_radius]; xi, eta
-    and lambda are random directions with magnitudes xi_radius |N(0,1)|.
-    ``xi_low_frac > 0`` draws the xi magnitudes uniform in [xi_low_frac, 1]
-    xi_radius instead (used by the derivative-consistency check, where
-    degenerate built-ins are not twice differentiable at xi = 0).  eta and
-    lambda are drawn last, so ``directions=False`` leaves them None and x, u
-    and xi unchanged.  The arrays are read-only, so checks that share one
-    cloud cannot change it.
+    x is uniform in the box; u uniform in [-u_radius, u_radius]; xi is a
+    random direction with the magnitude of its plan (see _plan); eta and
+    lambda, drawn last and only for the base cloud, are random directions,
+    eta with magnitude xi_radius |N(0,1)|.  The arrays are read-only, so
+    checks that share one cloud cannot change it.
 
     Each array is allocated once, structured rows first; the random rows
     are drawn into it and scaled in place.
     """
     dim = op.dim
     box = op.domain
-    radius = cfg.xi_radius
+    n, radius, low = _plan(cfg, stream)
     rng = np.random.default_rng(np.random.SeedSequence(
         cfg.seed, spawn_key=(stream,) if stream else ()))
 
-    n = cfg.count
+    base = stream == BASE
     xs, es, ls = (_structured_block(dim, radius, cfg.large_xi_radius)
-                  if structured else np.empty((3, 0, dim)))
+                  if base else np.empty((3, 0, dim)))
     k = xs.shape[0]
     x = np.empty((k + n, dim))
     u = np.empty(k + n)
@@ -162,18 +170,18 @@ def draw_samples(op: OperatorSpec, cfg: SampleConfig, *, stream: int = BASE,
     x[k:] *= np.asarray(box.hi) - lo
     x[k:] += lo
     u[k:] = rng.uniform(-cfg.u_radius, cfg.u_radius, n)  # takes no out=
-    if xi_low_frac > 0.0:
+    if low > 0.0:
         mag = rng.random(n)
-        mag *= 1.0 - xi_low_frac
+        mag *= 1.0 - low
         mag *= radius
-        mag += xi_low_frac * radius
+        mag += low * radius
     else:
         mag = np.abs(rng.standard_normal(n))
         mag *= radius
     _unit_vectors(rng, xi[k:])
     xi[k:] *= mag[:, None]
     eta = lam = None
-    if directions:
+    if base:
         eta = np.empty((k + n, dim))
         lam = np.empty((k + n, dim))
         eta[:k], lam[:k] = es, ls
@@ -231,7 +239,7 @@ def _witness(samples: Samples, idx: int, *, eta=False, lam=False):
 
 
 # ---------------------------------------------------------------------------
-# margin kernels (vectorized; also used to re-evaluate witnesses)
+# margin kernels (vectorized)
 
 def ellipticity_margin(op, x, u, xi, lam):
     J = op.dflux_dxi(np.asarray(x, float), np.asarray(u, float),
@@ -295,13 +303,6 @@ def monotonicity_margin(op, x, u, xi, eta):
     return lhs - rhs
 
 
-def coercivity_margin(op, x, u, xi, c1, c2, theta):
-    x, u, xi = (np.asarray(a, float) for a in (x, u, xi))
-    dot = _dot(op.flux(x, u, xi), xi)
-    norm = np.sqrt(_sq(xi))
-    return dot - c1 * norm ** op.p + c2 * np.abs(u) ** theta + b1_values(op, x)
-
-
 def _a0_norm(op, x):
     """|a(x, 0, 0)|."""
     zeros_xi = np.zeros(x.shape[:-1] + (op.dim,))
@@ -322,18 +323,6 @@ def lemma_lower_ratio(op, x, u, xi):
     denom = (norm ** op.q + np.abs(u) ** op.q
              + a0 ** (op.q / (op.q - 1.0)) + 1.0)
     return -dot / denom
-
-
-def regularized_growth_ratio(rop: OperatorSpec, x, u, xi):
-    """|a_eps| over M-bracket |xi|^(q+eps-1) + |u|^(q+eps-1) + b1(x) of a
-    regularized operator, whose q is q+eps; b1 is the base's, as
-    a_eps(x, 0, 0) = a(x, 0, 0)."""
-    x, u, xi = (np.asarray(a, float) for a in (x, u, xi))
-    mag = np.sqrt(_sq(rop.flux(x, u, xi)))
-    norm = np.sqrt(_sq(xi))
-    denom = (norm ** (rop.q - 1.0) + np.abs(u) ** (rop.q - 1.0)
-             + b1_values(rop, x))
-    return mag / denom
 
 
 def theta_exponent(p: float, q: float, beta: float) -> float:
@@ -387,16 +376,14 @@ def check_growth_u(op: OperatorSpec, cfg: SampleConfig, *,
                            notes=notes)
 
 
-def check_local_conditions(op: OperatorSpec, L: float, cfg: SampleConfig,
-                           declared_ML: float | None = None, *,
+def check_local_conditions(op: OperatorSpec, L: float, cfg: SampleConfig, *,
                            samples: Samples | None = None) -> CheckEntry:
     """Antisymmetry and x-derivative bounds for |u| <= L on the central
     half of the domain on each axis, where the base cloud's x is mapped
     affinely (its u is scaled by L / u_radius) one chunk at a time.
 
-    Fits the smallest M(L) covering both inequalities over the samples;
-    when a declared M(L) is provided the margin is measured against it,
-    otherwise the fitted constant is reported and the entry passes.
+    Fits the smallest M(L) covering both inequalities over the samples and
+    reports it; the entry passes.
     """
     S = draw_samples(op, cfg) if samples is None else samples
     box, sub = op.domain, op.domain.shrink(0.25)
@@ -408,19 +395,11 @@ def check_local_conditions(op: OperatorSpec, L: float, cfg: SampleConfig,
     fit = _chunked_margins(
         lambda s: np.maximum(*local_condition_ratios(op, *local(s))), S)
     idx = int(np.argmax(fit))
-    fitted = float(fit[idx])
-    if declared_ML is None:
-        worst = 0.0
-        notes = "no declared M(L); fitted constant reported"
-    else:
-        # margin in the bound's units: min over samples of (declared - ratio)
-        # times the weight is equivalent in sign to declared - max ratio.
-        worst = float(declared_ML - fitted)
-        notes = "margin against declared M(L)"
     return nonstrict_entry(
-        "local-conditions", worst, TOLERANCE,
+        "local-conditions", 0.0, TOLERANCE,
         _witness(Samples(*local(S[idx:idx + 1])), 0),
-        fitted={"M_L": fitted, "L": float(L)}, notes=notes)
+        fitted={"M_L": float(fit[idx]), "L": float(L)},
+        notes="no declared M(L); fitted constant reported")
 
 
 def check_monotonicity(op: OperatorSpec, cfg: SampleConfig, *,
@@ -488,9 +467,7 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig, *,
     """
     theta = theta_exponent(op.p, op.q, op.beta)
     S = draw_samples(op, cfg) if samples is None else samples
-    B = draw_samples(op, replace(cfg, count=max(cfg.count // 4, 16),
-                                 xi_radius=cfg.large_xi_radius),
-                     stream=LARGE_XI, structured=False, directions=False)
+    B = draw_samples(op, cfg, stream=LARGE_XI)
     terms = _coercivity_terms(op, (S, B))
 
     feasible_m, c2_m = _coercivity_feasible(terms, op.m, theta, TOLERANCE)
@@ -513,7 +490,7 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig, *,
                 hi = mid
         c1, c2 = lo, c2_lo
 
-    # coercivity_margin's operation order, on the stored terms
+    # margin = (a,xi) - c1 |xi|^p + c2 |u|^theta + b1, on the stored terms
     dot, xi_p, b1, abs_u = terms
     margins = np.empty(len(dot))
     for rows in _chunks(len(dot)):
@@ -526,58 +503,42 @@ def check_coercivity_lower(op: OperatorSpec, cfg: SampleConfig, *,
         fitted={"c1": float(c1), "c2": float(c2), "theta": float(theta)})
 
 
-def _stable_fit(ratio_fn, op, cfg, condition_id, constant_name,
-                samples=None):
-    """Fit c = max ratio; pass iff the fit is finite and stable under
-    doubling the sample count (within factor 2).
+def check_lemma_lower_bound(op: OperatorSpec, cfg: SampleConfig, *,
+                            samples: Samples | list | None = None
+                            ) -> CheckEntry:
+    """(a,xi) >= -c (|xi|^q + |u|^q + |a(x,0,0)|^(q/(q-1)) + 1) for a
+    finite c, stable under doubling the sample count (within factor 2).
 
     2n samples are the base cloud plus a fresh half, a plan of its own, so
     c_doubled = max(c, the fit on the fresh half).  The entry margin is
     min(0, 2*c - c_doubled): a NaN or infinite fit fails.  ``samples`` is
-    the base cloud, or a list holding it, which the fit empties: a cloud
+    the base cloud, or a list holding it, which the check empties: a cloud
     held nowhere else is then freed before the fresh half is drawn.
     """
+    if not 0.0 <= op.beta <= op.p - 1.0:
+        raise InvalidExponents("lemma lower bound needs 0 <= beta <= p-1")
+    def ratio(s):
+        return lemma_lower_ratio(op, s.x, s.u, s.xi)
+
     if isinstance(samples, list):
         samples = samples.pop()
     S = draw_samples(op, cfg) if samples is None else samples
     del samples
-    ratios = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi), S)
+    ratios = _chunked_margins(ratio, S)
     idx = int(np.argmax(ratios))
     # np.maximum keeps a NaN, and + 0.0 turns a fit of -0.0 into 0.0
     c = float(np.maximum(ratios[idx], 0.0)) + 0.0
     witness = _witness(S, idx)
     del S, ratios
 
-    S2 = draw_samples(op, cfg, stream=FRESH_HALF, structured=False,
-                      directions=False)
-    ratios2 = _chunked_margins(lambda s: ratio_fn(op, s.x, s.u, s.xi), S2)
-    c2 = float(np.maximum(np.max(ratios2), c)) + 0.0
+    S2 = draw_samples(op, cfg, stream=FRESH_HALF)
+    c2 = float(np.maximum(np.max(_chunked_margins(ratio, S2)), c)) + 0.0
 
     worst = 0.0 if c2 <= TOLERANCE else min(2.0 * c - c2, 0.0)
     return nonstrict_entry(
-        condition_id, worst, TOLERANCE, witness,
-        fitted={constant_name: c, constant_name + "_doubled": c2},
+        "lemma-lower-bound", worst, TOLERANCE, witness,
+        fitted={"c": c, "c_doubled": c2},
         notes="margin includes 2x-stability under sample doubling")
-
-
-def check_lemma_lower_bound(op: OperatorSpec, cfg: SampleConfig, *,
-                            samples: Samples | list | None = None
-                            ) -> CheckEntry:
-    """(a,xi) >= -c (|xi|^q + |u|^q + |a(x,0,0)|^(q/(q-1)) + 1) for a
-    finite, sample-stable c.  ``samples`` may be a list holding the base
-    cloud: the check takes the cloud out of it (see _stable_fit)."""
-    if not 0.0 <= op.beta <= op.p - 1.0:
-        raise InvalidExponents("lemma lower bound needs 0 <= beta <= p-1")
-    return _stable_fit(lemma_lower_ratio, op, cfg, "lemma-lower-bound", "c",
-                       samples)
-
-
-def check_regularized_growth(rop: OperatorSpec,
-                             cfg: SampleConfig) -> CheckEntry:
-    """|a_eps| <= M (|xi|^(q+eps-1) + |u|^(q+eps-1) + b1(x)) for a finite,
-    sample-stable M."""
-    return _stable_fit(regularized_growth_ratio, rop, cfg,
-                       "regularized-growth", "M")
 
 
 def check_derivative_consistency(op: OperatorSpec,
@@ -591,8 +552,7 @@ def check_derivative_consistency(op: OperatorSpec,
     """
     from .operators import fd_dflux_du, fd_dflux_dx, fd_dflux_dxi
 
-    S = draw_samples(op, cfg, stream=DERIVATIVES, structured=False,
-                     xi_low_frac=0.05, directions=False)
+    S = draw_samples(op, cfg, stream=DERIVATIVES)
 
     def rel_err(a, f):
         k = a.ndim - 1
@@ -651,38 +611,3 @@ def run_structure_checks(op: OperatorSpec, cfg: SampleConfig,
         rep.add(entry)
     return rep
 
-
-def reevaluate_witness(op: OperatorSpec, entry: CheckEntry) -> float:
-    """Recompute the margin at an entry's witness point.
-
-    Valid for the pointwise checks (ellipticity, growth, monotonicity,
-    coercivity with its fitted constants); fitted-ratio entries re-evaluate
-    the ratio's slack against the fitted constant.
-    """
-    w = entry.witness
-    x = np.asarray(w["x"])
-    u = float(w["u"])
-    xi = np.asarray(w["xi"])
-    cid = entry.condition_id
-    if cid == "ellipticity":
-        return float(ellipticity_margin(op, x, u, xi, np.asarray(w["lambda"])))
-    if cid == "growth-xi":
-        return float(growth_xi_margin(op, x, u, xi))
-    if cid == "growth-u":
-        return float(growth_u_margin(op, x, u, xi))
-    if cid == "monotonicity":
-        return float(monotonicity_margin(op, x, u, xi, np.asarray(w["eta"])))
-    if cid == "coercivity-lower":
-        f = entry.fitted_constants
-        return float(coercivity_margin(op, x, u, xi, f["c1"], f["c2"],
-                                       f["theta"]))
-    if cid == "local-conditions":
-        r1, r2 = local_condition_ratios(op, x, u, xi)
-        return float(entry.fitted_constants["M_L"] - max(float(r1), float(r2)))
-    if cid == "lemma-lower-bound":
-        c = entry.fitted_constants["c"]
-        return float(c - lemma_lower_ratio(op, x, u, xi))
-    if cid == "regularized-growth":
-        M = entry.fitted_constants["M"]
-        return float(M - regularized_growth_ratio(op, x, u, xi))
-    raise KeyError(f"no witness kernel for {cid!r}")

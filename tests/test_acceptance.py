@@ -83,14 +83,14 @@ def test_criterion_2_negative_controls():
     import pqelliptic.operators as ops
     bad_q = ops.make_custom(lambda x, u, xi: xi, dim=2, p=2.0,
                             q=np.nextafter(3.0, 0.0), m=1, M=1)
-    qp_rejected = not pq.validate_assumptions(bad_q, n=2).entry("qp-ratio").passed
+    qp_rejected = not pq.validate_assumptions(bad_q).entry("qp-ratio").passed
     # exactly q = 3 also fails the strict bound q/p < 1.5
     exact = 1.0 + 1.0 / 2 - 3.0 / 2.0
     qp_rejected &= exact < 1e-14
 
     bad_beta = ops.make_custom(lambda x, u, xi: xi, dim=2, p=2.0, q=2.0,
                                m=1, M=1, beta=1.0)  # beta = p-1
-    beta_rejected = not pq.validate_assumptions(bad_beta, n=2) \
+    beta_rejected = not pq.validate_assumptions(bad_beta) \
         .entry("beta-upper").passed
 
     _report("2 negative controls",

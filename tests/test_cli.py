@@ -354,6 +354,23 @@ def _edit_trace(change):
     return tamper
 
 
+def _dp_weight(command, coeffs):
+    """``command`` on the double-phase descriptor whose affine weight has the
+    coeffs ``coeffs``, JSON text in which 1e400 reads as inf."""
+    def argv(opfile, tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps(DP_DESCRIPTOR).replace(
+            "[1.0, 0.0]", f"[{coeffs}]"))
+        if command == "check":
+            return ["check", "--operator", str(path)]
+        return _continuation(lambda desc: str(path))
+    return argv
+
+
+#: a box whose corners are finite but whose width 2e308 overflows
+WIDE_BOX = {"min": [-1e308, 0], "max": [1e308, 1]}
+
+
 def _report_with_estimates(make_estimates):
     def argv(opfile, tmp_path):
         trace = tmp_path / "trace.json"
@@ -500,6 +517,21 @@ MALFORMED = {
         _continuation(opfile) + ["--mesh", "2d:3x3"],
     "estimates-balls-without-elements": _estimates(
         2, "--rho", "0.01", "--R", "0.02"),
+    "check-domain-width-overflows": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({**PLAP3, "domain": WIDE_BOX})],
+    "continuation-domain-width-overflows": lambda opfile, tmp_path:
+        _continuation(opfile, op={**DP_DESCRIPTOR, "domain": WIDE_BOX}),
+    "check-weight-coeff-1e400": _dp_weight("check", "1e400, 0"),
+    "continuation-weight-coeff-1e400": _dp_weight("continuation", "1e400, 0"),
+    "check-weight-overflows": _dp_weight("check", "1e308, 1e308"),
+    "continuation-weight-overflows": _dp_weight("continuation",
+                                                "1e308, 1e308"),
+    "check-pfun-overflows": lambda opfile, tmp_path: [
+        "check", "--operator", opfile({
+            "family": "variable-exponent",
+            "params": {"pfun": {"type": "affine", "offset": 2.0,
+                                "coeffs": [1e308, 1e308]},
+                       "pmin": 2.0, "pmax": 2.2}})],
     "descriptor-domain-nan": lambda opfile, tmp_path: [
         "check", "--operator",
         opfile({**PLAP3, "domain": {"min": [0, 0], "max": [1, "nan"]}})],

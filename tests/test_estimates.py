@@ -3,7 +3,7 @@ import pytest
 
 import pqelliptic as pq
 from pqelliptic import (DiscreteField, InvalidExponents, build_mesh,
-                        compute_alpha, compute_pstar, interpolate,
+                        compute_alpha, compute_pstar,
                         make_family, unit_box)
 from pqelliptic.operators import _sq
 from pqelliptic.verify import theta_exponent
@@ -142,7 +142,7 @@ def test_interior_gradient_constant_linear_field_closed_form():
     # with |B_R| realized as the union of elements with centroid inside
     m = build_mesh(2, unit_box(2), 33)
     g = 2.0
-    U = interpolate(m, lambda x: g * x[..., 0])
+    U = DiscreteField(m, g * m.nodes[..., 0])
     p, q, n, rho, R = 2.0, 2.2, 2, 0.25, 0.4
     c, _ = pq.interior_constants(U, p, q, rho, R)
     center = m.box.center
@@ -165,7 +165,7 @@ def test_interior_balls_must_lie_in_the_box():
     # B_rho in B_R in Omega, centred in the box: 0 < rho < R < half the
     # smallest width (0.5 here); inf and 1e308 used to reach the power
     m = build_mesh(2, pq.Box((0.0, 0.0), (2.0, 1.0)), 9)
-    U = interpolate(m, lambda x: x[..., 0] * x[..., 1])
+    U = DiscreteField(m, m.nodes[..., 0] * m.nodes[..., 1])
     assert np.all(np.isfinite(pq.interior_constants(U, 2.0, 2.2, 0.2, 0.45)))
     for rho, R in ((0.25, 0.5), (0.25, 0.55), (0.25, np.inf), (0.25, 1e308),
                    (0.25, np.nan), (0.3, 0.3), (0.0, 0.4), (-0.1, 0.4)):
@@ -175,7 +175,7 @@ def test_interior_balls_must_lie_in_the_box():
 
 def test_second_derivative_constant_linear_is_zero():
     m = build_mesh(2, unit_box(2), 9)
-    U = interpolate(m, lambda x: 3.0 * x[..., 0] - x[..., 1])
+    U = DiscreteField(m, 3.0 * m.nodes[..., 0] - m.nodes[..., 1])
     assert pq.interior_constants(U, 2.0, 2.0, 0.25, 0.4)[1] == \
         pytest.approx(0.0, abs=1e-20)
 
@@ -185,7 +185,7 @@ def test_second_derivative_constant_x2_hand_oracle():
     # denominator by explicit loops
     n = 9
     m = build_mesh(2, unit_box(2), n)
-    U = interpolate(m, lambda x: x[..., 0] ** 2)
+    U = DiscreteField(m, m.nodes[..., 0] ** 2)
     rho, R = 0.25, 0.4
     _, c = pq.interior_constants(U, 2.0, 2.0, rho, R)
 

@@ -7,7 +7,7 @@ import pytest
 import pqelliptic as pq
 from pqelliptic import (DiscreteField, MeshError, QuadratureFailure,
                         assemble_jacobian, assemble_residual, build_mesh,
-                        interpolate, make_family, unit_box, zero_field)
+                        make_family, unit_box, zero_field)
 from pqelliptic import fem
 from pqelliptic.solvers import _LinearSolves
 from conftest import constant_rhs, u_dependent_test_op
@@ -310,7 +310,7 @@ def test_jacobian_peak_memory_stays_chunk_sized(double_phase_op):
     # a whole-mesh (E, 9) block alone would be ~2.6x the CSR data
     op = pq.regularize(double_phase_op, 0.05, 0.2)
     m = build_mesh(2, unit_box(2), 129)
-    U = interpolate(m, lambda x: np.prod(np.sin(np.pi * x), axis=-1))
+    U = DiscreteField(m, np.prod(np.sin(np.pi * m.nodes), axis=-1))
     assemble_jacobian(m, op, U)  # the pattern is built once per mesh
     tracemalloc.start()
     try:
@@ -517,7 +517,7 @@ def test_solver_rejects_nonzero_boundary():
 
 def test_lp_gradient_norm_of_linear_interpolant():
     m = build_mesh(1, unit_box(1), 17)
-    U = interpolate(m, lambda x: x[..., 0])
+    U = DiscreteField(m, m.nodes[..., 0])
     for p in (2.0, 3.0, 4.5):
         assert pq.lp_gradient_norm(U, p) == pytest.approx(1.0)
 
@@ -533,7 +533,7 @@ def test_lp_gradient_norm_homogeneous_and_monotone_in_domain():
 
 def test_h2_seminorm_linear_field_is_zero():
     m = build_mesh(2, unit_box(2), 9)
-    U = interpolate(m, lambda x: 1.0 + 2 * x[..., 0] - x[..., 1])
+    U = DiscreteField(m, 1.0 + 2 * m.nodes[..., 0] - m.nodes[..., 1])
     assert pq.h2_seminorm_interior(U, 0.2) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -541,7 +541,7 @@ def test_h2_seminorm_quadratic_exact_quotients():
     # interpolant of x^2: pure quotient exactly 2 at interior nodes
     n = 9
     m = build_mesh(1, unit_box(1), n)
-    U = interpolate(m, lambda x: x[..., 0] ** 2)
+    U = DiscreteField(m, m.nodes[..., 0] ** 2)
     h = 1.0 / (n - 1)
     sem = pq.h2_seminorm(U)
     # (n-2) interior nodes each contribute h * 2^2
@@ -550,7 +550,7 @@ def test_h2_seminorm_quadratic_exact_quotients():
 
 def test_interior_norms_and_delta_errors():
     m = build_mesh(2, unit_box(2), 9)
-    U = interpolate(m, lambda x: x[..., 0])
+    U = DiscreteField(m, m.nodes[..., 0])
     assert pq.linf_gradient_interior(U, 0.2) == pytest.approx(1.0)
     with pytest.raises(MeshError):
         pq.linf_gradient_interior(U, 0.49999)
@@ -560,11 +560,12 @@ def test_interior_norms_and_delta_errors():
 
 def test_mesh_serialization_roundtrip():
     m = build_mesh(2, pq.Box((0.0, 1.0), (2.0, 4.0)), (5, 7))
-    d = m.to_dict(include_arrays=True)
+    d = m.to_dict()
     m2 = pq.Mesh.from_dict(d)
     assert np.array_equal(m.nodes, m2.nodes)
     assert np.array_equal(m.elements, m2.elements)
-    assert d["nodes"] == m.nodes.tolist()
+    assert d == {"dim": 2, "box": {"min": [0.0, 1.0], "max": [2.0, 4.0]},
+                 "nodes_per_axis": [5, 7]}
 
 
 def test_h2_seminorm_mixed_quotient_oracle():
@@ -572,7 +573,7 @@ def test_h2_seminorm_mixed_quotient_oracle():
     nx, ny = 9, 5
     m = build_mesh(2, pq.Box((0.0, -1.0), (2.0, 0.5)), (nx, ny))
     hx, hy = m.h
-    U = interpolate(m, lambda x: x[..., 0] * x[..., 1])
+    U = DiscreteField(m, m.nodes[..., 0] * m.nodes[..., 1])
     assert pq.h2_seminorm(U) == pytest.approx(
         np.sqrt(2.0 * hx * hy * (nx - 2) * (ny - 2)), rel=1e-12)
 

@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 import pqelliptic as pq
-from pqelliptic import (InconsistentExactData, build_mesh, builtin_case,
-                        convergence_study, make_family, make_manufactured,
-                        unit_box)
+from pqelliptic import (DiscreteField, InconsistentExactData, MeshError,
+                        build_mesh, builtin_case, convergence_study,
+                        make_family, make_manufactured, unit_box)
 from pqelliptic.mms import _refined_errors
 from conftest import assert_rhs_tiles_quad_points
+
+
+def _zero_boundary(mesh, f):
+    """The nodal values of f, zero on the boundary."""
+    return DiscreteField(mesh, np.where(mesh.boundary_mask, 0.0,
+                                        f(mesh.nodes)))
 
 
 def test_quad1d_rhs_is_minus_two():
@@ -108,7 +114,7 @@ def test_interpolant_residual_consistency():
     norms = []
     for n in (9, 17, 33, 65):
         mesh = build_mesh(2, unit_box(2), n)
-        U = pq.interpolate(mesh, case.u_exact, zero_boundary=True)
+        U = _zero_boundary(mesh, case.u_exact)
         R = pq.assemble_residual(mesh, op, case.b_field, U)
         norms.append(np.abs(R).max())
     orders = [np.log2(a / b) for a, b in zip(norms, norms[1:])]
@@ -145,7 +151,7 @@ def test_refined_errors_vanish_for_linear_exact_solution(dim):
     case = pq.ManufacturedCase(name="linear", u_exact=u, du_exact=du,
                                b_field=None, provenance="analytic")
     mesh = build_mesh(dim, unit_box(dim), 9)
-    l2, w12 = _refined_errors(mesh, pq.interpolate(mesh, u), case)
+    l2, w12 = _refined_errors(mesh, DiscreteField(mesh, u(mesh.nodes)), case)
     assert l2 < 1e-13 and w12 < 1e-13
 
 
@@ -155,8 +161,7 @@ def test_refined_errors_match_the_rule_with_coincident_points(name, dim):
     op = make_family("p-laplacian", {"p": 3, "domain": unit_box(dim)})
     case = builtin_case(name, op)
     mesh = build_mesh(dim, unit_box(dim), 9)
-    U = pq.interpolate(mesh, lambda x: 1.1 * case.u_exact(x),
-                       zero_boundary=True)
+    U = _zero_boundary(mesh, lambda x: 1.1 * case.u_exact(x))
     split = pq.fem.SIMPLICES[dim]
     bary = np.einsum("qk,ckv->cqv", split.quad_bary,
                      split.children).reshape(-1, dim + 1)
@@ -209,8 +214,7 @@ def test_chunked_refined_errors_equal_one_pass_bitwise(monkeypatch, name,
     op = make_family("p-laplacian", {"p": 3, "domain": unit_box(dim)})
     case = builtin_case(name, op)
     mesh = build_mesh(dim, unit_box(dim), 29 if dim == 1 else 17)
-    U = pq.interpolate(mesh, lambda x: 1.1 * case.u_exact(x) + 0.01,
-                       zero_boundary=True)
+    U = _zero_boundary(mesh, lambda x: 1.1 * case.u_exact(x) + 0.01)
     monkeypatch.setattr(pq.fem, "JACOBIAN_CHUNK",
                         7 * len(_refined_rule(dim)[0]))
     assert _refined_errors(mesh, U, case) == _whole_mesh_refined_errors(
@@ -237,7 +241,7 @@ def test_refined_errors_peak_memory_stays_chunk_sized(sine2d_129):
     # a whole-mesh pass held the (9, E, 2) refined points and the vertex
     # values: 49 (E,) float arrays at the peak
     mesh, case = sine2d_129
-    U = pq.interpolate(mesh, case.u_exact)
+    U = DiscreteField(mesh, case.u_exact(mesh.nodes))
     _, peak = _traced_peak(lambda: _refined_errors(mesh, U, case))
     assert peak <= 16 * 8 * mesh.n_elements, peak / (8 * mesh.n_elements)
 
@@ -430,3 +434,13 @@ def test_study_logs_one_line_per_grid(caplog):
     assert "linear solves: 0 multigrid-CG (levels 9)" in lines[0]
     assert "multigrid-CG (levels 33→9)" in lines[2]
     assert all(line.endswith(" direct LU") for line in lines)
+
+
+def test_grid_sizes_are_checked_before_the_first_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("newton_solve called")
+
+    monkeypatch.setattr(pq.mms, "newton_solve", no_solve)
+    op = make_family("p-laplacian", {"p": 3})
+    with pytest.raises(MeshError):
+        convergence_study(op, "sine2d", (5, 9, 10_000_000))

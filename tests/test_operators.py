@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import pqelliptic as pq
-from pqelliptic import (DimensionMismatch, InvalidExponents,
-                        NonnegativityViolation, eval_dflux_dxi, eval_flux,
-                        make_custom, make_family, regularize)
+from pqelliptic import (InvalidExponents, NonnegativityViolation, make_custom,
+                        make_family, regularize)
 from conftest import (DP_DESCRIPTOR, dp_weight, u_dependent_test_op,
                       varexp_dp, varexp_p)
 
@@ -16,17 +15,17 @@ X = np.array([0.5, 0.5])
 
 def test_p_laplacian_identity_at_p2():
     op = make_family("p-laplacian", {"p": 2})
-    assert np.allclose(eval_flux(op, X, 0.0, [1.0, 0.0]), [1.0, 0.0])
-    J = eval_dflux_dxi(op, X, 0.3, np.array([0.7, -0.2]))
+    assert np.allclose(op.flux(X, 0.0, np.array([1.0, 0.0])), [1.0, 0.0])
+    J = op.dflux_dxi(X, 0.3, np.array([0.7, -0.2]))
     assert np.allclose(J, np.eye(2))
 
 
 def test_p_laplacian_p4_value():
     op = make_family("p-laplacian", {"p": 4})
     # (1 + 1)^((4-2)/2) = 2
-    assert np.allclose(eval_flux(op, X, 0.0, [1.0, 0.0]), [2.0, 0.0])
+    assert np.allclose(op.flux(X, 0.0, np.array([1.0, 0.0])), [2.0, 0.0])
     # Jacobian at xi = 0 is the identity: (1+0)^1 I + 0
-    assert np.allclose(eval_dflux_dxi(op, X, 0.0, [0.0, 0.0]), np.eye(2))
+    assert np.allclose(op.dflux_dxi(X, 0.0, np.array([0.0, 0.0])), np.eye(2))
 
 
 def test_double_phase_reduces_to_p_laplacian_where_weight_vanishes():
@@ -34,20 +33,14 @@ def test_double_phase_reduces_to_p_laplacian_where_weight_vanishes():
     op = make_family("double-phase",
                      {"p": 2, "q": 2.9, "weight": dp_weight})
     x0 = np.array([0.0, 0.7])  # weight x1 = 0 here
-    assert np.allclose(eval_flux(op, x0, 0.0, [1.0, 0.0]), [1.0, 0.0])
+    assert np.allclose(op.flux(x0, 0.0, np.array([1.0, 0.0])), [1.0, 0.0])
 
 
 def test_log_degenerate_vanishes_at_origin():
     op = make_family("log-degenerate", {"p": 3, "q": 3.3})
     zero = np.zeros(2)
-    assert np.allclose(eval_flux(op, X, 0.0, zero), zero)
-    assert np.allclose(eval_dflux_dxi(op, X, 0.0, zero), np.zeros((2, 2)))
-
-
-def test_dimension_mismatch():
-    op = make_family("p-laplacian", {"p": 2})
-    with pytest.raises(DimensionMismatch):
-        eval_flux(op, X, 0.0, [1.0, 0.0, 0.0])
+    assert np.allclose(op.flux(X, 0.0, zero), zero)
+    assert np.allclose(op.dflux_dxi(X, 0.0, zero), np.zeros((2, 2)))
 
 
 def test_family_identities_on_samples():
@@ -106,7 +99,7 @@ def test_regularize_value_oracle():
     op = make_family("p-laplacian", {"p": 2})
     rop = regularize(op, 0.25, 0.25)
     expected = 1.0 + 0.25 * 2.0 ** 0.125
-    got = eval_flux(rop, X, 0.0, [1.0, 0.0])
+    got = rop.flux(X, 0.0, np.array([1.0, 0.0]))
     assert abs(got[0] - expected) < 1e-15 and got[1] == 0.0
     # eps-term dot: 0.25 * 2^0.125 >= 0.25 = eps |xi|^(q+eps)
     assert got[0] - 1.0 >= 0.25
@@ -191,68 +184,67 @@ def test_builtin_jacobians_match_fd_oracle(tag, params):
         x = rng.random(2)
         u = float(rng.standard_normal())
         xi = rng.standard_normal(2) * rng.uniform(0.5, 8.0)
-        J = eval_dflux_dxi(op, x, u, xi)
+        J = op.dflux_dxi(x, u, xi)
         Jfd = _oracle_fd_jacobian(op, x, u, xi)
         scale = max(1.0, np.abs(J).max())
         assert np.abs(J - Jfd).max() / scale < 1e-6
 
 
-def test_custom_fd_fallback_and_disable():
+def test_custom_fd_fallback():
     def flux(x, u, xi):
         t = np.sum(xi * xi, axis=-1)
         return ((1.0 + t) ** 0.5)[..., None] * xi
 
     op = make_custom(flux, dim=2, p=3, q=3, m=1, M=2)
     xi = np.array([0.4, -0.3])
-    J = eval_dflux_dxi(op, X, 0.0, xi)
+    J = op.dflux_dxi(X, 0.0, xi)
     Jo = _oracle_fd_jacobian(op, X, 0.0, xi)
     assert np.abs(J - Jo).max() < 1e-7
-
-    op2 = make_custom(flux, dim=2, p=3, q=3, m=1, M=2, fd_fallback=False)
-    with pytest.raises(pq.DerivativeUnavailable):
-        eval_dflux_dxi(op2, X, 0.0, xi)
-
-
-def test_pointwise_custom_operator_is_batchified():
-    def flux(x, u, xi):  # single-point signature
-        return (1.0 + u * u) * xi
-
-    op = make_custom(flux, dim=2, p=2, q=2, m=1, M=1, vectorized=False)
-    xs = np.zeros((4, 2))
-    us = np.array([0.0, 1.0, 2.0, 3.0])
-    xis = np.tile([1.0, 0.0], (4, 1))
-    out = op.flux(xs, us, xis)
-    assert np.allclose(out[:, 0], 1.0 + us ** 2)
 
 
 # ---------------------------------------------------------------------------
 # exponent report
 
+@pytest.mark.parametrize("weight", [
+    {"type": "constant", "value": float("inf")},
+    {"type": "affine", "offset": float("nan"), "coeffs": [1.0, 0.0]},
+])
+def test_descriptor_function_numbers_must_be_finite(weight):
+    with pytest.raises(pq.ConfigError, match="finite"):
+        pq.operator_from_descriptor({**DP_DESCRIPTOR,
+                                     "params": {"weight": weight}})
+
+
 def test_validate_assumptions_pass_and_fail():
     op = make_family("log", {"p": 2, "q": 2.2})
-    rep = pq.validate_assumptions(op, n=2)
+    rep = pq.validate_assumptions(op)
     assert rep.passed
     assert rep.entry("qp-ratio").worst_margin == pytest.approx(1.5 - 1.1)
+    # n is the operator's dimension
+    rep = pq.validate_assumptions(make_family("log", {"p": 2, "q": 2.2,
+                                                      "dim": 1}))
+    assert rep.meta["n"] == 1
+    assert rep.entry("qp-ratio").worst_margin == pytest.approx(2.0 - 1.1)
 
     # q/p bound is strict: (n=2, p=2, q=3) sits exactly on it and fails
     bad = make_custom(lambda x, u, xi: xi, dim=2, p=2, q=3 - 1e-15, m=1, M=1)
-    rep = pq.validate_assumptions(bad, n=2)
+    rep = pq.validate_assumptions(bad)
     assert not rep.entry("qp-ratio").passed
 
     # beta = p-1 saturates the strict upper bound
     op_b = make_custom(lambda x, u, xi: xi, dim=2, p=2, q=2, m=1, M=1,
                        beta=1.0)
-    rep = pq.validate_assumptions(op_b, n=2)
+    rep = pq.validate_assumptions(op_b)
     assert not rep.entry("beta-upper").passed
     assert rep.entry("beta-lower").passed
 
 
 def test_validate_assumptions_gamma_s0():
     op = make_family("p-laplacian", {"p": 2})
-    rep = pq.validate_assumptions(op, n=2, gamma=2.5, s0=3.0)
+    rep = pq.validate_assumptions(op, gamma=2.5, s0=3.0)
     assert rep.entry("gamma-exponent").passed   # 2.5 > 2/(2-1) = 2
     assert rep.entry("s0-exponent").passed      # 3 > 2
-    rep2 = pq.validate_assumptions(op, n=2, gamma=2.0, s0=2.0)
+    rep2 = pq.validate_assumptions(op, gamma=2.0, s0=2.0)
     assert not rep2.entry("gamma-exponent").passed
     assert not rep2.entry("s0-exponent").passed
 

@@ -263,7 +263,7 @@ def test_multigrid_solves_leave_no_reference_cycles(double_phase_op):
 
 
 def _jacobian_at(op, m, f):
-    U = pq.interpolate(m, f, zero_boundary=True)
+    U = pq.DiscreteField(m, np.where(m.boundary_mask, 0.0, f(m.nodes)))
     return pq.assemble_jacobian(m, op, U)
 
 
