@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -196,51 +197,52 @@ def _max_abs(a, axes=1):
 # ---------------------------------------------------------------------------
 # finite-difference fallbacks
 
+def _quotients(diff, h2, out=None):
+    """diff / h2[..., None], one column at a time."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(diff.shape, np.shape(h2) + (1,)))
+    for i in range(diff.shape[-1]):
+        np.divide(diff[..., i], h2, out=out[..., i])
+    return out
+
+
+def _steps(a, j, h):
+    """(a + h e_j, a - h e_j); a + 0.0 turns -0.0 to +0.0 as a 0 step did."""
+    plus, minus = a + 0.0, a.copy()
+    plus[..., j] += h
+    minus[..., j] -= h
+    return plus, minus
+
+
 def fd_dflux_dxi(flux, x, u, xi):
     """Centered difference of flux in xi; step FD_SCALE*max(1, |xi|) per
     sample."""
     x = np.asarray(x, float)
     u = np.asarray(u, float)
     xi = np.asarray(xi, float)
-    dim = xi.shape[-1]
     h = FD_SCALE * np.maximum(1.0, np.sqrt(_sq(xi)))
-    cols = []
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        step = h[..., None] * e
-        cols.append((flux(x, u, xi + step) - flux(x, u, xi - step))
-                    / (2.0 * h[..., None]))
-    return np.stack(cols, axis=-1)  # [..., i, j] = d a^i / d xi_j
+    out = None
+    for j in range(xi.shape[-1]):
+        plus, minus = _steps(xi, j, h)
+        diff = flux(x, u, plus) - flux(x, u, minus)
+        if out is None:  # [..., i, j] = d a^i / d xi_j
+            out = np.empty(np.broadcast_shapes(diff.shape[:-1], h.shape)
+                           + diff.shape[-1:] + xi.shape[-1:])
+        _quotients(diff, 2.0 * h, out[..., j])
+    return out
 
 
 def fd_dflux_du(flux, x, u, xi):
     u = np.asarray(u, float)
     h = FD_SCALE * np.maximum(1.0, np.abs(u))
-    return (flux(x, u + h, xi) - flux(x, u - h, xi)) / (2.0 * h[..., None])
+    return _quotients(flux(x, u + h, xi) - flux(x, u - h, xi), 2.0 * h)
 
 
 def fd_dflux_dx(flux, x, u, xi, s: int):
     x = np.asarray(x, float)
-    dim = x.shape[-1]
-    e = np.zeros(dim)
-    e[s] = 1.0
     h = FD_SCALE * np.maximum(1.0, np.abs(x[..., s]))
-    step = h[..., None] * e
-    return (flux(x + step, u, xi) - flux(x - step, u, xi)) / (2.0 * h[..., None])
-
-
-def _fd_closures(flux):
-    def dxi(x, u, xi):
-        return fd_dflux_dxi(flux, x, u, xi)
-
-    def du(x, u, xi):
-        return fd_dflux_du(flux, x, u, xi)
-
-    def dx(x, u, xi, s):
-        return fd_dflux_dx(flux, x, u, xi, s)
-
-    return dxi, du, dx
+    plus, minus = _steps(x, s, h)
+    return _quotients(flux(plus, u, xi) - flux(minus, u, xi), 2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +278,7 @@ def _isotropic(p, q, m, M, tag, domain, w, wt, wx=None):
         def dflux_dx(x, u, xi, s):
             return wx(x, u, _sq(xi), s)[..., None] * xi
     else:
-        def dflux_dx(x, u, xi, s):
-            return fd_dflux_dx(flux, x, u, xi, s)
+        dflux_dx = partial(fd_dflux_dx, flux)
 
     return OperatorSpec(p, q, m, M, 0.0, 0.0, flux, dflux_dxi, _zero_dflux_du,
                         dflux_dx, tag, domain, radial=(w, wt))
@@ -549,11 +550,12 @@ def make_custom(flux, *, dim, p, q, m, M, growth_alpha=0.0, beta=0.0,
     if domain.dim != dim:
         raise ConfigError(f"dim {dim!r} disagrees with the domain, which has "
                           f"dim {domain.dim}")
-    fd_xi, fd_u, fd_x = _fd_closures(flux)
     return OperatorSpec(float(p), float(q), float(m), float(M),
                         float(growth_alpha), float(beta), flux,
-                        dflux_dxi or fd_xi, dflux_du or fd_u,
-                        dflux_dx or fd_x, family_tag, domain)
+                        dflux_dxi or partial(fd_dflux_dxi, flux),
+                        dflux_du or partial(fd_dflux_du, flux),
+                        dflux_dx or partial(fd_dflux_dx, flux), family_tag,
+                        domain)
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +744,15 @@ def operator_from_descriptor(desc: dict) -> OperatorSpec:
     if extra:
         raise ConfigError(f"unknown {family} params keys: {sorted(extra)}")
 
-    for key in ("p", "q", "m", "M"):
+    for key in ("p", "q", "m", "M", "weight_max"):
         if key in desc:
             params[key] = desc[key]
-        if not isinstance(params.get(key, 0.0), (int, float)):
-            raise ConfigError(f"descriptor {key!r} must be a number")
+        v = params.get(key, 1.0)  # bool is an int; an int may overflow
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or not abs(v) <= float(np.finfo(float).max) \
+                or key in ("m", "M") and not v > 0:
+            raise ConfigError(f"descriptor {key!r} must be a finite number"
+                              + (" > 0" if key in ("m", "M") else ""))
     if "domain" in desc:
         params["domain"] = desc["domain"]
 

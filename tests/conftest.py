@@ -148,3 +148,39 @@ def u_dependent_test_op(p=2.0, beta=0.5, kappa=0.5, dim=2):
                           M=max(p - 1.0, beta * kappa, 1.0), beta=beta,
                           dflux_dxi=dflux_dxi, dflux_du=dflux_du,
                           dflux_dx=dflux_dx)
+
+
+# The finite differences as broadcasts and np.stack, the form that
+# operators.fd_dflux_* once had: those compute column by column and must
+# keep these bits.
+
+def ref_fd_dflux_dxi(flux, x, u, xi):
+    x = np.asarray(x, float)
+    u = np.asarray(u, float)
+    xi = np.asarray(xi, float)
+    dim = xi.shape[-1]
+    h = pq.operators.FD_SCALE * np.maximum(1.0, np.sqrt(np.sum(xi * xi, -1)))
+    cols = []
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = 1.0
+        step = h[..., None] * e
+        cols.append((flux(x, u, xi + step) - flux(x, u, xi - step))
+                    / (2.0 * h[..., None]))
+    return np.stack(cols, axis=-1)
+
+
+def ref_fd_dflux_du(flux, x, u, xi):
+    u = np.asarray(u, float)
+    h = pq.operators.FD_SCALE * np.maximum(1.0, np.abs(u))
+    return (flux(x, u + h, xi) - flux(x, u - h, xi)) / (2.0 * h[..., None])
+
+
+def ref_fd_dflux_dx(flux, x, u, xi, s):
+    x = np.asarray(x, float)
+    dim = x.shape[-1]
+    e = np.zeros(dim)
+    e[s] = 1.0
+    h = pq.operators.FD_SCALE * np.maximum(1.0, np.abs(x[..., s]))
+    step = h[..., None] * e
+    return (flux(x + step, u, xi) - flux(x - step, u, xi)) / (2.0 * h[..., None])

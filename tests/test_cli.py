@@ -371,6 +371,15 @@ def _dp_weight(command, coeffs):
 WIDE_BOX = {"min": [-1e308, 0], "max": [1e308, 1]}
 
 
+def _descriptor_number(command, desc):
+    """``command`` on the descriptor ``desc``."""
+    def argv(opfile, tmp_path):
+        if command == "check":
+            return ["check", "--operator", opfile(desc)]
+        return _continuation(opfile, op=desc)
+    return argv
+
+
 def _report_with_estimates(make_estimates):
     def argv(opfile, tmp_path):
         trace = tmp_path / "trace.json"
@@ -532,6 +541,22 @@ MALFORMED = {
             "params": {"pfun": {"type": "affine", "offset": 2.0,
                                 "coeffs": [1e308, 1e308]},
                        "pmin": 2.0, "pmax": 2.2}})],
+    # declared constants must be finite numbers, and m and M positive;
+    # 1e400 reads as inf, and a bool is not a number
+    **{f"{command}-{name}": _descriptor_number(command, desc)
+       for command in ("check", "continuation")
+       for name, desc in (
+           ("M-inf", {**PLAP3, "M": 1e400}),
+           ("m-inf", {**PLAP3, "m": 1e400}),
+           ("m-negative", {**PLAP3, "m": -1}),
+           ("m-0", {**PLAP3, "m": 0}),
+           ("M-true", {**PLAP3, "M": True}),
+           ("p-int-past-float", {**PLAP3, "p": 10 ** 400}),
+           ("M-int-past-float", {**PLAP3, "M": 10 ** 400}),
+           ("weight-max-inf", {**DP_DESCRIPTOR, "params": {
+               **DP_DESCRIPTOR["params"], "weight_max": 1e400}}),
+           ("weight-max-string", {**DP_DESCRIPTOR, "params": {
+               **DP_DESCRIPTOR["params"], "weight_max": "1"}}))},
     "descriptor-domain-nan": lambda opfile, tmp_path: [
         "check", "--operator",
         opfile({**PLAP3, "domain": {"min": [0, 0], "max": [1, "nan"]}})],

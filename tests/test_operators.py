@@ -340,6 +340,62 @@ def test_max_abs_bitwise_equal_to_numpy(shape, axes):
                           _bits(np.max(np.abs(wide), axis=trailing)))
 
 
+def _fd_fluxes(dim):
+    """Fluxes of dimension ``dim`` for the finite-difference tests: two
+    built-ins, a u-dependent custom flux, and one that reads the sign of a
+    zero, so a step that left -0.0 where adding a zero step gives +0.0
+    would show."""
+    return {
+        "double-phase": make_family("double-phase", {
+            "p": 2, "q": 2.2, "weight": dp_weight, "dim": dim}).flux,
+        "anisotropic": make_family("anisotropic", {
+            "exponents": [2.0, 2.5, 2.2][:dim]}).flux,
+        "u-dependent": u_dependent_test_op(dim=dim).flux,
+        "signed-zero": lambda x, u, xi: (np.copysign(1.0, xi) * x
+                                         + np.copysign(1.0, x) * xi
+                                         + np.copysign(1.0, u)[..., None]),
+    }
+
+
+def _fd_points(dim, shape):
+    """(x, u, xi) of a cloud, or of an fem/mms call: x (n, nq, dim) at the
+    quadrature points, u (n, nq), and xi (n, 1, dim) constant per element."""
+    rng = np.random.default_rng(dim)
+    n, nq = 60, 4
+    if shape == "cloud":
+        x, u, xi = (rng.random((n, dim)), 3.0 * rng.standard_normal(n),
+                    5.0 * rng.standard_normal((n, dim)))
+    else:
+        x, u, xi = (rng.random((n, nq, dim)), rng.standard_normal((n, nq)),
+                    5.0 * rng.standard_normal((n, 1, dim)))
+    xi[0] = 0.0
+    xi[1] = -0.0
+    xi[2, ..., 0] = 3e3
+    x[3] = -0.0
+    u[4] = -0.0
+    u[5] = 0.0
+    return x, u, xi
+
+
+@pytest.mark.parametrize("shape", ["cloud", "fem"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_finite_differences_bitwise_equal_to_broadcast_forms(dim, shape):
+    from conftest import ref_fd_dflux_du, ref_fd_dflux_dx, ref_fd_dflux_dxi
+    from pqelliptic.operators import fd_dflux_du, fd_dflux_dx, fd_dflux_dxi
+
+    x, u, xi = _fd_points(dim, shape)
+    for name, flux in _fd_fluxes(dim).items():
+        pairs = [(fd_dflux_dxi(flux, x, u, xi),
+                  ref_fd_dflux_dxi(flux, x, u, xi)),
+                 (fd_dflux_du(flux, x, u, xi),
+                  ref_fd_dflux_du(flux, x, u, xi))]
+        pairs += [(fd_dflux_dx(flux, x, u, xi, s),
+                   ref_fd_dflux_dx(flux, x, u, xi, s)) for s in range(dim)]
+        for k, (got, want) in enumerate(pairs):
+            assert got.shape == want.shape, (name, k)
+            assert np.array_equal(_bits(got), _bits(want)), (name, k)
+
+
 # ---------------------------------------------------------------------------
 # the radial pair and its regularization
 

@@ -325,8 +325,13 @@ def test_unit_vectors_bitwise_equal_to_linalg_norm(dim):
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
     norms[norms < 1e-12] = 1.0
     got = _unit_vectors(Fixed(), np.empty_like(v))
-    assert np.array_equal(got, v / norms)
+    assert _same_bits(got, v / norms)
     assert np.array_equal(got[7], np.zeros(dim))
+    # the magnitudes scale each column in place, as xi *= mag[:, None] did
+    mag = 10.0 * np.abs(np.random.default_rng(dim + 3).standard_normal(1000))
+    scaled = v / norms
+    scaled *= mag[:, None]
+    assert _same_bits(_unit_vectors(Fixed(), np.empty_like(v), mag), scaled)
 
 
 def test_structure_checks_draw_four_clouds(monkeypatch):
@@ -391,6 +396,10 @@ def test_structure_checks_log_timings_at_info_only(caplog):
     ids = [e.condition_id for e in loud.entries]
     assert [line.split(":")[0] for line in lines[1:]] == ids
     assert all(line.endswith(" s") for line in lines[1:])
+    # dflux_dx is the operator's own finite difference, so it is not
+    # compared with one
+    assert lines[1].startswith(
+        "derivative-consistency: compares dflux_dxi, dflux_du; ")
     assert loud.to_dict() == quiet.to_dict()
 
 
@@ -611,12 +620,36 @@ def test_margin_kernels_bitwise_equal_to_numpy_reductions(name):
     assert _same_bits(v.lemma_lower_ratio(op, x, u, xi), -dot / denom)
 
 
-@pytest.mark.parametrize("name", sorted(ZOO))
-def test_derivative_consistency_equals_numpy_reductions(name):
-    from pqelliptic.operators import fd_dflux_du, fd_dflux_dx, fd_dflux_dxi
+def _custom_flux_only():
+    """The log family's flux as a custom operator: its three derivatives
+    are finite-difference fallbacks."""
+    log = make_family("log", {"p": 2, "q": 2.2})
+    return pq.make_custom(log.flux, dim=2, p=2, q=2.2, m=log.m, M=log.M)
 
-    op = pq.operator_from_descriptor(
-        {**ZOO[name], "domain": {"min": [0, 0], "max": [1, 1]}})
+
+_EVERY = "dflux_dxi dflux_du dflux_dx[0] dflux_dx[1]"
+
+#: name -> the derivatives check_derivative_consistency compares
+CONSISTENCY_OPERATORS = {
+    "double-phase": _EVERY,  # its dflux_dx comes from grad_weight
+    "log": "dflux_dxi dflux_du",  # dflux_dx is its finite difference
+    "variable-exponent": _EVERY,
+    "anisotropic": _EVERY,
+    "p-laplacian-degenerate": "dflux_dxi dflux_du",
+    "u-dependent": _EVERY,
+    "custom-flux-only": "",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSISTENCY_OPERATORS))
+def test_derivative_consistency_equals_numpy_reductions(name):
+    # the reference compares every derivative, a fallback with itself too
+    # (an error of 0), with numpy's reductions and the broadcast finite
+    # differences
+    from conftest import ref_fd_dflux_du, ref_fd_dflux_dx, ref_fd_dflux_dxi
+
+    op = (_custom_flux_only() if name == "custom-flux-only"
+          else _zoo_operator(name))
     cfg = SampleConfig(seed=3, count=3000)
     S = draw_samples(op, cfg, stream=DERIVATIVES)
     x, u, xi = S.x, S.u, S.xi
@@ -627,15 +660,77 @@ def test_derivative_consistency_equals_numpy_reductions(name):
                                            np.max(np.abs(f), axis=axes)))
         return np.max(np.abs(a - f), axis=axes) / scale
 
-    errs = [rel_err(op.dflux_dxi(x, u, xi), fd_dflux_dxi(op.flux, x, u, xi)),
-            rel_err(op.dflux_du(x, u, xi), fd_dflux_du(op.flux, x, u, xi))]
+    errs = [rel_err(op.dflux_dxi(x, u, xi),
+                    ref_fd_dflux_dxi(op.flux, x, u, xi)),
+            rel_err(op.dflux_du(x, u, xi), ref_fd_dflux_du(op.flux, x, u, xi))]
     errs += [rel_err(op.dflux_dx(x, u, xi, s),
-                     fd_dflux_dx(op.flux, x, u, xi, s))
+                     ref_fd_dflux_dx(op.flux, x, u, xi, s))
              for s in range(op.dim)]
     ref = 1e-6 - np.max(np.stack(errs), axis=0)
     entry = pq.check_derivative_consistency(op, cfg)
     assert _same_bits(entry.worst_margin, ref.min())
     assert entry.witness["xi"] == xi[int(np.argmin(ref))].tolist()
+    compared = " ".join(
+        pair[0] for pair in pq.verify._compared_derivatives(op))
+    assert compared == CONSISTENCY_OPERATORS[name]
+    if not compared:  # FD_REL_TOL at the first sample
+        assert entry.worst_margin == pq.verify.FD_REL_TOL
+        assert entry.witness["xi"] == xi[0].tolist()
+
+
+def test_nan_flux_fails_the_checks():
+    # a flux that is NaN on half of the domain: the derivatives compared
+    # with finite differences fail derivative consistency, and a custom
+    # flux with no derivative of its own still fails the structure checks
+    base = make_family("p-laplacian", {"p": 3})
+
+    def flux(x, u, xi):
+        a = base.flux(x, u, xi)
+        a[np.asarray(x)[..., 0] > 0.5] = np.nan
+        return a
+
+    cfg = SampleConfig(seed=4, count=500)
+    analytic = pq.make_custom(flux, dim=2, p=3, q=3, m=1, M=2,
+                              dflux_dxi=base.dflux_dxi)
+    entry = pq.check_derivative_consistency(analytic, cfg)
+    assert not entry.passed and math.isnan(entry.worst_margin)
+    assert entry.witness["x"][0] > 0.5
+    only_flux = pq.make_custom(flux, dim=2, p=3, q=3, m=1, M=2)
+    rep = pq.run_structure_checks(only_flux, cfg)
+    failed = {e.condition_id for e in rep.entries if not e.passed}
+    assert {"ellipticity", "growth-xi", "monotonicity"} <= failed
+
+
+def test_traced_and_untraced_runs_make_the_same_flux_calls(monkeypatch):
+    # a tracer re-wraps op.flux after construction, as perfbench does; the
+    # fallback keeps the flux it was built from, so an identity test on
+    # op.flux would compare it with a finite difference only when traced
+    import pqelliptic.operators as operators
+
+    calls = []
+    radial = operators._scaled  # the flux of an isotropic operator
+
+    def counted(w, xi):
+        calls.append(len(xi))
+        return radial(w, xi)
+
+    monkeypatch.setattr(operators, "_scaled", counted)
+    op = _zoo_operator("log")
+    cfg = SampleConfig(seed=5, count=3000)
+    pq.check_derivative_consistency(op, cfg)
+    untraced = list(calls)
+    flux, through = op.flux, []
+
+    def traced_flux(x, u, xi):
+        through.append(len(xi))
+        return flux(x, u, xi)
+
+    calls.clear()
+    traced = replace(op, flux=traced_flux)
+    assert traced.dflux_dx.args[0] is not traced.flux
+    pq.check_derivative_consistency(traced, cfg)
+    assert calls == untraced and through
+    assert len(through) == 2 * op.dim + 2  # one chunk: dflux_dxi, dflux_du
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +924,29 @@ def test_draw_samples_bitwise_equal_to_vstack_reference(name, kwargs):
         else:
             assert _same_bits(a, want), field
             assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("name", ["double-phase", "anisotropic",
+                                  "p-laplacian-degenerate"])
+def test_reports_do_not_depend_on_chunk(monkeypatch, name):
+    # margins are per sample and the coercivity fit's maxima are exact, so
+    # the chunk size moves no bit; 8200 samples are three chunks of 4096
+    # and two of 8192
+    import pqelliptic.verify as verify
+
+    assert verify.CHUNK == 8192
+    op = _zoo_operator(name)
+    cfg = SampleConfig(seed=2, count=8200)
+    reports = []
+    for chunk in (7, 4096, 8192):
+        monkeypatch.setattr(verify, "CHUNK", chunk)
+        reports.append(pq.run_structure_checks(op, cfg).to_dict())
+    texts = [repr(r) for r in reports]  # repr keeps every bit of a float
+    assert texts[0] == texts[1] == texts[2]
+    if name == "p-laplacian-degenerate":
+        ell = next(e for e in reports[0]["entries"]
+                   if e["condition_id"] == "ellipticity")
+        assert not ell["passed"] and not any(ell["witness"]["xi"])
 
 
 def test_structure_checks_peak_memory_is_two_base_clouds():
